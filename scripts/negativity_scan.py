@@ -10,7 +10,7 @@ import argparse
 from collections import Counter
 
 from valuation_lab.bounds import combinatorial_lambda_bound
-from valuation_lab.checks import _trial_rng, random_configuration
+from valuation_lab.checks import trial_rng, random_configuration
 
 
 def main() -> None:
@@ -23,7 +23,7 @@ def main() -> None:
     improvements: Counter[int] = Counter()
     best = None
     for trial in range(args.trials):
-        cfg = random_configuration(_trial_rng(args.seed, trial), args.max_points)
+        cfg = random_configuration(trial_rng(args.seed, trial), args.max_points)
         if cfg.size < 2:
             continue
         improvement = combinatorial_lambda_bound(cfg) - (1 - cfg.size)

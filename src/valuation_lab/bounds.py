@@ -22,7 +22,6 @@ from .invariants import (
     InvariantRecord,
     from_maximal_contact,
     invariant_record,
-    maximal_contact_values,
 )
 
 
@@ -38,6 +37,17 @@ class ValuationBundle:
     cfg: Configuration
     record: InvariantRecord
     delta0: int
+
+    @property
+    def mu_hat_bound(self) -> int:
+        """beta_bar_0 + (1 + delta0) t: the upper bound on mu-hat and the
+        denominator of the degree bound."""
+        return self.record.beta_bar[0] + (1 + self.delta0) * self.record.tangent_value
+
+    @property
+    def ratio_bound(self) -> int:
+        """-(1 + delta0): the self-intersection ratio bound."""
+        return -(1 + self.delta0)
 
 
 @dataclass(frozen=True)
@@ -99,13 +109,16 @@ class TonoValuation:
     trailing_free: int
 
 
+def _threshold_term(record: InvariantRecord) -> Fraction:
+    """The pre-ceiling term of delta0."""
+    return Fraction(record.threshold_numerator, record.tangent_value**2)
+
+
 def _threshold_index(record: InvariantRecord) -> int:
     """delta0 of an already-computed record."""
     if record.is_m_adic:
         return -1
-    contact = record.beta_bar
-    t = record.tangent_value
-    return ceil_plus(Fraction(contact[-1] - 2 * contact[0] * t, t * t))
+    return ceil_plus(_threshold_term(record))
 
 
 def valuation_bundle(cfg: Configuration) -> ValuationBundle:
@@ -119,25 +132,23 @@ def delta0(cfg: Configuration) -> int:
     return _threshold_index(invariant_record(cfg))
 
 
-def degree_lower_bound(cfg: Configuration, m: Sequence[int]) -> Fraction:
-    """Lower bound on the degree of a plane curve with multiplicities >= m."""
-    record = invariant_record(cfg)
-    v = record.multiplicities.values
+def _degree_bound(bundle: ValuationBundle, m: Sequence[int]) -> Fraction:
+    v = bundle.record.multiplicities.values
     if len(m) != len(v):
         raise ValueError(f"expected {len(v)} multiplicities, got {len(m)}")
     if any(x < 0 for x in m):
         raise ValueError("prescribed multiplicities must be non-negative")
-    weighted = sum(a * b for a, b in zip(v, m))
-    denominator = (
-        record.beta_bar[0] + (1 + _threshold_index(record)) * record.tangent_value
-    )
-    return Fraction(weighted, denominator)
+    return Fraction(sum(a * b for a, b in zip(v, m)), bundle.mu_hat_bound)
+
+
+def degree_lower_bound(cfg: Configuration, m: Sequence[int]) -> Fraction:
+    """Lower bound on the degree of a plane curve with multiplicities >= m."""
+    return _degree_bound(valuation_bundle(cfg), m)
 
 
 def mu_hat_upper_bound(cfg: Configuration) -> int:
     """Upper bound on the Seshadri-type constant of the valuation."""
-    record = invariant_record(cfg)
-    return record.beta_bar[0] + (1 + _threshold_index(record)) * record.tangent_value
+    return valuation_bundle(cfg).mu_hat_bound
 
 
 def supraminimal_certificate(
@@ -151,7 +162,7 @@ def supraminimal_certificate(
     """
     if curve_value < 1 or curve_degree < 1:
         raise ValueError("curve value and degree must be positive")
-    last = maximal_contact_values(cfg).beta_bar[-1]
+    last = invariant_record(cfg).beta_bar[-1]
     if curve_value * curve_value > last * curve_degree * curve_degree:
         return Fraction(curve_value, curve_degree)
     return None
@@ -160,7 +171,7 @@ def supraminimal_certificate(
 def ratio_bound(cfg: Configuration) -> int:
     """Lower bound on (strict transform)^2 / degree^2 for curves other than
     the tangent line."""
-    return -(1 + delta0(cfg))
+    return valuation_bundle(cfg).ratio_bound
 
 
 def default_aligned_mu(bundles: Sequence[ValuationBundle]) -> int:
@@ -214,7 +225,10 @@ def combinatorial_lambda_bound(cfg: Configuration) -> int:
     """
     if cfg.size < 2:
         raise ValueError("the bound needs a tangent line, hence two points")
-    contact = invariant_record(cfg).beta_bar
+    return _combinatorial_bound(cfg, invariant_record(cfg).beta_bar)
+
+
+def _combinatorial_bound(cfg: Configuration, contact: Sequence[int]) -> int:
     b0, b1, last = contact[0], contact[1], contact[-1]
     inverse_normalized_volume = Fraction(last, b0 * b0)
     shrink = Fraction(b0, b1)
@@ -239,17 +253,12 @@ def satellite_tail_comparison(
     """
     if cfg.size < 2:
         raise ValueError("tail comparison needs at least two points")
-
-    def term(record: InvariantRecord) -> Fraction:
-        t = record.tangent_value
-        return Fraction(record.beta_bar[-1] - 2 * record.beta_bar[0] * t, t * t)
-
     before = invariant_record(cfg)
     after = invariant_record(extend_with_satellite_tail(cfg, choices))
     return TailComparison(
         delta0_before=_threshold_index(before),
         delta0_after=_threshold_index(after),
-        difference=term(before) - term(after),
+        difference=_threshold_term(before) - _threshold_term(after),
     )
 
 
@@ -290,10 +299,7 @@ def tono_family(a: int, e: int) -> TonoValuation:
         raise VerificationError("the family curve must certify the constant")
     certificate = Fraction(curve_value, curve_degree)
     expected_bound = (e + 2) * a * a - a
-    actual_bound = (
-        bundle.record.beta_bar[0]
-        + (1 + bundle.delta0) * bundle.record.tangent_value
-    )
+    actual_bound = bundle.mu_hat_bound
     if actual_bound != expected_bound:
         raise VerificationError(
             f"upper bound {actual_bound} differs from the closed form "
@@ -335,14 +341,14 @@ def bound_report(
     combinatorial = None
     if cfg.size >= 2:
         combinatorial = BoundEntry(
-            combinatorial_lambda_bound(cfg), _COMBINATORIAL_TAG
+            _combinatorial_bound(cfg, bundle.record.beta_bar), _COMBINATORIAL_TAG
         )
     return BoundReport(
         degree_bound=BoundEntry(
-            degree_lower_bound(cfg, bundle.record.multiplicities.values), _DEGREE_TAG
+            _degree_bound(bundle, bundle.record.multiplicities.values), _DEGREE_TAG
         ),
-        mu_hat_upper=BoundEntry(mu_hat_upper_bound(cfg), _MU_HAT_TAG),
-        ratio_bound=BoundEntry(ratio_bound(cfg), _RATIO_TAG),
+        mu_hat_upper=BoundEntry(bundle.mu_hat_bound, _MU_HAT_TAG),
+        ratio_bound=BoundEntry(bundle.ratio_bound, _RATIO_TAG),
         multi_ratio_bound=BoundEntry(multi_ratio_bound(mv), _MULTI_TAG),
         lambda_bound=BoundEntry(lambda_lower_bound(mv), _LAMBDA_TAG),
         combinatorial_lambda_bound=combinatorial,

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import combinatorial_lambda_bound, delta0
+from .bounds import bound_report, valuation_bundle
 from .configurations import (
     Configuration,
     build_configuration,
@@ -21,11 +21,15 @@ from .configurations import (
 from .invariants import (
     curvette_vector,
     from_maximal_contact,
-    invariant_record,
     multiplicity_sequence,
     noether_pairing,
 )
-from .surface import intersect_hirzebruch, lambda_divisor, nef_on_generators, npi_check
+from .surface import (
+    generator_pairings,
+    intersect_hirzebruch,
+    lambda_from_record,
+    npi_from_record,
+)
 
 # Fraction of growth steps steered toward satellite points, to exercise
 # deep block structures.
@@ -109,17 +113,16 @@ def random_tail_choices(
 def identity_checks(
     cfg: Configuration, deltas: tuple[int, ...] = NEF_DELTAS
 ) -> list[CheckResult]:
-    """Run every built-in identity on one configuration."""
+    """Run every built-in identity on one configuration, reading one invariant
+    record; only the round trip builds a second, for the rebuilt chain."""
     results: list[CheckResult] = []
     n = cfg.size
-    record = invariant_record(cfg)
+    bundle = valuation_bundle(cfg)
+    record = bundle.record
     v = record.multiplicities.values
     contact = record.beta_bar
 
-    incoming: list[list[int]] = [[] for _ in range(n + 1)]
-    for p in cfg.points:
-        for target in p.proximate_to:
-            incoming[target].append(p.index)
+    incoming = cfg.proximate_points()
     equal = v[n - 1] == 1 and all(
         v[i - 1] == sum(v[j - 1] for j in incoming[i]) for i in range(1, n)
     )
@@ -140,23 +143,23 @@ def identity_checks(
     )
 
     try:
-        rebuilt = from_maximal_contact(contact)
-        ok = multiplicity_sequence(rebuilt).values == v
-        detail = "" if ok else f"rebuilt {multiplicity_sequence(rebuilt).values}"
+        rebuilt = multiplicity_sequence(from_maximal_contact(contact)).values
+        ok = rebuilt == v
+        detail = "" if ok else f"rebuilt {rebuilt}"
     except Exception as exc:  # reported, not raised
-        ok, detail = False, f"reconstruction failed: {exc}"
+        ok, detail = False, f"reconstruction failed: {type(exc).__name__}: {exc}"
     results.append(CheckResult("contact-round-trip", ok, detail))
 
-    d0 = delta0(cfg)
+    d0 = bundle.delta0
     if n == 1:
-        ok = d0 == -1 and npi_check(cfg, 0).non_positive_at_infinity
+        ok = d0 == -1 and npi_from_record(record, 0).non_positive_at_infinity
         results.append(CheckResult("delta0-threshold", ok))
     else:
         first = 0
-        while not npi_check(cfg, first).non_positive_at_infinity:
+        while not npi_from_record(record, first).non_positive_at_infinity:
             first += 1
         ok = first == d0 and (
-            d0 == 0 or not npi_check(cfg, d0 - 1).non_positive_at_infinity
+            d0 == 0 or not npi_from_record(record, d0 - 1).non_positive_at_infinity
         )
         results.append(
             CheckResult(
@@ -167,14 +170,13 @@ def identity_checks(
     ok = True
     detail = ""
     for delta in deltas:
-        pairings = nef_on_generators(cfg, delta)
-        for gp in pairings:
+        lam = lambda_from_record(record, delta)
+        for gp in generator_pairings(cfg, lam):
             expected = 1 if gp.name == f"E{n}" else 0
             if gp.value != expected:
                 ok, detail = False, f"delta={delta} {gp.name} -> {gp.value}"
                 break
-        lam = lambda_divisor(cfg, delta)
-        witness = npi_check(cfg, delta).witness
+        witness = npi_from_record(record, delta).witness
         if witness != intersect_hirzebruch(lam, lam):
             ok, detail = False, f"witness mismatch at delta={delta}"
         if not ok:
@@ -192,7 +194,7 @@ def identity_checks(
         )
 
         inverse_normalized = Fraction(contact[-1], contact[0] ** 2)
-        comb = combinatorial_lambda_bound(cfg)
+        comb = bound_report(bundle).combinatorial_lambda_bound.value
         ok = comb >= 1 - math.ceil(inverse_normalized) >= 1 - n
         results.append(
             CheckResult(
@@ -211,7 +213,7 @@ def identity_checks(
     return results
 
 
-def _trial_rng(seed: int, trial: int) -> random.Random:
+def trial_rng(seed: int, trial: int) -> random.Random:
     # Seed splitting: derive one independent stream per trial from the
     # master seed, deterministically.
     return random.Random(f"{seed}:{trial}")
@@ -225,7 +227,7 @@ def fuzz(max_points: int, trials: int, seed: int) -> FuzzSummary:
     failed = 0
     first_failure: FuzzFailure | None = None
     for trial in range(trials):
-        cfg = random_configuration(_trial_rng(seed, trial), max_points)
+        cfg = random_configuration(trial_rng(seed, trial), max_points)
         for result in identity_checks(cfg):
             if result.passed:
                 passed += 1
@@ -261,4 +263,5 @@ __all__ = [
     "identity_checks",
     "random_configuration",
     "random_tail_choices",
+    "trial_rng",
 ]

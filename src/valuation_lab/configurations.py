@@ -54,6 +54,16 @@ class Configuration:
     def proximate_to(self, index: int) -> frozenset[int]:
         return self.points[index - 1].proximate_to
 
+    def proximate_points(self, upto: int | None = None) -> list[list[int]]:
+        """Entry i lists the points of p_1..p_upto (default: all) that are
+        proximate to p_i; 1-based, entry 0 unused."""
+        k = self.size if upto is None else upto
+        incoming: list[list[int]] = [[] for _ in range(k + 1)]
+        for p in self.points[:k]:
+            for target in p.proximate_to:
+                incoming[target].append(p.index)
+        return incoming
+
 
 @dataclass(frozen=True, slots=True)
 class BlockDecomposition:
@@ -176,27 +186,13 @@ def append_free_chain(cfg: Configuration, k: int) -> Configuration:
         raise InvalidConfigurationError("cannot append a negative number of points")
     if k == 0:
         return cfg
-    points = list(cfg.points)
-    if cfg.size == 1:
-        # The first appended point fixes the tangent direction through p_1.
-        points.extend(
-            PointRecord(
-                index=cfg.size + j,
-                proximate_to=frozenset({cfg.size + j - 1}),
-                on_tangent=(cfg.size + j == 2),
-            )
-            for j in range(1, k + 1)
-        )
-    else:
-        points.extend(
-            PointRecord(
-                index=cfg.size + j,
-                proximate_to=frozenset({cfg.size + j - 1}),
-                on_tangent=False,
-            )
-            for j in range(1, k + 1)
-        )
-    return Configuration(points=tuple(points), name=cfg.name)
+    n = cfg.size
+    # Appended to a single point, p_2 fixes the tangent direction through p_1.
+    points = cfg.points + tuple(
+        PointRecord(index=i, proximate_to=frozenset({i - 1}), on_tangent=(i == 2))
+        for i in range(n + 1, n + k + 1)
+    )
+    return Configuration(points=points, name=cfg.name)
 
 
 def satellite_target_options(cfg: Configuration) -> tuple[int, ...]:

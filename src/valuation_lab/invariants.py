@@ -10,12 +10,14 @@ and then verifies itself by recomputing the contact values from scratch.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .configurations import (
+    BlockDecomposition,
     Configuration,
     append_free_chain,
     block_decomposition,
@@ -61,25 +63,24 @@ class InvariantRecord:
     normalized_volume: Fraction
     tangent_value: int
     is_m_adic: bool
+    decomposition: BlockDecomposition
 
     @property
     def beta_bar(self) -> tuple[int, ...]:
         return self.contact.beta_bar
 
-
-def _incoming(cfg: Configuration) -> list[list[int]]:
-    """incoming[i] = indices proximate to p_i (1-based, entry 0 unused)."""
-    incoming: list[list[int]] = [[] for _ in range(cfg.size + 1)]
-    for p in cfg.points:
-        for target in p.proximate_to:
-            incoming[target].append(p.index)
-    return incoming
+    @property
+    def threshold_numerator(self) -> int:
+        """beta_bar_last - 2 beta_bar_0 t.  Over t^2 it is the term behind
+        delta0; t^2 delta minus it is the nef candidate's self-intersection
+        on the ruled model of index delta."""
+        return self.beta_bar[-1] - 2 * self.beta_bar[0] * self.tangent_value
 
 
 def multiplicity_sequence(cfg: Configuration) -> MultiplicityVector:
     """Backward recursion v_n = 1, v_i = sum of v_j over points proximate to p_i."""
     n = cfg.size
-    incoming = _incoming(cfg)
+    incoming = cfg.proximate_points()
     v = [0] * (n + 1)
     v[n] = 1
     for i in range(n - 1, 0, -1):
@@ -92,10 +93,7 @@ def curvette_vector(cfg: Configuration, k: int) -> tuple[int, ...]:
     n = cfg.size
     if not 1 <= k <= n:
         raise ValueError(f"curvette index must lie in 1..{n}, got {k}")
-    incoming: list[list[int]] = [[] for _ in range(k + 1)]
-    for p in cfg.points[1:k]:
-        for target in p.proximate_to:
-            incoming[target].append(p.index)
+    incoming = cfg.proximate_points(k)
     w = [0] * (k + 1)
     w[k] = 1
     for i in range(k - 1, 0, -1):
@@ -112,22 +110,6 @@ def noether_pairing(cfg: Configuration, m: Sequence[int], m2: Sequence[int]) -> 
     return sum(a * b for a, b in zip(m, m2))
 
 
-def maximal_contact_values(cfg: Configuration) -> MaximalContactValues:
-    """Contact values via curvette pairings; the last one pairs the chain with itself."""
-    v = multiplicity_sequence(cfg).values
-    decomposition = block_decomposition(cfg)
-    beta = [v[0]]
-    for r in decomposition.last_free_indices:
-        beta.append(noether_pairing(cfg, v, curvette_vector(cfg, r)))
-    beta.append(noether_pairing(cfg, v, curvette_vector(cfg, cfg.size)))
-    gcds = []
-    g = 0
-    for b in beta:
-        g = math.gcd(g, b)
-        gcds.append(g)
-    return MaximalContactValues(beta_bar=tuple(beta), gcd_chain=tuple(gcds))
-
-
 def _continued_fraction(digits: Sequence[int]) -> Fraction:
     value = Fraction(digits[-1])
     for d in reversed(digits[:-1]):
@@ -135,45 +117,66 @@ def _continued_fraction(digits: Sequence[int]) -> Fraction:
     return value
 
 
-def _run_lengths(values: Sequence[int]) -> list[int]:
-    runs: list[int] = []
-    previous = None
-    for x in values:
-        if x == previous:
-            runs[-1] += 1
-        else:
-            runs.append(1)
-            previous = x
-    return runs
+def invariant_record(cfg: Configuration) -> InvariantRecord:
+    """Every derived invariant, from one multiplicity pass and one block
+    decomposition; the single-invariant functions below read this record.
+
+    Contact values are curvette pairings at the last free point of each
+    block; the last one pairs the chain with itself, the sum of v_i^2.
+    Puiseux exponents are the per-block continued fractions of multiplicity
+    run lengths.  Blocks are read as closed ranges, so the shared endpoint
+    of consecutive blocks contributes to the first run of the later block.
+    """
+    multiplicities = multiplicity_sequence(cfg)
+    v = multiplicities.values
+    decomposition = block_decomposition(cfg)
+    beta = [v[0]]
+    for r in decomposition.last_free_indices:
+        beta.append(noether_pairing(cfg, v, curvette_vector(cfg, r)))
+    beta.append(sum(x * x for x in v))
+    runs = tuple(
+        tuple(len(list(run)) for _, run in itertools.groupby(v[lo - 1 : hi]))
+        for lo, hi in decomposition.blocks
+    )
+    is_m_adic = cfg.size == 1
+    # A single point has no tangent line; its tangent value is 1.
+    tangent = 1 if is_m_adic else sum(
+        v[p.index - 1] for p in cfg.points if p.on_tangent
+    )
+    return InvariantRecord(
+        multiplicities=multiplicities,
+        contact=MaximalContactValues(
+            beta_bar=tuple(beta), gcd_chain=tuple(itertools.accumulate(beta, math.gcd))
+        ),
+        puiseux=PuiseuxExponents(
+            beta_prime=(Fraction(1), *map(_continued_fraction, runs)),
+            run_length_tables=runs,
+        ),
+        volume=Fraction(1, beta[-1]),
+        normalized_volume=Fraction(beta[0] ** 2, beta[-1]),
+        tangent_value=tangent,
+        is_m_adic=is_m_adic,
+        decomposition=decomposition,
+    )
+
+
+def maximal_contact_values(cfg: Configuration) -> MaximalContactValues:
+    """Contact values via curvette pairings; the last one pairs the chain with itself."""
+    return invariant_record(cfg).contact
 
 
 def puiseux_exponents(cfg: Configuration) -> PuiseuxExponents:
-    """Per block, the continued fraction of the multiplicity run lengths.
-
-    Blocks are read as closed ranges, so the shared endpoint of consecutive
-    blocks contributes to the first run of the later block.
-    """
-    v = multiplicity_sequence(cfg).values
-    decomposition = block_decomposition(cfg)
-    exponents = [Fraction(1)]
-    tables = []
-    for lo, hi in decomposition.blocks:
-        digits = _run_lengths(v[lo - 1 : hi])
-        tables.append(tuple(digits))
-        exponents.append(_continued_fraction(digits))
-    return PuiseuxExponents(
-        beta_prime=tuple(exponents), run_length_tables=tuple(tables)
-    )
+    """Per block, the continued fraction of the multiplicity run lengths."""
+    return invariant_record(cfg).puiseux
 
 
 def volume(cfg: Configuration) -> Fraction:
     """Reciprocal of the last maximal contact value."""
-    return Fraction(1, maximal_contact_values(cfg).beta_bar[-1])
+    return invariant_record(cfg).volume
 
 
 def normalized_volume(cfg: Configuration) -> Fraction:
-    contact = maximal_contact_values(cfg).beta_bar
-    return Fraction(contact[0] ** 2, contact[-1])
+    return invariant_record(cfg).normalized_volume
 
 
 def tangent_value(cfg: Configuration) -> int:
@@ -181,30 +184,14 @@ def tangent_value(cfg: Configuration) -> int:
 
     A single point has no tangent line; its value is 1 by convention.
     """
-    if cfg.size == 1:
-        return 1
-    v = multiplicity_sequence(cfg).values
-    return sum(v[p.index - 1] for p in cfg.points if p.on_tangent)
-
-
-def invariant_record(cfg: Configuration) -> InvariantRecord:
-    contact = maximal_contact_values(cfg)
-    return InvariantRecord(
-        multiplicities=multiplicity_sequence(cfg),
-        contact=contact,
-        puiseux=puiseux_exponents(cfg),
-        volume=Fraction(1, contact.beta_bar[-1]),
-        normalized_volume=Fraction(contact.beta_bar[0] ** 2, contact.beta_bar[-1]),
-        tangent_value=tangent_value(cfg),
-        is_m_adic=(cfg.size == 1),
-    )
+    return invariant_record(cfg).tangent_value
 
 
 def semigroup_values(cfg: Configuration, limit: int) -> list[int]:
     """Values up to ``limit`` of the semigroup generated by the contact values."""
     if limit < 0:
         raise ValueError("limit must be non-negative")
-    generators = maximal_contact_values(cfg).beta_bar
+    generators = invariant_record(cfg).beta_bar
     reachable = [False] * (limit + 1)
     reachable[0] = True
     for g in generators:
@@ -316,11 +303,11 @@ def from_maximal_contact(
 
     prox = _proximities_from_multiplicities(values)
     cfg = build_configuration(prox, name=name)
-    rebuilt = multiplicity_sequence(cfg).values
-    if rebuilt != tuple(values):
+    record = invariant_record(cfg)
+    if record.multiplicities.values != tuple(values):
         raise ReconstructionError("reconstructed chain does not reproduce the "
                                   "expected multiplicities")
-    recomputed = maximal_contact_values(cfg).beta_bar
+    recomputed = record.beta_bar
     if len(b) > len(recomputed) or list(recomputed[: len(b)]) != b:
         raise ReconstructionError(
             f"no configuration reproduces {tuple(b)}; the closest candidate "

@@ -9,6 +9,7 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from typing import Any
@@ -16,7 +17,7 @@ from typing import Any
 from .bounds import BoundReport, MultiValuation, TonoValuation, ValuationBundle
 from .bounds import lambda_lower_bound, multi_ratio_bound
 from .checks import CheckResult, FuzzSummary
-from .configurations import block_decomposition, classify_points, SATELLITE
+from .configurations import classify_points, SATELLITE
 
 
 def approx(x: Fraction | int) -> float:
@@ -39,21 +40,16 @@ def rational_text(x: Fraction | int) -> str:
 def compress_runs(values: tuple[int, ...]) -> str:
     """Run-length display for long multiplicity vectors: ``6 3x7 1x9``."""
     parts: list[str] = []
-    i = 0
-    while i < len(values):
-        j = i
-        while j < len(values) and values[j] == values[i]:
-            j += 1
-        count = j - i
-        parts.append(str(values[i]) if count == 1 else f"{values[i]}x{count}")
-        i = j
+    for value, run in itertools.groupby(values):
+        count = len(list(run))
+        parts.append(str(value) if count == 1 else f"{value}x{count}")
     return " ".join(parts)
 
 
 def invariants_payload(bundle: ValuationBundle) -> dict[str, Any]:
     cfg = bundle.cfg
     record = bundle.record
-    decomposition = block_decomposition(cfg)
+    decomposition = record.decomposition
     satellites = [
         i + 1 for i, kind in enumerate(classify_points(cfg)) if kind == SATELLITE
     ]

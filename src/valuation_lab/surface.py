@@ -13,11 +13,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .configurations import Configuration
-from .invariants import (
-    maximal_contact_values,
-    multiplicity_sequence,
-    tangent_value,
-)
+from .invariants import InvariantRecord, invariant_record
 
 
 @dataclass(frozen=True)
@@ -107,38 +103,48 @@ def intersect_hirzebruch(x: HirzebruchClass, y: HirzebruchClass) -> int:
     return x.a * y.b + y.a * x.b + x.delta * x.b * y.b - exceptional
 
 
-def lambda_divisor(cfg: Configuration, delta: int) -> HirzebruchClass:
+def lambda_from_record(record: InvariantRecord, delta: int) -> HirzebruchClass:
     """The nef candidate attached to the valuation on the ruled model.
 
     Its fiber coefficient is the first contact value, its section
     coefficient is the tangent value, and it subtracts the multiplicity
     sequence over the exceptional classes.
     """
-    contact = maximal_contact_values(cfg)
     return HirzebruchClass(
-        a=contact.beta_bar[0],
-        b=tangent_value(cfg),
-        mults=multiplicity_sequence(cfg).values,
+        a=record.beta_bar[0],
+        b=record.tangent_value,
+        mults=record.multiplicities.values,
         delta=delta,
     )
 
 
-def npi_check(cfg: Configuration, delta: int) -> NpiResult:
+def lambda_divisor(cfg: Configuration, delta: int) -> HirzebruchClass:
+    """``lambda_from_record`` on the configuration's invariant record."""
+    return lambda_from_record(invariant_record(cfg), delta)
+
+
+def npi_from_record(record: InvariantRecord, delta: int) -> NpiResult:
     """Non-positivity at infinity on the ruled model of the given index.
 
     The witness is the self-intersection of the nef candidate, computed
     from the closed formula 2*b0*t + t^2*delta - b_last rather than the
-    pairing (the two paths are compared in tests).
+    pairing (the two paths are compared in tests and in the identity suite).
     """
     if delta < 0:
         raise ValueError("ruled surface index must be non-negative")
-    contact = maximal_contact_values(cfg).beta_bar
-    t = tangent_value(cfg)
-    witness = 2 * contact[0] * t + t * t * delta - contact[-1]
+    t = record.tangent_value
+    witness = t * t * delta - record.threshold_numerator
     return NpiResult(non_positive_at_infinity=(witness >= 0), witness=witness)
 
 
-def nef_on_generators(cfg: Configuration, delta: int) -> list[GeneratorPairing]:
+def npi_check(cfg: Configuration, delta: int) -> NpiResult:
+    """``npi_from_record`` on the configuration's invariant record."""
+    return npi_from_record(invariant_record(cfg), delta)
+
+
+def generator_pairings(
+    cfg: Configuration, lam: HirzebruchClass
+) -> list[GeneratorPairing]:
     """Pair the nef candidate with every claimed generator of the curve cone.
 
     Generators: the strict transform of the fiber through the center (it
@@ -147,7 +153,7 @@ def nef_on_generators(cfg: Configuration, delta: int) -> list[GeneratorPairing]:
     transforms of the exceptional divisors.
     """
     n = cfg.size
-    lam = lambda_divisor(cfg, delta)
+    delta = lam.delta
 
     fiber = HirzebruchClass(
         a=1,
@@ -167,10 +173,7 @@ def nef_on_generators(cfg: Configuration, delta: int) -> list[GeneratorPairing]:
             "special_section", section, intersect_hirzebruch(lam, section)
         ),
     ]
-    incoming: list[list[int]] = [[] for _ in range(n + 1)]
-    for p in cfg.points:
-        for target in p.proximate_to:
-            incoming[target].append(p.index)
+    incoming = cfg.proximate_points()
     for i in range(1, n + 1):
         mults = [0] * n
         mults[i - 1] = -1
@@ -183,6 +186,11 @@ def nef_on_generators(cfg: Configuration, delta: int) -> list[GeneratorPairing]:
             )
         )
     return pairings
+
+
+def nef_on_generators(cfg: Configuration, delta: int) -> list[GeneratorPairing]:
+    """``generator_pairings`` of the configuration's nef candidate."""
+    return generator_pairings(cfg, lambda_divisor(cfg, delta))
 
 
 def hirzebruch_class_of_polynomial(
@@ -229,10 +237,7 @@ def strict_transform_plane(
                 f"expected {cfg.size} multiplicities, got {len(mults)}"
             )
         if check_proximity:
-            incoming: list[list[int]] = [[] for _ in range(cfg.size + 1)]
-            for p in cfg.points:
-                for target in p.proximate_to:
-                    incoming[target].append(p.index)
+            incoming = cfg.proximate_points()
             for i in range(1, cfg.size + 1):
                 required = sum(mults[j - 1] for j in incoming[i])
                 if mults[i - 1] < required:
@@ -249,11 +254,14 @@ __all__ = [
     "HirzebruchClass",
     "NpiResult",
     "PlaneClass",
+    "generator_pairings",
     "hirzebruch_class_of_polynomial",
     "intersect_hirzebruch",
     "intersect_plane",
     "lambda_divisor",
+    "lambda_from_record",
     "nef_on_generators",
     "npi_check",
+    "npi_from_record",
     "strict_transform_plane",
 ]

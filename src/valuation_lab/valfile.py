@@ -132,6 +132,8 @@ def parse(text: str) -> ValuationFile:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise FileFormatError("invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise FileFormatError("top level: expected an object")
     unknown = set(data) - {"valuations", "aligned_mu"}

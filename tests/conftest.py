@@ -1,6 +1,6 @@
 import pytest
 
-from valuation_lab.checks import random_configuration, _trial_rng
+from valuation_lab.checks import random_configuration, trial_rng
 
 CORPUS_SEED = 1729
 CORPUS_SIZE = 1000
@@ -11,6 +11,6 @@ CORPUS_MAX_POINTS = 12
 def fuzz_corpus():
     """The 1000-configuration corpus used by the acceptance criteria."""
     return [
-        random_configuration(_trial_rng(CORPUS_SEED, trial), CORPUS_MAX_POINTS)
+        random_configuration(trial_rng(CORPUS_SEED, trial), CORPUS_MAX_POINTS)
         for trial in range(CORPUS_SIZE)
     ]

@@ -18,6 +18,7 @@ from valuation_lab.configurations import (
     classify_points,
     extend_with_satellite_tail,
 )
+from valuation_lab.errors import ReconstructionError
 
 
 class TestRandomConfiguration:
@@ -79,6 +80,16 @@ class TestIdentityChecks:
             "nef-generator-pairings",
             "remark-dominance",
         } <= names
+
+    def test_round_trip_failure_keeps_the_exception_type(self, monkeypatch):
+        def failing(beta_bar, trailing_free=0, name=None):
+            raise ReconstructionError("synthetic")
+
+        monkeypatch.setattr(checks, "from_maximal_contact", failing)
+        results = identity_checks(build_configuration([[], [1], [2, 1]]))
+        (round_trip,) = [r for r in results if r.name == "contact-round-trip"]
+        assert not round_trip.passed
+        assert round_trip.detail == "reconstruction failed: ReconstructionError: synthetic"
 
 
 class TestFuzz:

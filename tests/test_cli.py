@@ -134,6 +134,12 @@ class TestCommands:
         assert main(["invariants", path]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_deeply_nested_file_exits_one(self, tmp_path, capsys):
+        depth = 100_000
+        path = write(tmp_path, "[" * depth + "]" * depth)
+        assert main(["invariants", path]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["invariants", "/does/not/exist.json"]) == 1
 

@@ -1,0 +1,78 @@
+"""Derive once: each configuration's invariants are computed once and passed along.
+
+The counters wrap ``invariant_record`` and ``multiplicity_sequence`` and
+rebind every attribute of every loaded ``valuation_lab`` module that holds
+them, since the other modules import both by name.
+"""
+
+import sys
+
+import pytest
+
+from valuation_lab import invariants
+from valuation_lab.bounds import bound_report, tono_family, valuation_bundle
+from valuation_lab.checks import identity_checks
+from valuation_lab.configurations import build_configuration
+from valuation_lab.reports import invariants_payload
+
+COUNTED = ("invariant_record", "multiplicity_sequence")
+
+SMALL = [
+    build_configuration([[]]),
+    build_configuration([[], [1]]),
+    build_configuration([[], [1], [2, 1], [3, 1], [4]], tangent_count=2),
+]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Per counted function, the sizes of the configurations it was called on."""
+    log = {name: [] for name in COUNTED}
+    modules = [
+        module
+        for name, module in sys.modules.items()
+        if name == "valuation_lab" or name.startswith("valuation_lab.")
+    ]
+    for name in COUNTED:
+        original = getattr(invariants, name)
+
+        def counted(cfg, _original=original, _sizes=log[name]):
+            _sizes.append(cfg.size)
+            return _original(cfg)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return log
+
+
+def _reset(log):
+    for sizes in log.values():
+        sizes.clear()
+
+
+@pytest.mark.parametrize("cfg", SMALL + [None], ids=["1pt", "2pt", "satellite", "tono"])
+def test_report_and_payload_read_the_bundle(calls, cfg):
+    bundle = tono_family(3, 0).bundle if cfg is None else valuation_bundle(cfg)
+    _reset(calls)
+    bound_report(bundle)
+    invariants_payload(bundle)
+    assert calls == {name: [] for name in COUNTED}
+
+
+def test_tono_family_and_report_build_the_full_chain_once(calls):
+    family = tono_family(4, 1)
+    bound_report(family.bundle)
+    size = family.bundle.cfg.size
+    assert calls["invariant_record"].count(size) == 1
+    assert calls["multiplicity_sequence"].count(size) == 1
+
+
+@pytest.mark.parametrize("cfg", SMALL + [None], ids=["1pt", "2pt", "satellite", "tono"])
+def test_identity_checks_build_at_most_two_records(calls, cfg):
+    cfg = tono_family(3, 0).bundle.cfg if cfg is None else cfg
+    _reset(calls)
+    results = identity_checks(cfg)
+    assert all(r.passed for r in results)
+    assert len(calls["invariant_record"]) <= 2
