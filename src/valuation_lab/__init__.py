@@ -21,6 +21,7 @@ from .bounds import (
     valuation_bundle,
 )
 from .configurations import (
+    MAX_LISTED_POINTS,
     BlockDecomposition,
     Configuration,
     PointRecord,
@@ -31,6 +32,7 @@ from .configurations import (
     extend_with_satellite_tail,
 )
 from .errors import (
+    ChainTooLongError,
     FileFormatError,
     InvalidConfigurationError,
     ReconstructionError,

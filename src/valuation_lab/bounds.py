@@ -132,18 +132,15 @@ def delta0(cfg: Configuration) -> int:
     return _threshold_index(invariant_record(cfg))
 
 
-def _degree_bound(bundle: ValuationBundle, m: Sequence[int]) -> Fraction:
+def degree_lower_bound(cfg: Configuration, m: Sequence[int]) -> Fraction:
+    """Lower bound on the degree of a plane curve with multiplicities >= m."""
+    bundle = valuation_bundle(cfg)
     v = bundle.record.multiplicities.values
     if len(m) != len(v):
         raise ValueError(f"expected {len(v)} multiplicities, got {len(m)}")
     if any(x < 0 for x in m):
         raise ValueError("prescribed multiplicities must be non-negative")
     return Fraction(sum(a * b for a, b in zip(v, m)), bundle.mu_hat_bound)
-
-
-def degree_lower_bound(cfg: Configuration, m: Sequence[int]) -> Fraction:
-    """Lower bound on the degree of a plane curve with multiplicities >= m."""
-    return _degree_bound(valuation_bundle(cfg), m)
 
 
 def mu_hat_upper_bound(cfg: Configuration) -> int:
@@ -232,7 +229,9 @@ def _combinatorial_bound(cfg: Configuration, contact: Sequence[int]) -> int:
     b0, b1, last = contact[0], contact[1], contact[-1]
     inverse_normalized_volume = Fraction(last, b0 * b0)
     shrink = Fraction(b0, b1)
-    p3_satellite = cfg.size >= 3 and len(cfg.points[2].proximate_to) == 2
+    # p_3 is the earliest point that can be a satellite.
+    stretches = cfg.structure.stretches
+    p3_satellite = bool(stretches) and stretches[0][0] == 3
     if p3_satellite:
         return -1 - ceil_plus(shrink * shrink * inverse_normalized_volume - 2 * shrink)
     return min(
@@ -334,7 +333,8 @@ def bound_report(
     """All bounds for a single valuation, treated as a one-element ensemble.
 
     The degree bound is evaluated at the valuation's own multiplicity
-    sequence (a curve through every center with those multiplicities).
+    sequence (a curve through every center with those multiplicities):
+    sum v_i^2 over the mu-hat bound, that is beta_bar_last over it.
     """
     cfg = bundle.cfg
     mv = multi_valuation([bundle], aligned_mu)
@@ -345,7 +345,7 @@ def bound_report(
         )
     return BoundReport(
         degree_bound=BoundEntry(
-            _degree_bound(bundle, bundle.record.multiplicities.values), _DEGREE_TAG
+            Fraction(bundle.record.beta_bar[-1], bundle.mu_hat_bound), _DEGREE_TAG
         ),
         mu_hat_upper=BoundEntry(bundle.mu_hat_bound, _MU_HAT_TAG),
         ratio_bound=BoundEntry(bundle.ratio_bound, _RATIO_TAG),

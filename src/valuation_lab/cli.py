@@ -1,13 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on any validation or usage error, 2 when a
-``check`` or ``fuzz`` run reports a failed identity.
+Exit codes: 0 on success, 1 on any validation or usage error (a chain too
+long to list point by point, or running out of memory or recursion depth,
+included), 2 when a ``check`` or ``fuzz`` run reports a failed identity.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from datetime import datetime, timezone
 
 from . import checks as checks_module
@@ -70,7 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, table: str, args: argparse.Namespace) -> None:
+def _emit(
+    payload: dict, render_table: Callable[[dict], str], args: argparse.Namespace
+) -> None:
+    """Write the payload in the requested format; only that format is rendered."""
     if args.timestamps:
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
     if args.format == "json":
@@ -78,7 +83,7 @@ def _emit(payload: dict, table: str, args: argparse.Namespace) -> None:
     else:
         if args.timestamps:
             sys.stdout.write(f"generated at {payload['generated_at']}\n")
-        sys.stdout.write(table)
+        sys.stdout.write(render_table(payload))
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
@@ -88,7 +93,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         "command": "invariants",
         "valuations": [invariants_payload(b) for b in bundles],
     }
-    _emit(payload, render_invariants_table(payload), args)
+    _emit(payload, render_invariants_table, args)
     return 0
 
 
@@ -101,7 +106,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         "valuations": [bounds_payload(bound_report(b), b) for b in bundles],
         "ensemble": ensemble_payload(mv),
     }
-    _emit(payload, render_bounds_table(payload), args)
+    _emit(payload, render_bounds_table, args)
     return 0
 
 
@@ -112,7 +117,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for entry in vf.entries
     ]
     payload = {"command": "check", **checks_payload(results)}
-    _emit(payload, render_check_table(payload), args)
+    _emit(payload, render_check_table, args)
     return 0 if payload["summary"]["checks_failed"] == 0 else 2
 
 
@@ -139,14 +144,14 @@ def _cmd_family(args: argparse.Namespace) -> int:
         )
         with open(args.emit, "w", encoding="utf-8") as handle:
             handle.write(serialize(vf))
-    _emit(payload, render_family_table(payload), args)
+    _emit(payload, render_family_table, args)
     return 0
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     summary = checks_module.fuzz(args.max_points, args.trials, args.seed)
     payload = {"command": "fuzz", **fuzz_payload(summary)}
-    _emit(payload, render_fuzz_table(payload), args)
+    _emit(payload, render_fuzz_table, args)
     return 0 if summary.ok else 2
 
 
@@ -168,8 +173,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except (ValuationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValuationError, ValueError, OSError, MemoryError, RecursionError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

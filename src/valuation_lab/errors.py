@@ -19,3 +19,7 @@ class VerificationError(ValuationError):
 
 class FileFormatError(ValuationError):
     """A valuation file does not match the documented JSON schema."""
+
+
+class ChainTooLongError(ValuationError):
+    """A chain has too many points to list one by one."""

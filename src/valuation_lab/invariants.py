@@ -2,10 +2,15 @@
 
 Everything here is exact: multiplicities and contact values are Python
 integers, volumes and Puiseux exponents are ``fractions.Fraction``.  The
-inverse construction (``from_maximal_contact``) expands each contact
-value into a block of multiplicities by the subtractive Euclidean
-algorithm, recovers proximities greedily from the multiplicity sequence,
-and then verifies itself by recomputing the contact values from scratch.
+record is read from a configuration's multiplicity runs and run-level
+proximity structure, so it costs O(runs), not O(points).  The inverse
+construction (``from_maximal_contact``) expands each contact value into a
+block of multiplicity runs by the subtractive Euclidean algorithm and then
+verifies itself by recomputing the contact values from the chain's
+proximity structure.
+
+``multiplicity_sequence``, ``curvette_vector`` and ``noether_pairing``
+work point by point; they are the references the record is tested against.
 """
 
 from __future__ import annotations
@@ -15,25 +20,31 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .configurations import (
     BlockDecomposition,
     Configuration,
     append_free_chain,
-    block_decomposition,
-    build_configuration,
+    expand_runs,
 )
 from .errors import ReconstructionError
 
 
 @dataclass(frozen=True)
 class MultiplicityVector:
-    """Values of the maximal ideals along the chain; v_n = 1."""
+    """Values of the maximal ideals along the chain, as runs (value, count);
+    v_n = 1."""
 
-    values: tuple[int, ...]
+    runs: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        """The multiplicities listed point by point."""
+        return tuple(expand_runs(self.runs))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return sum(count for _, count in self.runs)
 
 
 @dataclass(frozen=True)
@@ -78,14 +89,17 @@ class InvariantRecord:
 
 
 def multiplicity_sequence(cfg: Configuration) -> MultiplicityVector:
-    """Backward recursion v_n = 1, v_i = sum of v_j over points proximate to p_i."""
+    """Backward recursion v_n = 1, v_i = sum of v_j over points proximate to p_i,
+    point by point."""
     n = cfg.size
     incoming = cfg.proximate_points()
     v = [0] * (n + 1)
     v[n] = 1
     for i in range(n - 1, 0, -1):
         v[i] = sum(v[j] for j in incoming[i])
-    return MultiplicityVector(values=tuple(v[1:]))
+    return MultiplicityVector(
+        runs=tuple((value, len(list(run))) for value, run in itertools.groupby(v[1:]))
+    )
 
 
 def curvette_vector(cfg: Configuration, k: int) -> tuple[int, ...]:
@@ -117,34 +131,54 @@ def _continued_fraction(digits: Sequence[int]) -> Fraction:
     return value
 
 
+def _curvette_pairing(cfg: Configuration, r: int) -> int:
+    """Pairing of the chain with the curvette through p_1..p_r, run by run.
+
+    The curvette's multiplicities w are constant on each run cut at p_r:
+    1 on the run holding p_r, and on an earlier run the sum of w over the
+    points proximate to its end, up to p_r.
+    """
+    structure = cfg.structure
+    cut = structure.spans(1, r)
+    w = [0] * len(cut)
+    w[-1] = 1
+    for s in range(len(cut) - 2, -1, -1):
+        proximate = structure.spans(
+            structure.ends[s] + 1, min(structure.reach[s], r)
+        )
+        w[s] = sum(count * w[t] for t, count in proximate)
+    return sum(cfg.runs[s][0] * count * w[s] for s, count in cut)
+
+
 def invariant_record(cfg: Configuration) -> InvariantRecord:
-    """Every derived invariant, from one multiplicity pass and one block
-    decomposition; the single-invariant functions below read this record.
+    """Every derived invariant, read from the multiplicity runs and the
+    run-level proximity structure; the single-invariant functions below
+    read this record.
 
     Contact values are curvette pairings at the last free point of each
-    block; the last one pairs the chain with itself, the sum of v_i^2.
-    Puiseux exponents are the per-block continued fractions of multiplicity
-    run lengths.  Blocks are read as closed ranges, so the shared endpoint
-    of consecutive blocks contributes to the first run of the later block.
+    block; the last one pairs the chain with itself, the sum of
+    count * value^2.  Puiseux exponents are the per-block continued
+    fractions of multiplicity run lengths.  Blocks are read as closed
+    ranges, so the shared endpoint of consecutive blocks contributes to the
+    first run of the later block.
     """
-    multiplicities = multiplicity_sequence(cfg)
-    v = multiplicities.values
-    decomposition = block_decomposition(cfg)
-    beta = [v[0]]
+    structure = cfg.structure
+    decomposition = structure.decomposition
+    beta = [cfg.runs[0][0]]
     for r in decomposition.last_free_indices:
-        beta.append(noether_pairing(cfg, v, curvette_vector(cfg, r)))
-    beta.append(sum(x * x for x in v))
+        beta.append(_curvette_pairing(cfg, r))
+    beta.append(sum(count * value * value for value, count in cfg.runs))
     runs = tuple(
-        tuple(len(list(run)) for _, run in itertools.groupby(v[lo - 1 : hi]))
+        tuple(count for _, count in structure.spans(lo, hi))
         for lo, hi in decomposition.blocks
     )
     is_m_adic = cfg.size == 1
     # A single point has no tangent line; its tangent value is 1.
     tangent = 1 if is_m_adic else sum(
-        v[p.index - 1] for p in cfg.points if p.on_tangent
+        cfg.runs[s][0] * count for s, count in structure.spans(1, cfg.tangent_count)
     )
     return InvariantRecord(
-        multiplicities=multiplicities,
+        multiplicities=MultiplicityVector(runs=cfg.runs),
         contact=MaximalContactValues(
             beta_bar=tuple(beta), gcd_chain=tuple(itertools.accumulate(beta, math.gcd))
         ),
@@ -203,50 +237,21 @@ def semigroup_values(cfg: Configuration, limit: int) -> list[int]:
     return [x for x, ok in enumerate(reachable) if ok]
 
 
-def _euclid_block_values(small: int, large: int) -> list[int]:
-    """Minima of the subtractive gcd process on (small, large), in order.
+def _euclid_block_values(small: int, large: int) -> list[tuple[int, int]]:
+    """Minima of the subtractive gcd process on (small, large), as runs.
 
-    These are exactly the multiplicities contributed by one block; the run
-    lengths equal the continued-fraction digits of large/small.
+    These are exactly the multiplicities contributed by one block, as
+    (value, count); the counts are the continued-fraction digits of
+    large/small.
     """
-    out: list[int] = []
+    out: list[tuple[int, int]] = []
     s, big = small, large
     while True:
         q, r = divmod(big, s)
-        out.extend([s] * q)
+        out.append((s, q))
         if r == 0:
             return out
         s, big = r, s
-
-
-def _proximities_from_multiplicities(values: Sequence[int]) -> list[list[int]]:
-    """Recover proximity lists from a multiplicity sequence.
-
-    The points proximate to p_i form a consecutive range starting at p_{i+1}
-    whose multiplicities sum to v_i exactly; any mismatch means no
-    configuration realizes the sequence.
-    """
-    n = len(values)
-    prox: list[set[int]] = [set() for _ in range(n)]
-    for i in range(1, n):
-        target = values[i - 1]
-        acc = 0
-        j = i + 1
-        while acc < target:
-            if j > n:
-                raise ReconstructionError(
-                    f"multiplicity {target} at position {i} cannot be matched "
-                    "by the points that follow"
-                )
-            prox[j - 1].add(i)
-            acc += values[j - 1]
-            j += 1
-        if acc != target:
-            raise ReconstructionError(
-                f"multiplicities after position {i} overshoot the proximity "
-                f"equality ({acc} > {target})"
-            )
-    return [sorted(s) for s in prox]
 
 
 def from_maximal_contact(
@@ -259,8 +264,9 @@ def from_maximal_contact(
     Block j expands the pair (e_{j-1}, y_j) by the subtractive Euclidean
     algorithm, where y_j = beta_j - n_{j-1} beta_{j-1} + e_{j-1} and the
     shared block endpoint is emitted only once.  The result is verified by
-    recomputing its contact values; ``trailing_free`` extra free points are
-    appended afterwards (each adds 1 to the final contact value).
+    recomputing its contact values from its proximity structure;
+    ``trailing_free`` extra free points are appended afterwards (each adds
+    1 to the final contact value).
     """
     b = [int(x) for x in beta_bar]
     if len(b) < 2:
@@ -275,7 +281,7 @@ def from_maximal_contact(
     if trailing_free < 0:
         raise ReconstructionError("trailing_free must be non-negative")
 
-    values = _euclid_block_values(b[0], b[1])
+    runs = _euclid_block_values(b[0], b[1])
     gcd_prev = b[0]
     gcd_here = math.gcd(b[0], b[1])
     for j in range(2, len(b)):
@@ -291,23 +297,21 @@ def from_maximal_contact(
                 f"contact value {b[j]} at position {j} is too small to open "
                 "a new block"
             )
-        segment = _euclid_block_values(gcd_here, y)
-        values.extend(segment[1:])
+        (_, first_count), *rest = _euclid_block_values(gcd_here, y)
+        # The block opens on the previous block's last point, a run of e_{j-1}.
+        runs[-1] = (gcd_here, runs[-1][1] + first_count - 1)
+        runs += rest
         gcd_prev, gcd_here = gcd_here, math.gcd(gcd_here, y)
 
-    if values[-1] != 1:
+    if runs[-1][0] != 1:
         raise ReconstructionError(
             "sequence does not terminate: the final multiplicity would be "
-            f"{values[-1]}, not 1"
+            f"{runs[-1][0]}, not 1"
         )
 
-    prox = _proximities_from_multiplicities(values)
-    cfg = build_configuration(prox, name=name)
-    record = invariant_record(cfg)
-    if record.multiplicities.values != tuple(values):
-        raise ReconstructionError("reconstructed chain does not reproduce the "
-                                  "expected multiplicities")
-    recomputed = record.beta_bar
+    size = sum(count for _, count in runs)
+    cfg = Configuration(runs=tuple(runs), tangent_count=min(2, size), name=name)
+    recomputed = invariant_record(cfg).beta_bar
     if len(b) > len(recomputed) or list(recomputed[: len(b)]) != b:
         raise ReconstructionError(
             f"no configuration reproduces {tuple(b)}; the closest candidate "

@@ -17,7 +17,6 @@ from typing import Any
 from .bounds import BoundReport, MultiValuation, TonoValuation, ValuationBundle
 from .bounds import lambda_lower_bound, multi_ratio_bound
 from .checks import CheckResult, FuzzSummary
-from .configurations import classify_points, SATELLITE
 
 
 def approx(x: Fraction | int) -> float:
@@ -50,15 +49,18 @@ def invariants_payload(bundle: ValuationBundle) -> dict[str, Any]:
     cfg = bundle.cfg
     record = bundle.record
     decomposition = record.decomposition
-    satellites = [
-        i + 1 for i, kind in enumerate(classify_points(cfg)) if kind == SATELLITE
-    ]
+    # Listing the multiplicities checks the chain's size before the
+    # satellites, at most as many, are listed.
     return {
         "name": cfg.name,
         "points": cfg.size,
         "is_m_adic": record.is_m_adic,
         "multiplicities": list(record.multiplicities.values),
-        "satellites": satellites,
+        "satellites": [
+            i
+            for first, last, _ in cfg.structure.stretches
+            for i in range(first, last + 1)
+        ],
         "blocks": [list(block) for block in decomposition.blocks],
         "genus": decomposition.genus_count,
         "contact_values": list(record.beta_bar),

@@ -11,7 +11,7 @@ Each entry carries an optional ``name`` and exactly one encoding:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -116,7 +116,7 @@ def _parse_entry(raw: Any, where: str) -> ValuationEntry:
             family = tono_family(a, e)
             cfg = family.bundle.cfg
             if name is not None:
-                cfg = Configuration(points=cfg.points, name=name)
+                cfg = replace(cfg, name=name)
             payload = {"tono": {"a": a, "e": e}}
     except FileFormatError:
         raise

@@ -183,6 +183,68 @@ class TestCommands:
         assert main(["fuzz", "--max-points", "4", "--trials", "3", "--seed", "1"]) == 2
 
 
+# 10**12 free points: one multiplicity run, t = 2 and beta_bar = (1, 10**12).
+HUGE = '{"valuations": [{"maximal_contact": [1, 1000000000000]}]}'
+
+
+class TestChainsTooLongToList:
+    @pytest.mark.parametrize("command", ["invariants", "check"])
+    def test_listing_commands_exit_one(self, tmp_path, capsys, command):
+        path = write(tmp_path, HUGE)
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "1000000000000 points" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_bounds_need_no_points(self, tmp_path, capsys):
+        path = write(tmp_path, HUGE)
+        assert main(["--format", "json", "bounds", path]) == 0
+        val = json.loads(capsys.readouterr().out)["valuations"][0]
+        # delta0 = ceil((10**12 - 2*1*2) / 2**2); mu-hat bound = 1 + (1 + delta0) * 2.
+        assert val["points"] == 10**12
+        assert val["delta0"] == 249999999999
+        assert val["mu_hat_upper_bound"]["value"] == 500000000001
+        assert val["degree_bound"]["value"]["exact"] == "1000000000000/500000000001"
+        # min(1 - ceil(10**12 / 1), -1 - ceil(10**12 / 4 - 2 / 10**12))
+        assert val["combinatorial_lambda_bound"]["value"] == -999999999999
+
+    @pytest.mark.parametrize("exc", [MemoryError(), RecursionError("too deep")])
+    def test_resource_errors_exit_one(self, tmp_path, capsys, monkeypatch, exc):
+        def exhausted(cfg, deltas=checks.NEF_DELTAS):
+            raise exc
+
+        monkeypatch.setattr(checks, "identity_checks", exhausted)
+        assert main(["check", write(tmp_path, THREE_POINT)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "FILE"],
+        ["bounds", "FILE"],
+        ["check", "FILE"],
+        ["family", "tono", "--a", "3", "--e", "0"],
+        ["fuzz", "--max-points", "4", "--trials", "3", "--seed", "1"],
+    ],
+)
+def test_json_output_renders_no_table(tmp_path, capsys, monkeypatch, argv):
+    import valuation_lab.cli as cli
+
+    def unwanted(payload):
+        raise AssertionError("a table was rendered for --format json")
+
+    for name in vars(cli).copy():
+        if name.startswith("render_") and name.endswith("_table"):
+            monkeypatch.setattr(cli, name, unwanted)
+    path = write(tmp_path, THREE_POINT)
+    argv = [path if arg == "FILE" else arg for arg in argv]
+    assert main(["--format", "json", *argv]) == 0
+    json.loads(capsys.readouterr().out)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_reports_are_byte_identical(self, tmp_path, capsys, fmt):
