@@ -84,14 +84,12 @@ class BlockDecomposition:
 class RunStructure:
     """The proximity structure of a chain, read at the ends of its runs.
 
-    ``ends[s]`` is the last point of run s and ``reach[s]`` the last point
-    proximate to it (``reach[s] - ends[s]`` points are).  ``stretches``
-    holds ``(first, last, target)``: the satellites p_first..p_last, each
+    ``ends[s]`` is the last point of run s.  ``stretches`` holds
+    ``(first, last, target)``: the satellites p_first..p_last, each
     proximate to its predecessor and to the run end p_target.
     """
 
     ends: tuple[int, ...]
-    reach: tuple[int, ...]
     stretches: tuple[tuple[int, int, int], ...]
     decomposition: BlockDecomposition
 
@@ -119,7 +117,6 @@ def run_structure(runs: Sequence[tuple[int, int]]) -> RunStructure:
     ends = tuple(itertools.accumulate(count for _, count in runs))
     if runs[-1][0] != 1:
         raise ReconstructionError(f"the last multiplicity is {runs[-1][0]}, not 1")
-    reach = []
     stretches: list[tuple[int, int, int]] = []
     for s, ((value, _), end) in enumerate(zip(runs, ends)):
         # Nothing is proximate to p_n, the end of the last run.
@@ -140,7 +137,6 @@ def run_structure(runs: Sequence[tuple[int, int]]) -> RunStructure:
                 f"multiplicities after position {end} overshoot the proximity "
                 f"equality ({value - need} > {value})"
             )
-        reach.append(last)
         if last >= end + 2:
             if stretches and stretches[-1][1] >= end + 2:
                 raise ReconstructionError(
@@ -161,10 +157,7 @@ def run_structure(runs: Sequence[tuple[int, int]]) -> RunStructure:
         genus_count=len(merged),
     )
     return RunStructure(
-        ends=ends,
-        reach=tuple(reach),
-        stretches=tuple(stretches),
-        decomposition=decomposition,
+        ends=ends, stretches=tuple(stretches), decomposition=decomposition
     )
 
 
@@ -222,9 +215,6 @@ class Configuration:
     def proximity_lists(self) -> list[list[int]]:
         """Plain 1-based proximity lists, each sorted ascending."""
         return [sorted(p.proximate_to) for p in self.points]
-
-    def proximate_to(self, index: int) -> frozenset[int]:
-        return self.points[index - 1].proximate_to
 
     def proximate_points(self, upto: int | None = None) -> list[list[int]]:
         """Entry i lists the points of p_1..p_upto (default: all) that are
@@ -338,13 +328,6 @@ def append_free_chain(cfg: Configuration, k: int) -> Configuration:
         tangent_count=max(cfg.tangent_count, 2),
         name=cfg.name,
     )
-
-
-def satellite_target_options(cfg: Configuration) -> tuple[int, ...]:
-    """Admissible older targets for a satellite point appended after p_n."""
-    if cfg.size < 2:
-        return ()
-    return tuple(sorted(cfg.points[-1].proximate_to))
 
 
 def extend_with_satellite_tail(

@@ -3,11 +3,13 @@
 Everything here is exact: multiplicities and contact values are Python
 integers, volumes and Puiseux exponents are ``fractions.Fraction``.  The
 record is read from a configuration's multiplicity runs and run-level
-proximity structure, so it costs O(runs), not O(points).  The inverse
-construction (``from_maximal_contact``) expands each contact value into a
-block of multiplicity runs by the subtractive Euclidean algorithm and then
-verifies itself by recomputing the contact values from the chain's
-proximity structure.
+proximity structure, so it costs O(runs), not O(points): the per-block run
+tables give the Puiseux exponents, and Zariski's recursion turns those into
+the contact values.  The inverse construction (``from_maximal_contact``)
+expands each contact value into a block of multiplicity runs by the
+subtractive Euclidean algorithm, the same recursion read backwards, and
+then verifies itself by recomputing the contact values from the blocks and
+run tables of the chain it built.
 
 ``multiplicity_sequence``, ``curvette_vector`` and ``noether_pairing``
 work point by point; they are the references the record is tested against.
@@ -131,47 +133,34 @@ def _continued_fraction(digits: Sequence[int]) -> Fraction:
     return value
 
 
-def _curvette_pairing(cfg: Configuration, r: int) -> int:
-    """Pairing of the chain with the curvette through p_1..p_r, run by run.
-
-    The curvette's multiplicities w are constant on each run cut at p_r:
-    1 on the run holding p_r, and on an earlier run the sum of w over the
-    points proximate to its end, up to p_r.
-    """
-    structure = cfg.structure
-    cut = structure.spans(1, r)
-    w = [0] * len(cut)
-    w[-1] = 1
-    for s in range(len(cut) - 2, -1, -1):
-        proximate = structure.spans(
-            structure.ends[s] + 1, min(structure.reach[s], r)
-        )
-        w[s] = sum(count * w[t] for t, count in proximate)
-    return sum(cfg.runs[s][0] * count * w[s] for s, count in cut)
-
-
 def invariant_record(cfg: Configuration) -> InvariantRecord:
     """Every derived invariant, read from the multiplicity runs and the
     run-level proximity structure; the single-invariant functions below
     read this record.
 
-    Contact values are curvette pairings at the last free point of each
-    block; the last one pairs the chain with itself, the sum of
-    count * value^2.  Puiseux exponents are the per-block continued
-    fractions of multiplicity run lengths.  Blocks are read as closed
-    ranges, so the shared endpoint of consecutive blocks contributes to the
-    first run of the later block.
+    Puiseux exponents are the per-block continued fractions of
+    multiplicity run lengths.  Blocks are read as closed ranges, so the
+    shared endpoint of consecutive blocks contributes to the first run of
+    the later block.  Contact values follow from them by Zariski's
+    recursion; the last one pairs the chain with itself, the sum of
+    count * value^2.
     """
     structure = cfg.structure
     decomposition = structure.decomposition
-    beta = [cfg.runs[0][0]]
-    for r in decomposition.last_free_indices:
-        beta.append(_curvette_pairing(cfg, r))
-    beta.append(sum(count * value * value for value, count in cfg.runs))
     runs = tuple(
         tuple(count for _, count in structure.spans(lo, hi))
         for lo, hi in decomposition.blocks
     )
+    beta_prime = (Fraction(1), *map(_continued_fraction, runs))
+    # Zariski's recursion from e_{-1} = e_0 = beta_0; the y step of
+    # from_maximal_contact is its inverse.
+    beta = [cfg.runs[0][0]]
+    gcd_prev = gcd_here = beta[0]
+    for exponent in beta_prime[1 : decomposition.genus_count + 1]:
+        y = int(gcd_here * exponent)
+        beta.append(y + gcd_prev // gcd_here * beta[-1] - gcd_here)
+        gcd_prev, gcd_here = gcd_here, math.gcd(gcd_here, y)
+    beta.append(sum(count * value * value for value, count in cfg.runs))
     is_m_adic = cfg.size == 1
     # A single point has no tangent line; its tangent value is 1.
     tangent = 1 if is_m_adic else sum(
@@ -182,10 +171,7 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
         contact=MaximalContactValues(
             beta_bar=tuple(beta), gcd_chain=tuple(itertools.accumulate(beta, math.gcd))
         ),
-        puiseux=PuiseuxExponents(
-            beta_prime=(Fraction(1), *map(_continued_fraction, runs)),
-            run_length_tables=runs,
-        ),
+        puiseux=PuiseuxExponents(beta_prime=beta_prime, run_length_tables=runs),
         volume=Fraction(1, beta[-1]),
         normalized_volume=Fraction(beta[0] ** 2, beta[-1]),
         tangent_value=tangent,
@@ -195,7 +181,8 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
 
 
 def maximal_contact_values(cfg: Configuration) -> MaximalContactValues:
-    """Contact values via curvette pairings; the last one pairs the chain with itself."""
+    """Contact values by Zariski's recursion from the Puiseux run tables; the
+    last one pairs the chain with itself."""
     return invariant_record(cfg).contact
 
 
@@ -264,7 +251,8 @@ def from_maximal_contact(
     Block j expands the pair (e_{j-1}, y_j) by the subtractive Euclidean
     algorithm, where y_j = beta_j - n_{j-1} beta_{j-1} + e_{j-1} and the
     shared block endpoint is emitted only once.  The result is verified by
-    recomputing its contact values from its proximity structure;
+    recomputing its contact values from the blocks and run tables of its
+    proximity structure;
     ``trailing_free`` extra free points are appended afterwards (each adds
     1 to the final contact value).
     """
@@ -291,6 +279,7 @@ def from_maximal_contact(
                 f"(stuck at {gcd_here})"
             )
         multiplier = gcd_prev // gcd_here
+        # Inverse of Zariski's recursion in invariant_record.
         y = b[j] - multiplier * b[j - 1] + gcd_here
         if y < gcd_here:
             raise ReconstructionError(

@@ -29,13 +29,6 @@ def rational_payload(x: Fraction | int) -> dict[str, Any]:
     return {"exact": str(frac), "approx": approx(frac)}
 
 
-def rational_text(x: Fraction | int) -> str:
-    frac = Fraction(x)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac} (~{approx(frac)})"
-
-
 def compress_runs(values: tuple[int, ...]) -> str:
     """Run-length display for long multiplicity vectors: ``6 3x7 1x9``."""
     parts: list[str] = []
@@ -181,9 +174,12 @@ def _label(index: int, name: str | None, points: int) -> str:
 
 
 def _rational_from_payload(entry: dict[str, Any] | int) -> str:
-    if isinstance(entry, dict):
-        return rational_text(Fraction(entry["exact"]))
-    return str(entry)
+    """Table text of a payload number: ``p/q (~approx)`` or an integer."""
+    if not isinstance(entry, dict):
+        return str(entry)
+    if "/" not in entry["exact"]:
+        return entry["exact"]
+    return f"{entry['exact']} (~{entry['approx']})"
 
 
 def render_invariants_table(payload: dict[str, Any]) -> str:
@@ -199,16 +195,10 @@ def render_invariants_table(payload: dict[str, Any]) -> str:
             ("gcd chain", " ".join(map(str, val["gcd_chain"]))),
             (
                 "puiseux exponents",
-                ", ".join(
-                    rational_text(Fraction(x["exact"]))
-                    for x in val["puiseux_exponents"]
-                ),
+                ", ".join(map(_rational_from_payload, val["puiseux_exponents"])),
             ),
-            ("volume", rational_text(Fraction(val["volume"]["exact"]))),
-            (
-                "normalized volume",
-                rational_text(Fraction(val["normalized_volume"]["exact"])),
-            ),
+            ("volume", _rational_from_payload(val["volume"])),
+            ("normalized volume", _rational_from_payload(val["normalized_volume"])),
             ("tangent value", str(val["tangent_value"])),
             ("delta0", str(val["delta0"])),
         ]
@@ -290,11 +280,9 @@ def render_family_table(payload: dict[str, Any]) -> str:
         f"({family['trailing_free_points']} trailing free points)",
         f"  curve degree              {family['curve_degree']}",
         f"  curve value               {family['curve_value']}",
-        f"  certified mu-hat          "
-        f"{rational_text(Fraction(family['mu_hat']['exact']))}",
+        f"  certified mu-hat          {_rational_from_payload(family['mu_hat'])}",
         f"  mu-hat upper bound        {family['mu_hat_upper_bound']}",
-        f"  self-intersection ratio   "
-        f"{rational_text(Fraction(family['ratio']['exact']))}",
+        f"  self-intersection ratio   {_rational_from_payload(family['ratio'])}",
         "  closed-form check         pass",
     ]
     body = render_invariants_table({"valuations": payload["valuations"]})
@@ -311,7 +299,6 @@ __all__ = [
     "fuzz_payload",
     "invariants_payload",
     "rational_payload",
-    "rational_text",
     "render_bounds_table",
     "render_check_table",
     "render_family_table",

@@ -210,6 +210,18 @@ class TestChainsTooLongToList:
         # min(1 - ceil(10**12 / 1), -1 - ceil(10**12 / 4 - 2 / 10**12))
         assert val["combinatorial_lambda_bound"]["value"] == -999999999999
 
+    def test_bounds_of_a_multi_block_chain(self, tmp_path, capsys):
+        path = write(
+            tmp_path, '{"valuations": [{"maximal_contact": [4, 6, 1000000011]}]}'
+        )
+        assert main(["--format", "json", "bounds", path]) == 0
+        val = json.loads(capsys.readouterr().out)["valuations"][0]
+        # Runs (4, 1), (2, 500000001), (1, 2); t = 4 + 2 and
+        # beta_bar_last = 16 + 500000001 * 4 + 2 = 2000000022, so
+        # delta0 = ceil((2000000022 - 2 * 4 * 6) / 6**2) = 55555555.
+        assert val["points"] == 500000004
+        assert val["delta0"] == 55555555
+
     @pytest.mark.parametrize("exc", [MemoryError(), RecursionError("too deep")])
     def test_resource_errors_exit_one(self, tmp_path, capsys, monkeypatch, exc):
         def exhausted(cfg, deltas=checks.NEF_DELTAS):

@@ -147,6 +147,20 @@ def test_chains_too_long_to_list(monkeypatch):
         expand_runs(((2, 1), (1, 5)))
 
 
+def test_multi_block_chain_too_long_to_list():
+    # Block 1 expands (4, 6): runs (4, 1), (2, 2).  Block 2 expands
+    # (e_1, y_2) = (2, 10**9 + 11 - 2 * 6 + 2) = (2, 10**9 + 1): runs
+    # (2, 5 * 10**8), (1, 2), opening on block 1's last point.
+    cfg = from_maximal_contact((4, 6, 10**9 + 11))
+    assert cfg.runs == ((4, 1), (2, 500000001), (1, 2))
+    record = invariant_record(cfg)
+    # beta_bar_3 = 4**2 + 500000001 * 2**2 + 2 * 1**2.
+    assert record.beta_bar == (4, 6, 1000000011, 2000000022)
+    assert record.puiseux.run_length_tables == ((1, 2), (500000000, 2), (1,))
+    with pytest.raises(ChainTooLongError):
+        cfg.points
+
+
 @pytest.fixture
 def no_point_records(monkeypatch):
     def refuse(*args, **kwargs):
