@@ -12,12 +12,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import configurations
 from .bounds import bound_report, valuation_bundle
 from .configurations import (
     Configuration,
     build_configuration,
     max_tangent_count,
 )
+from .errors import ChainTooLongError
 from .invariants import (
     curvette_vector,
     from_maximal_contact,
@@ -71,9 +73,19 @@ class FuzzSummary:
 def random_configuration(
     rng: random.Random, max_points: int, satellite_bias: float = SATELLITE_BIAS
 ) -> Configuration:
-    """Uniform random size, then admissible growth steps with satellite bias."""
+    """Uniform random size, then admissible growth steps with satellite bias.
+
+    ``max_points`` above ``configurations.MAX_LISTED_POINTS`` raises
+    ChainTooLongError before anything is drawn: the chain is grown point by
+    point.
+    """
     if max_points < 1:
         raise ValueError("max_points must be at least 1")
+    if max_points > configurations.MAX_LISTED_POINTS:
+        raise ChainTooLongError(
+            f"chains of up to {max_points} points are too long to grow point "
+            f"by point (limit {configurations.MAX_LISTED_POINTS})"
+        )
     n = rng.randint(1, max_points)
     prox: list[list[int]] = [[]]
     for i in range(2, n + 1):

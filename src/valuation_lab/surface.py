@@ -79,9 +79,31 @@ class NpiResult:
 
 @dataclass(frozen=True)
 class GeneratorPairing:
+    """A claimed generator of the curve cone and its pairing with the nef
+    candidate.
+
+    The generator a*F + b*M - sum(m_i * E_i) on the ruled model of index
+    ``delta`` over ``size`` points is held by its nonzero ``(i, m_i)``
+    entries (``support``), so all the generators of a chain together cost
+    O(points); ``divisor`` lists the dense class only when read.
+    """
+
     name: str
-    divisor: HirzebruchClass
     value: int
+    a: int
+    b: int
+    support: tuple[tuple[int, int], ...]
+    size: int
+    delta: int
+
+    @property
+    def divisor(self) -> HirzebruchClass:
+        mults = [0] * self.size
+        for i, m in self.support:
+            mults[i - 1] = m
+        return HirzebruchClass(
+            a=self.a, b=self.b, mults=tuple(mults), delta=self.delta
+        )
 
 
 def intersect_plane(x: PlaneClass, y: PlaneClass) -> int:
@@ -142,6 +164,15 @@ def npi_check(cfg: Configuration, delta: int) -> NpiResult:
     return npi_from_record(invariant_record(cfg), delta)
 
 
+def _pair_with_support(
+    lam: HirzebruchClass, a: int, b: int, support: tuple[tuple[int, int], ...]
+) -> int:
+    """``intersect_hirzebruch(lam, c)`` for the class c = a*F + b*M - sum(m_i * E_i)
+    given by its nonzero ``(i, m_i)`` entries."""
+    exceptional = sum(m * lam.mults[i - 1] for i, m in support)
+    return lam.a * b + a * lam.b + lam.delta * lam.b * b - exceptional
+
+
 def generator_pairings(
     cfg: Configuration, lam: HirzebruchClass
 ) -> list[GeneratorPairing]:
@@ -150,42 +181,27 @@ def generator_pairings(
     Generators: the strict transform of the fiber through the center (it
     passes through exactly the tangent-flagged points), the strict
     transform of the special section (through p_1 only), and the strict
-    transforms of the exceptional divisors.
+    transforms of the exceptional divisors (E_i minus the E_j of the points
+    proximate to p_i).  Each is held by its support and paired over it, so
+    this costs O(points), not O(points^2).
     """
     n = cfg.size
     delta = lam.delta
-
-    fiber = HirzebruchClass(
-        a=1,
-        b=0,
-        mults=tuple(1 if p.on_tangent else 0 for p in cfg.points),
-        delta=delta,
-    )
-    section = HirzebruchClass(
-        a=-delta,
-        b=1,
-        mults=(1,) + (0,) * (n - 1),
-        delta=delta,
-    )
-    pairings = [
-        GeneratorPairing("fiber", fiber, intersect_hirzebruch(lam, fiber)),
-        GeneratorPairing(
-            "special_section", section, intersect_hirzebruch(lam, section)
-        ),
+    generators = [
+        ("fiber", 1, 0, tuple((p.index, 1) for p in cfg.points if p.on_tangent)),
+        ("special_section", -delta, 1, ((1, 1),)),
     ]
     incoming = cfg.proximate_points()
-    for i in range(1, n + 1):
-        mults = [0] * n
-        mults[i - 1] = -1
-        for j in incoming[i]:
-            mults[j - 1] = 1
-        exceptional = HirzebruchClass(a=0, b=0, mults=tuple(mults), delta=delta)
-        pairings.append(
-            GeneratorPairing(
-                f"E{i}", exceptional, intersect_hirzebruch(lam, exceptional)
-            )
+    generators += (
+        (f"E{i}", 0, 0, ((i, -1), *((j, 1) for j in incoming[i])))
+        for i in range(1, n + 1)
+    )
+    return [
+        GeneratorPairing(
+            name, _pair_with_support(lam, a, b, support), a, b, support, n, delta
         )
-    return pairings
+        for name, a, b, support in generators
+    ]
 
 
 def nef_on_generators(cfg: Configuration, delta: int) -> list[GeneratorPairing]:

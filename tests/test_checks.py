@@ -1,9 +1,12 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import valuation_lab.checks as checks
+import valuation_lab.configurations as configurations
+import valuation_lab.surface as surface
 from valuation_lab.bounds import tono_family
 from valuation_lab.checks import (
     CheckResult,
@@ -18,7 +21,8 @@ from valuation_lab.configurations import (
     classify_points,
     extend_with_satellite_tail,
 )
-from valuation_lab.errors import ReconstructionError
+from valuation_lab.errors import ChainTooLongError, ReconstructionError
+from valuation_lab.invariants import from_maximal_contact
 
 
 class TestRandomConfiguration:
@@ -36,6 +40,12 @@ class TestRandomConfiguration:
         a = random_configuration(random.Random(99), 12)
         b = random_configuration(random.Random(99), 12)
         assert a == b
+
+    def test_rejects_sizes_above_the_listing_limit(self, monkeypatch):
+        monkeypatch.setattr(configurations, "MAX_LISTED_POINTS", 50)
+        assert random_configuration(random.Random(1), 50).size <= 50
+        with pytest.raises(ChainTooLongError, match="51"):
+            random_configuration(random.Random(1), 51)
 
     def test_satellite_bias_reaches_deep_structures(self):
         rng = random.Random(5)
@@ -90,6 +100,26 @@ class TestIdentityChecks:
         (round_trip,) = [r for r in results if r.name == "contact-round-trip"]
         assert not round_trip.passed
         assert round_trip.detail == "reconstruction failed: ReconstructionError: synthetic"
+
+
+def test_identity_checks_list_linearly_many_class_entries(monkeypatch):
+    """The nef-generator check holds each generator by its support, so one
+    call lists O(n) dense class entries (the nef candidate per index), not
+    a length-n class per generator."""
+    entries = 0
+    real = surface.HirzebruchClass.__post_init__
+
+    def counted(self):
+        nonlocal entries
+        entries += len(self.mults)
+        real(self)
+
+    cfg = from_maximal_contact((1, 2000))
+    n = cfg.size
+    monkeypatch.setattr(surface.HirzebruchClass, "__post_init__", counted)
+    results = identity_checks(cfg)
+    assert all(r.passed for r in results)
+    assert 0 < entries <= 16 * n
 
 
 class TestFuzz:

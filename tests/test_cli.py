@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import valuation_lab.checks as checks
+import valuation_lab.configurations as configurations
 from valuation_lab.checks import CheckResult
 from valuation_lab.cli import main
 from valuation_lab.errors import FileFormatError
@@ -181,6 +182,21 @@ class TestCommands:
 
         monkeypatch.setattr(checks, "identity_checks", broken)
         assert main(["fuzz", "--max-points", "4", "--trials", "3", "--seed", "1"]) == 2
+
+    def test_fuzz_max_points_above_the_listing_limit_exits_one(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(configurations, "MAX_LISTED_POINTS", 50)
+        assert main(["fuzz", "--max-points", "51", "--trials", "1", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
+    def test_check_of_a_long_chain(self, tmp_path, capsys):
+        path = write(tmp_path, '{"valuations": [{"maximal_contact": [1, 10000]}]}')
+        assert main(["check", path]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("checks run: 8, failed: 0")
 
 
 # 10**12 free points: one multiplicity run, t = 2 and beta_bar = (1, 10**12).

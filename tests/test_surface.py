@@ -12,6 +12,7 @@ from valuation_lab.surface import (
     AffinePolynomial,
     HirzebruchClass,
     PlaneClass,
+    generator_pairings,
     hirzebruch_class_of_polynomial,
     intersect_hirzebruch,
     intersect_plane,
@@ -152,6 +153,57 @@ class TestNefOnGenerators:
         assert pairings["special_section"].mults == (1, 0, 0)
         assert pairings["E1"].mults == (-1, 1, 1)
         assert pairings["E3"].mults == (0, 0, -1)
+
+
+def dense_generators(cfg, delta):
+    """The generators as dense classes, one length-n class each: the
+    reference that the support-held pairings are compared with."""
+    n = cfg.size
+    fiber = HirzebruchClass(
+        a=1, b=0, mults=tuple(1 if p.on_tangent else 0 for p in cfg.points),
+        delta=delta,
+    )
+    section = HirzebruchClass(a=-delta, b=1, mults=(1,) + (0,) * (n - 1), delta=delta)
+    generators = [("fiber", fiber), ("special_section", section)]
+    incoming = cfg.proximate_points()
+    for i in range(1, n + 1):
+        mults = [0] * n
+        mults[i - 1] = -1
+        for j in incoming[i]:
+            mults[j - 1] = 1
+        generators.append(
+            (f"E{i}", HirzebruchClass(a=0, b=0, mults=tuple(mults), delta=delta))
+        )
+    return generators
+
+
+def assert_matches_dense_generators(cfg, delta):
+    lam = lambda_divisor(cfg, delta)
+    pairings = generator_pairings(cfg, lam)
+    reference = dense_generators(cfg, delta)
+    assert [gp.name for gp in pairings] == [name for name, _ in reference]
+    for gp, (_, divisor) in zip(pairings, reference):
+        assert gp.divisor == divisor
+        assert gp.value == intersect_hirzebruch(lam, gp.divisor)
+
+
+class TestGeneratorSupports:
+    def test_fuzz_corpus_matches_dense_generators(self, fuzz_corpus):
+        for cfg in fuzz_corpus:
+            for delta in range(4):
+                assert_matches_dense_generators(cfg, delta)
+
+    @given(configurations(max_points=200), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_long_chains_match_dense_generators(self, cfg, delta):
+        assert_matches_dense_generators(cfg, delta)
+
+    def test_supports_hold_only_nonzero_entries(self):
+        pairings = {gp.name: gp for gp in nef_on_generators(cfg3(), 2)}
+        assert pairings["fiber"].support == ((1, 1), (2, 1))
+        assert pairings["special_section"].support == ((1, 1),)
+        assert pairings["E1"].support == ((1, -1), (2, 1), (3, 1))
+        assert pairings["E3"].support == ((3, -1),)
 
 
 class TestHirzebruchClassOfPolynomial:
