@@ -24,7 +24,6 @@ from .configurations import (
     MAX_LISTED_POINTS,
     BlockDecomposition,
     Configuration,
-    PointRecord,
     append_free_chain,
     block_decomposition,
     build_configuration,

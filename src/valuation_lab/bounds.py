@@ -148,6 +148,15 @@ def mu_hat_upper_bound(cfg: Configuration) -> int:
     return valuation_bundle(cfg).mu_hat_bound
 
 
+def _certificate(
+    beta_bar_last: int, curve_value: int, curve_degree: int
+) -> Fraction | None:
+    """curve_value/curve_degree if it exceeds sqrt(beta_bar_last) strictly."""
+    if curve_value * curve_value > beta_bar_last * curve_degree * curve_degree:
+        return Fraction(curve_value, curve_degree)
+    return None
+
+
 def supraminimal_certificate(
     cfg: Configuration, curve_value: int, curve_degree: int
 ) -> Fraction | None:
@@ -159,10 +168,7 @@ def supraminimal_certificate(
     """
     if curve_value < 1 or curve_degree < 1:
         raise ValueError("curve value and degree must be positive")
-    last = invariant_record(cfg).beta_bar[-1]
-    if curve_value * curve_value > last * curve_degree * curve_degree:
-        return Fraction(curve_value, curve_degree)
-    return None
+    return _certificate(invariant_record(cfg).beta_bar[-1], curve_value, curve_degree)
 
 
 def ratio_bound(cfg: Configuration) -> int:
@@ -294,9 +300,9 @@ def tono_family(a: int, e: int) -> TonoValuation:
 
     curve_degree = a * a + 1
     curve_value = expected_contact[-1]
-    if curve_value**2 <= bundle.record.beta_bar[-1] * curve_degree**2:
+    certificate = _certificate(bundle.record.beta_bar[-1], curve_value, curve_degree)
+    if certificate is None:
         raise VerificationError("the family curve must certify the constant")
-    certificate = Fraction(curve_value, curve_degree)
     expected_bound = (e + 2) * a * a - a
     actual_bound = bundle.mu_hat_bound
     if actual_bound != expected_bound:

@@ -14,9 +14,11 @@ on, a smooth line can only follow free points.
 The multiplicity sequence determines the proximity structure: the points
 proximate to p_i are the consecutive points after it whose multiplicities
 sum to v_i.  A configuration is therefore held as its multiplicity runs
-``((value, count), ...)`` plus its tangent count, and its points are
-listed only on request.  Inside a run every point has only its successor
-proximate to it, so the proximity structure is read at the run ends.
+``((value, count), ...)`` plus its tangent count and nothing else.  Inside
+a run every point has only its successor proximate to it, so the
+proximity structure is read at the run ends as satellite stretches, and
+every per-point view (proximity lists, adjacency, labels) is listed from
+those stretches on request.
 """
 
 from __future__ import annotations
@@ -50,15 +52,6 @@ def expand_runs(runs: Sequence[tuple[int, int]]) -> list[int]:
     for value, count in runs:
         out += [value] * count
     return out
-
-
-@dataclass(frozen=True, slots=True)
-class PointRecord:
-    """One point of the chain: 1-based index, proximity targets, tangent flag."""
-
-    index: int
-    proximate_to: frozenset[int]
-    on_tangent: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,21 +154,31 @@ def run_structure(runs: Sequence[tuple[int, int]]) -> RunStructure:
     )
 
 
+def _older_targets(cfg: Configuration) -> list[int]:
+    """Each point's older proximity target, listed point by point (0 for
+    none): the satellites of a stretch (first, last, target) have the
+    target, every other point is proximate to its predecessor alone."""
+    runs, start = [], 1
+    for first, last, target in cfg.structure.stretches:
+        runs += [(0, first - start), (target, last - first + 1)]
+        start = last + 1
+    runs.append((0, cfg.size - start + 1))
+    return expand_runs(runs)
+
+
 @dataclass(frozen=True, slots=True)
 class Configuration:
     """Immutable, validated chain of infinitely near points.
 
-    Held as its multiplicity runs and tangent count; ``points`` are listed
-    on first request (``build_configuration`` passes the ones it validated).
-    Equality compares runs, tangent count and name.
+    Its multiplicity runs, tangent count and name are its whole state, and
+    equality compares them.  Every per-point view (proximity lists, the
+    points proximate to each point, free/satellite labels) is read from the
+    satellite stretches of ``structure``.
     """
 
     runs: tuple[tuple[int, int], ...]
     tangent_count: int
     name: str | None = None
-    _points: tuple[PointRecord, ...] | None = field(
-        default=None, compare=False, repr=False
-    )
     _structure: RunStructure | None = field(
         default=None, init=False, compare=False, repr=False
     )
@@ -191,39 +194,21 @@ class Configuration:
             object.__setattr__(self, "_structure", run_structure(self.runs))
         return self._structure
 
-    @property
-    def points(self) -> tuple[PointRecord, ...]:
-        if self._points is None:
-            # Each point's older proximity target, as runs; 0 for none.
-            older_runs = []
-            start = 1
-            for first, last, target in self.structure.stretches:
-                older_runs += [(0, first - start), (target, last - first + 1)]
-                start = last + 1
-            older_runs.append((0, self.size - start + 1))
-            points = tuple(
-                PointRecord(
-                    index=i,
-                    proximate_to=frozenset(t for t in (i - 1, older) if t),
-                    on_tangent=(i <= self.tangent_count),
-                )
-                for i, older in enumerate(expand_runs(older_runs), start=1)
-            )
-            object.__setattr__(self, "_points", points)
-        return self._points
-
     def proximity_lists(self) -> list[list[int]]:
         """Plain 1-based proximity lists, each sorted ascending."""
-        return [sorted(p.proximate_to) for p in self.points]
+        return [
+            [t for t in (older, i - 1) if t]
+            for i, older in enumerate(_older_targets(self), start=1)
+        ]
 
-    def proximate_points(self, upto: int | None = None) -> list[list[int]]:
-        """Entry i lists the points of p_1..p_upto (default: all) that are
-        proximate to p_i; 1-based, entry 0 unused."""
-        k = self.size if upto is None else upto
-        incoming: list[list[int]] = [[] for _ in range(k + 1)]
-        for p in self.points[:k]:
-            for target in p.proximate_to:
-                incoming[target].append(p.index)
+    def proximate_points(self) -> list[list[int]]:
+        """Entry i lists the points proximate to p_i, ascending: p_{i+1}, then
+        the satellites whose older target is p_i; 1-based, entry 0 unused."""
+        older = _older_targets(self)
+        incoming = [[], *([i + 1] for i in range(1, len(older))), []]
+        for j, target in enumerate(older, start=1):
+            if target:
+                incoming[target].append(j)
         return incoming
 
 
@@ -295,16 +280,12 @@ def build_configuration(
         for target in prox[j - 1]:
             v[target] += v[j]
     runs = tuple((value, len(list(run))) for value, run in itertools.groupby(v[1:]))
-    points = tuple(
-        PointRecord(index=i, proximate_to=prox[i - 1], on_tangent=(i <= k))
-        for i in range(1, n + 1)
-    )
-    return Configuration(runs=runs, tangent_count=k, name=name, _points=points)
+    return Configuration(runs=runs, tangent_count=k, name=name)
 
 
 def classify_points(cfg: Configuration) -> list[str]:
     """Label each point free or satellite (two proximity targets)."""
-    return [SATELLITE if len(p.proximate_to) == 2 else FREE for p in cfg.points]
+    return [SATELLITE if older else FREE for older in _older_targets(cfg)]
 
 
 def block_decomposition(cfg: Configuration) -> BlockDecomposition:
@@ -337,11 +318,14 @@ def extend_with_satellite_tail(
 
     Each appended point is proximate to its predecessor and to the chosen
     older point, which must be among the predecessor's own proximity
-    targets.  The first choice is forced to n-1.
+    targets.  The first choice is forced to n-1: p_n is free, so it is
+    proximate to p_{n-1} alone.
     """
-    if cfg.size < 2:
+    n = cfg.size
+    if n < 2:
         raise InvalidConfigurationError("satellite tail needs at least two points")
-    if len(cfg.points[-1].proximate_to) == 2:
+    stretches = cfg.structure.stretches
+    if stretches and stretches[-1][1] == n:
         raise InvalidConfigurationError(
             "satellite tail must start after a free point"
         )
@@ -349,8 +333,8 @@ def extend_with_satellite_tail(
         return cfg
 
     lists = cfg.proximity_lists()
-    allowed = cfg.points[-1].proximate_to
-    prev = cfg.size
+    allowed = frozenset({n - 1})
+    prev = n
     for offset, choice in enumerate(choices):
         c = int(choice)
         if c not in allowed:

@@ -1,18 +1,20 @@
 """Numerical invariants of a valuation read off its configuration.
 
 Everything here is exact: multiplicities and contact values are Python
-integers, volumes and Puiseux exponents are ``fractions.Fraction``.  The
-record is read from a configuration's multiplicity runs and run-level
-proximity structure, so it costs O(runs), not O(points): the per-block run
-tables give the Puiseux exponents, and Zariski's recursion turns those into
-the contact values.  The inverse construction (``from_maximal_contact``)
-expands each contact value into a block of multiplicity runs by the
-subtractive Euclidean algorithm, the same recursion read backwards, and
-then verifies itself by recomputing the contact values from the blocks and
-run tables of the chain it built.
+integers, volumes and Puiseux exponents are ``fractions.Fraction``.  A
+configuration is its multiplicity runs, and the record is read from those
+runs and their run-level proximity structure, so it costs O(runs), not
+O(points): the per-block run tables give the Puiseux exponents, and
+Zariski's recursion turns those into the contact values.  The inverse
+construction (``from_maximal_contact``) expands each contact value into a
+block of multiplicity runs by the subtractive Euclidean algorithm, the same
+recursion read backwards, and then verifies itself by recomputing the
+contact values from the blocks and run tables of the chain it built.
 
 ``multiplicity_sequence``, ``curvette_vector`` and ``noether_pairing``
-work point by point; they are the references the record is tested against.
+work point by point, over the adjacency ``Configuration.proximate_points``
+lists from the satellite stretches; they are the references the record is
+tested against.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ class MultiplicityVector:
     def values(self) -> tuple[int, ...]:
         """The multiplicities listed point by point."""
         return tuple(expand_runs(self.runs))
-
-    def __len__(self) -> int:
-        return sum(count for _, count in self.runs)
 
 
 @dataclass(frozen=True)
@@ -109,12 +108,13 @@ def curvette_vector(cfg: Configuration, k: int) -> tuple[int, ...]:
     n = cfg.size
     if not 1 <= k <= n:
         raise ValueError(f"curvette index must lie in 1..{n}, got {k}")
-    incoming = cfg.proximate_points(k)
-    w = [0] * (k + 1)
+    incoming = cfg.proximate_points()
+    # Entries past k stay 0, so the points after p_k add nothing.
+    w = [0] * (n + 1)
     w[k] = 1
     for i in range(k - 1, 0, -1):
         w[i] = sum(w[j] for j in incoming[i])
-    return tuple(w[1:]) + (0,) * (n - k)
+    return tuple(w[1:])
 
 
 def noether_pairing(cfg: Configuration, m: Sequence[int], m2: Sequence[int]) -> int:

@@ -188,7 +188,7 @@ def generator_pairings(
     n = cfg.size
     delta = lam.delta
     generators = [
-        ("fiber", 1, 0, tuple((p.index, 1) for p in cfg.points if p.on_tangent)),
+        ("fiber", 1, 0, tuple((i, 1) for i in range(1, cfg.tangent_count + 1))),
         ("special_section", -delta, 1, ((1, 1),)),
     ]
     incoming = cfg.proximate_points()

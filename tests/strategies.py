@@ -6,17 +6,26 @@ from valuation_lab.configurations import build_configuration, max_tangent_count
 
 
 @st.composite
-def configurations(draw, max_points: int = 12, min_points: int = 1):
-    """Random admissible configuration with a random valid tangent segment."""
+def proximity_chains(draw, max_points: int = 12, min_points: int = 1):
+    """Random admissible proximity lists, each sorted ascending, with a random
+    valid tangent count: the input a configuration is built from, for tests
+    that compare its per-point views with what was drawn."""
     n = draw(st.integers(min_value=min_points, max_value=max_points))
     prox: list[list[int]] = [[]]
     for i in range(2, n + 1):
         targets = [i - 1]
         if i >= 3 and draw(st.booleans()):
             targets.append(draw(st.sampled_from(sorted(prox[i - 2]))))
-        prox.append(targets)
-    draft = build_configuration(prox)
+        prox.append(sorted(targets))
     if n == 1:
-        return draft
+        return prox, 1
+    draft = build_configuration(prox)
     tangent = draw(st.integers(min_value=2, max_value=max_tangent_count(draft)))
+    return prox, tangent
+
+
+@st.composite
+def configurations(draw, max_points: int = 12, min_points: int = 1):
+    """Random admissible configuration with a random valid tangent segment."""
+    prox, tangent = draw(proximity_chains(max_points, min_points))
     return build_configuration(prox, tangent_count=tangent)

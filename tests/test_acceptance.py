@@ -19,6 +19,7 @@ from valuation_lab.bounds import (
 )
 from valuation_lab.checks import random_tail_choices
 from valuation_lab.cli import main
+from valuation_lab.configurations import SATELLITE, classify_points
 from valuation_lab.invariants import (
     curvette_vector,
     from_maximal_contact,
@@ -181,7 +182,7 @@ def test_criterion_07_satellite_tail(fuzz_corpus):
     for cfg in fuzz_corpus:
         if pairs == 200:
             break
-        if cfg.size < 2 or len(cfg.points[-1].proximate_to) == 2:
+        if cfg.size < 2 or classify_points(cfg)[-1] == SATELLITE:
             continue
         length = rng.randint(1, 5)
         choices = random_tail_choices(cfg, length, rng)

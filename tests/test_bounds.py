@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import configurations
+from strategies import configurations, proximity_chains
 from valuation_lab.bounds import (
     bound_report,
     ceil_plus,
@@ -22,7 +22,7 @@ from valuation_lab.bounds import (
     tono_family,
     valuation_bundle,
 )
-from valuation_lab.configurations import build_configuration
+from valuation_lab.configurations import SATELLITE, build_configuration, classify_points
 from valuation_lab.invariants import maximal_contact_values, multiplicity_sequence
 from valuation_lab.surface import intersect_plane, strict_transform_plane
 
@@ -98,7 +98,7 @@ class TestDegreeLowerBound:
 
     def test_tangent_line_is_admitted(self):
         cfg = cfg3()
-        line = tuple(1 if p.on_tangent else 0 for p in cfg.points)
+        line = tuple(int(i <= cfg.tangent_count) for i in range(1, cfg.size + 1))
         assert degree_lower_bound(cfg, line) <= 1
 
     def test_rejects_bad_vectors(self):
@@ -215,9 +215,11 @@ class TestCombinatorialLambdaBound:
         bound = combinatorial_lambda_bound(cfg)
         assert bound >= 1 - math.ceil(inverse_normalized) >= 1 - cfg.size
 
-    @given(configurations())
-    def test_satellite_case_matches_ratio_bound(self, cfg):
-        if cfg.size >= 3 and len(cfg.points[2].proximate_to) == 2:
+    @given(proximity_chains())
+    def test_satellite_case_matches_ratio_bound(self, chain):
+        lists, tangent = chain
+        cfg = build_configuration(lists, tangent_count=tangent)
+        if len(lists) >= 3 and len(lists[2]) == 2:
             assert combinatorial_lambda_bound(cfg) == ratio_bound(cfg)
 
 
@@ -245,7 +247,7 @@ class TestSatelliteTailComparison:
     @given(configurations(max_points=10), st.integers(1, 5))
     @settings(max_examples=80, deadline=None)
     def test_exhaustive_choices_on_random_chains(self, cfg, length):
-        if cfg.size < 2 or len(cfg.points[-1].proximate_to) == 2:
+        if cfg.size < 2 or classify_points(cfg)[-1] == SATELLITE:
             return
         for choices in all_tails(cfg, min(length, 3)):
             comparison = satellite_tail_comparison(cfg, choices)

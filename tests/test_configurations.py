@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import configurations
+from strategies import configurations, proximity_chains
 from valuation_lab.bounds import tono_family
+from valuation_lab.checks import identity_checks
 from valuation_lab.configurations import (
     FREE,
     SATELLITE,
@@ -27,7 +30,8 @@ class TestBuildConfiguration:
     def test_single_point(self):
         cfg = build_configuration([[]])
         assert cfg.size == 1
-        assert cfg.points[0].on_tangent
+        assert cfg.proximity_lists() == [[]]
+        assert cfg.tangent_count == 1
 
     def test_three_points_with_satellite(self):
         cfg = cfg3()
@@ -75,12 +79,15 @@ class TestBuildConfiguration:
         cfg = build_configuration([[], [1], [2], [3]], tangent_count=4)
         assert cfg.tangent_count == 4
 
-    @given(configurations())
-    def test_round_trip_through_proximity_lists(self, cfg):
+    @given(proximity_chains())
+    def test_round_trip_through_proximity_lists(self, chain):
+        lists, tangent = chain
+        cfg = build_configuration(lists, tangent_count=tangent)
+        assert cfg.proximity_lists() == lists
         rebuilt = build_configuration(
             cfg.proximity_lists(), tangent_count=cfg.tangent_count
         )
-        assert rebuilt.points == cfg.points
+        assert rebuilt == cfg
 
 
 class TestClassifyPoints:
@@ -192,7 +199,7 @@ class TestSatelliteTail:
         cfg = tono_family(3, 0).bundle.cfg
         extended = extend_with_satellite_tail(cfg, [16])
         assert extended.size == 18
-        assert sorted(extended.points[-1].proximate_to) == [16, 17]
+        assert extended.proximity_lists()[-1] == [16, 17]
 
     def test_empty_tail_is_identity(self):
         cfg = build_configuration([[], [1]])
@@ -201,7 +208,7 @@ class TestSatelliteTail:
     @given(configurations(max_points=10), st.integers(1, 4))
     @settings(max_examples=60)
     def test_tail_adds_exactly_one_block(self, cfg, length):
-        if len(cfg.points[-1].proximate_to) == 2 or cfg.size < 2:
+        if cfg.size < 2 or classify_points(cfg)[-1] == SATELLITE:
             return
         # Re-choosing the same oldest target stays admissible along the tail.
         choices = [cfg.size - 1] * length
@@ -227,3 +234,62 @@ class TestTangentHandling:
         if k < cfg.size:
             with pytest.raises(InvalidConfigurationError):
                 with_tangent_count(cfg, k + 1)
+
+
+def all_chains(max_points):
+    """Every chain of at most ``max_points`` points, as sorted proximity
+    lists: each point p_i (i >= 2) is free, or a satellite whose older target
+    is one of the targets of p_{i-1}."""
+
+    def grow(lists):
+        yield lists
+        if len(lists) < max_points:
+            i = len(lists) + 1
+            yield from grow([*lists, [i - 1]])
+            for older in lists[-1]:
+                yield from grow([*lists, [older, i - 1]])
+
+    return grow([[]])
+
+
+class TestExhaustiveSmallChains:
+    """Every chain of at most 10 points against the lists it was built from;
+    per-point views are derived from the runs alone, so this checks the
+    derivation, not a stored copy."""
+
+    def test_per_point_views_equal_the_input(self):
+        sizes = Counter()
+        pairs = 0
+        for lists in all_chains(10):
+            sizes[len(lists)] += 1
+            labels = [SATELLITE if len(targets) == 2 else FREE for targets in lists]
+            incoming = [[] for _ in range(len(lists) + 1)]
+            for j, targets in enumerate(lists, start=1):
+                for t in targets:
+                    incoming[t].append(j)
+            admissible = []
+            for k in range(1, len(lists) + 1):
+                try:
+                    cfg = build_configuration(lists, tangent_count=k)
+                except InvalidConfigurationError:
+                    continue
+                admissible.append(k)
+                assert cfg.proximity_lists() == lists
+                assert cfg.proximate_points() == incoming
+                assert classify_points(cfg) == labels
+            pairs += len(admissible)
+            assert max_tangent_count(build_configuration(lists)) == admissible[-1]
+        # F_{2n-3} chains of n points (Fibonacci, F_{-1} = F_1 = 1).
+        assert [sizes[n] for n in range(1, 11)] == [
+            1, 1, 2, 5, 13, 34, 89, 233, 610, 1597
+        ]
+        assert pairs == 4181
+
+    def test_identity_checks_pass_on_every_chain(self):
+        failures = [
+            (lists, result.name, result.detail)
+            for lists in all_chains(10)
+            for result in identity_checks(build_configuration(lists))
+            if not result.passed
+        ]
+        assert failures == []

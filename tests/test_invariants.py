@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from strategies import configurations
+from strategies import configurations, proximity_chains
 from valuation_lab.bounds import tono_family
 from valuation_lab.configurations import build_configuration, classify_points
 from valuation_lab.errors import ReconstructionError
@@ -42,13 +42,15 @@ class TestMultiplicitySequence:
         assert v == TONO30_MULTIPLICITIES
         assert sum(x * x for x in v) == 108
 
-    @given(configurations())
-    def test_proximity_equalities_hold(self, cfg):
+    @given(proximity_chains())
+    def test_proximity_equalities_hold(self, chain):
+        lists, tangent = chain
+        cfg = build_configuration(lists, tangent_count=tangent)
         v = multiplicity_sequence(cfg).values
         assert v[-1] == 1
         for i in range(1, cfg.size):
             incoming = [
-                p.index for p in cfg.points if i in p.proximate_to
+                j for j, targets in enumerate(lists, start=1) if i in targets
             ]
             assert v[i - 1] == sum(v[j - 1] for j in incoming)
 
@@ -74,17 +76,19 @@ class TestCurvetteVector:
         with pytest.raises(ValueError):
             curvette_vector(cfg3(), 4)
 
-    @given(configurations())
-    def test_truncated_recursion_by_direct_summation(self, cfg):
+    @given(proximity_chains())
+    def test_truncated_recursion_by_direct_summation(self, chain):
+        lists, tangent = chain
+        cfg = build_configuration(lists, tangent_count=tangent)
         for k in range(1, cfg.size + 1):
             w = curvette_vector(cfg, k)
             assert w[k - 1] == 1
             assert all(x == 0 for x in w[k:])
             for i in range(1, k):
                 expected = sum(
-                    w[p.index - 1]
-                    for p in cfg.points
-                    if p.index <= k and i in p.proximate_to
+                    w[j - 1]
+                    for j, targets in enumerate(lists, start=1)
+                    if j <= k and i in targets
                 )
                 assert w[i - 1] == expected
 

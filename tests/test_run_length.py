@@ -3,8 +3,11 @@
 ``invariant_record`` reads a configuration's multiplicity runs and its
 run-level proximity structure.  Each field is checked here against a
 record built point by point: ``multiplicity_sequence``, ``noether_pairing``
-with ``curvette_vector``, satellite labels read from ``cfg.points``, and
-``itertools.groupby`` run tables per block.
+with ``curvette_vector``, satellite labels read from the proximity lists,
+and ``itertools.groupby`` run tables per block.  A configuration holds only
+its runs, so those per-point views are read from the satellite stretches;
+each check first compares the listed proximity lists with the input the
+configuration was built from.
 """
 
 import contextlib
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 
 import valuation_lab.configurations as configurations
-from strategies import configurations as random_configurations
+from strategies import proximity_chains
 from valuation_lab.bounds import bound_report, valuation_bundle
 from valuation_lab.cli import main
 from valuation_lab.configurations import (
@@ -43,7 +46,7 @@ from valuation_lab.invariants import (
 def point_level_record(cfg: Configuration) -> InvariantRecord:
     multiplicities = multiplicity_sequence(cfg)
     v = multiplicities.values
-    satellite = [len(p.proximate_to) == 2 for p in cfg.points]
+    satellite = [len(targets) == 2 for targets in cfg.proximity_lists()]
     boundaries, last_free = [1], []
     for is_satellite, group in itertools.groupby(
         enumerate(satellite, 1), key=lambda pair: pair[1]
@@ -85,35 +88,39 @@ def point_level_record(cfg: Configuration) -> InvariantRecord:
         ),
         volume=Fraction(1, beta[-1]),
         normalized_volume=Fraction(beta[0] ** 2, beta[-1]),
-        tangent_value=(
-            1 if cfg.size == 1 else sum(x for x, p in zip(v, cfg.points) if p.on_tangent)
-        ),
+        tangent_value=1 if cfg.size == 1 else sum(v[: cfg.tangent_count]),
         is_m_adic=cfg.size == 1,
         decomposition=decomposition,
     )
 
 
-def assert_run_level_matches_point_level(cfg: Configuration) -> None:
+def assert_run_level_matches_point_level(
+    cfg: Configuration, lists: list[list[int]]
+) -> None:
+    # The lists read from the runs alone are the ones that were validated.
+    assert cfg.proximity_lists() == lists
     record = invariant_record(cfg)
     assert record == point_level_record(cfg)
     assert record.multiplicities.values == multiplicity_sequence(cfg).values
-    # The points listed from the runs alone are the ones that were validated.
-    assert Configuration(cfg.runs, cfg.tangent_count, cfg.name).points == cfg.points
     rebuilt = from_maximal_contact(record.beta_bar)
-    assert rebuilt.points == build_configuration(
-        cfg.proximity_lists(), rebuilt.tangent_count
-    ).points
+    assert rebuilt.proximity_lists() == lists
 
 
 def test_fuzz_corpus(fuzz_corpus):
     for cfg in fuzz_corpus:
-        assert_run_level_matches_point_level(cfg)
+        lists = cfg.proximity_lists()
+        # Revalidated, the listed lists give back the same runs.
+        assert build_configuration(lists, cfg.tangent_count, cfg.name) == cfg
+        assert_run_level_matches_point_level(cfg, lists)
 
 
-@given(random_configurations(max_points=200))
+@given(proximity_chains(max_points=200))
 @settings(max_examples=100, deadline=None)
-def test_random_configurations(cfg):
-    assert_run_level_matches_point_level(cfg)
+def test_random_configurations(chain):
+    lists, tangent = chain
+    assert_run_level_matches_point_level(
+        build_configuration(lists, tangent_count=tangent), lists
+    )
 
 
 @pytest.mark.parametrize(
@@ -138,7 +145,7 @@ def test_chains_too_long_to_list(monkeypatch):
     assert record.beta_bar == (1, 10**12)
     assert record.tangent_value == 2
     with pytest.raises(ChainTooLongError):
-        cfg.points
+        cfg.proximity_lists()
     with pytest.raises(ChainTooLongError):
         record.multiplicities.values
     monkeypatch.setattr(configurations, "MAX_LISTED_POINTS", 5)
@@ -158,15 +165,18 @@ def test_multi_block_chain_too_long_to_list():
     assert record.beta_bar == (4, 6, 1000000011, 2000000022)
     assert record.puiseux.run_length_tables == ((1, 2), (500000000, 2), (1,))
     with pytest.raises(ChainTooLongError):
-        cfg.points
+        cfg.proximity_lists()
 
 
 @pytest.fixture
 def no_point_records(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a per-point record was built")
+    """Refuse every per-point listing of the proximity structure."""
 
-    monkeypatch.setattr(configurations, "PointRecord", refuse)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-point proximity view was listed")
+
+    monkeypatch.setattr(Configuration, "proximity_lists", refuse)
+    monkeypatch.setattr(Configuration, "proximate_points", refuse)
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])

@@ -160,7 +160,7 @@ def dense_generators(cfg, delta):
     reference that the support-held pairings are compared with."""
     n = cfg.size
     fiber = HirzebruchClass(
-        a=1, b=0, mults=tuple(1 if p.on_tangent else 0 for p in cfg.points),
+        a=1, b=0, mults=tuple(int(i <= cfg.tangent_count) for i in range(1, n + 1)),
         delta=delta,
     )
     section = HirzebruchClass(a=-delta, b=1, mults=(1,) + (0,) * (n - 1), delta=delta)
