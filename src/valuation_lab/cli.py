@@ -13,12 +13,7 @@ from collections.abc import Callable
 from datetime import datetime, timezone
 
 from . import checks as checks_module
-from .bounds import (
-    bound_report,
-    multi_valuation,
-    tono_family,
-    valuation_bundle,
-)
+from .bounds import bound_report, multi_valuation, tono_family
 from .errors import ValuationError
 from .reports import (
     bounds_payload,
@@ -88,7 +83,7 @@ def _emit(
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     vf = parse_path(args.file)
-    bundles = [valuation_bundle(entry.configuration) for entry in vf.entries]
+    bundles = [entry.bundle() for entry in vf.entries]
     payload = {
         "command": "invariants",
         "valuations": [invariants_payload(b) for b in bundles],
@@ -99,7 +94,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     vf = parse_path(args.file)
-    bundles = [valuation_bundle(entry.configuration) for entry in vf.entries]
+    bundles = [entry.bundle() for entry in vf.entries]
     mv = multi_valuation(bundles, vf.aligned_mu)
     payload = {
         "command": "bounds",

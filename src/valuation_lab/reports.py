@@ -9,14 +9,16 @@ byte-identical across runs.
 
 from __future__ import annotations
 
-import itertools
 import json
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from typing import Any
 
 from .bounds import BoundReport, MultiValuation, TonoValuation, ValuationBundle
 from .bounds import lambda_lower_bound, multi_ratio_bound
 from .checks import CheckResult, FuzzSummary
+from .configurations import MAX_LISTED_POINTS
+from .errors import ChainTooLongError
 
 
 def approx(x: Fraction | int) -> float:
@@ -29,31 +31,23 @@ def rational_payload(x: Fraction | int) -> dict[str, Any]:
     return {"exact": str(frac), "approx": approx(frac)}
 
 
-def compress_runs(values: tuple[int, ...]) -> str:
-    """Run-length display for long multiplicity vectors: ``6 3x7 1x9``."""
-    parts: list[str] = []
-    for value, run in itertools.groupby(values):
-        count = len(list(run))
-        parts.append(str(value) if count == 1 else f"{value}x{count}")
-    return " ".join(parts)
+def compress_runs(runs: Iterable[Sequence[int]]) -> str:
+    """Run-length display of multiplicity runs (value, count): ``6 3x7 1x9``."""
+    return " ".join(
+        str(value) if count == 1 else f"{value}x{count}" for value, count in runs
+    )
 
 
 def invariants_payload(bundle: ValuationBundle) -> dict[str, Any]:
     cfg = bundle.cfg
     record = bundle.record
     decomposition = record.decomposition
-    # Listing the multiplicities checks the chain's size before the
-    # satellites, at most as many, are listed.
     return {
         "name": cfg.name,
         "points": cfg.size,
         "is_m_adic": record.is_m_adic,
-        "multiplicities": list(record.multiplicities.values),
-        "satellites": [
-            i
-            for first, last, _ in cfg.structure.stretches
-            for i in range(first, last + 1)
-        ],
+        "multiplicity_runs": [list(run) for run in record.multiplicities.runs],
+        "satellite_stretches": [list(s) for s in cfg.structure.stretches],
         "blocks": [list(block) for block in decomposition.blocks],
         "genus": decomposition.genus_count,
         "contact_values": list(record.beta_bar),
@@ -165,7 +159,8 @@ def family_payload(family: TonoValuation) -> dict[str, Any]:
 
 
 def render_json(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """One line of JSON: without ``indent`` the stdlib's C encoder writes it."""
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def _label(index: int, name: str | None, points: int) -> str:
@@ -182,13 +177,25 @@ def _rational_from_payload(entry: dict[str, Any] | int) -> str:
     return f"{entry['exact']} (~{entry['approx']})"
 
 
+def _satellites_row(stretches: list[list[int]]) -> str:
+    """Every satellite index, listed from the stretches (first, last, target)."""
+    count = sum(last - first + 1 for first, last, _ in stretches)
+    if count > MAX_LISTED_POINTS:
+        raise ChainTooLongError(
+            f"{count} satellites are too many to list point by point "
+            f"(limit {MAX_LISTED_POINTS})"
+        )
+    listed = (i for first, last, _ in stretches for i in range(first, last + 1))
+    return " ".join(map(str, listed)) or "none"
+
+
 def render_invariants_table(payload: dict[str, Any]) -> str:
     lines = []
     for idx, val in enumerate(payload["valuations"], start=1):
         lines.append(f"== {_label(idx, val['name'], val['points'])} ==")
         rows = [
-            ("multiplicities", compress_runs(tuple(val["multiplicities"]))),
-            ("satellites", " ".join(map(str, val["satellites"])) or "none"),
+            ("multiplicities", compress_runs(val["multiplicity_runs"])),
+            ("satellites", _satellites_row(val["satellite_stretches"])),
             ("blocks", " ".join(f"[{a},{b}]" for a, b in val["blocks"])),
             ("genus", str(val["genus"])),
             ("contact values", " ".join(map(str, val["contact_values"]))),

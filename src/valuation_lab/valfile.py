@@ -11,11 +11,11 @@ Each entry carries an optional ``name`` and exactly one encoding:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from .bounds import tono_family
+from .bounds import ValuationBundle, tono_family, valuation_bundle
 from .configurations import Configuration, build_configuration
 from .errors import FileFormatError, ValuationError
 from .invariants import from_maximal_contact
@@ -29,6 +29,11 @@ class ValuationEntry:
     kind: str
     payload: dict[str, Any]
     configuration: Configuration
+    prebuilt: ValuationBundle | None = field(default=None, compare=False, repr=False)
+
+    def bundle(self) -> ValuationBundle:
+        """The entry's bundle; a tono entry keeps the one its family built."""
+        return self.prebuilt or valuation_bundle(self.configuration)
 
 
 @dataclass(frozen=True)
@@ -113,17 +118,18 @@ def _parse_entry(raw: Any, where: str) -> ValuationEntry:
                 )
             a = _require_int(params["a"], f"{where}.tono.a", minimum=3)
             e = _require_int(params["e"], f"{where}.tono.e", minimum=0)
-            family = tono_family(a, e)
-            cfg = family.bundle.cfg
+            bundle = tono_family(a, e).bundle
             if name is not None:
-                cfg = replace(cfg, name=name)
+                bundle = replace(bundle, cfg=replace(bundle.cfg, name=name))
+            cfg = bundle.cfg
             payload = {"tono": {"a": a, "e": e}}
     except FileFormatError:
         raise
     except ValuationError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
 
-    return ValuationEntry(name=name, kind=kind, payload=payload, configuration=cfg)
+    prebuilt = bundle if kind == "tono" else None
+    return ValuationEntry(name, kind, payload, cfg, prebuilt)
 
 
 def parse(text: str) -> ValuationFile:

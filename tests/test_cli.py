@@ -97,7 +97,10 @@ class TestCommands:
         assert val["contact_values"] == [6, 9, 34, 108]
         assert val["tangent_value"] == 9
         assert val["delta0"] == 0
-        assert val["satellites"] == [3, 10, 11]
+        # Runs (6, 1), (3, 7), (1, 9): p_3 is the satellite closing
+        # 6 = 3 + 3 at p_1, and p_10, p_11 close 3 = 1 + 1 + 1 at p_8.
+        assert val["multiplicity_runs"] == [[6, 1], [3, 7], [1, 9]]
+        assert val["satellite_stretches"] == [[3, 3, 1], [10, 11, 8]]
 
     def test_bounds_json(self, tmp_path, capsys):
         path = write(tmp_path, '{"valuations": [{"tono": {"a": 4, "e": 1}}]}')
@@ -204,7 +207,7 @@ HUGE = '{"valuations": [{"maximal_contact": [1, 1000000000000]}]}'
 
 
 class TestChainsTooLongToList:
-    @pytest.mark.parametrize("command", ["invariants", "check"])
+    @pytest.mark.parametrize("command", ["check"])
     def test_listing_commands_exit_one(self, tmp_path, capsys, command):
         path = write(tmp_path, HUGE)
         assert main([command, path]) == 1
@@ -213,6 +216,81 @@ class TestChainsTooLongToList:
         assert captured.err.startswith("error:")
         assert "1000000000000 points" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_invariants_need_no_points(self, tmp_path, capsys, fmt):
+        path = write(tmp_path, HUGE)
+        assert main(["--format", fmt, "invariants", path]) == 0
+        out = capsys.readouterr().out
+        if fmt == "table":
+            assert "  multiplicities     1x1000000000000\n" in out
+            assert "  satellites         none\n" in out
+        else:
+            val = json.loads(out)["valuations"][0]
+            assert val["points"] == 10**12
+            assert val["multiplicity_runs"] == [[1, 10**12]]
+            assert val["satellite_stretches"] == []
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_family_needs_no_points(self, capsys, fmt):
+        # a = 1000: runs (999000, 1), (1000, 2001), (1, 997998000000), so
+        # about 10**12 points.  p_2..p_1000 close 999000 at p_1 and
+        # p_2003..p_3002 close 1000 at p_2002, the end of the second run.
+        argv = ["--format", fmt, "family", "tono", "--a", "1000", "--e", "0"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if fmt == "table":
+            assert "  multiplicities     999000 1000x2001 1x997998000000\n" in out
+        else:
+            val = json.loads(out)["valuations"][0]
+            assert val["points"] == 997998002002
+            runs = [[999000, 1], [1000, 2001], [1, 997998000000]]
+            assert val["multiplicity_runs"] == runs
+            assert val["satellite_stretches"] == [[3, 1000, 1], [2004, 3002, 2002]]
+
+    def test_satellite_row_is_guarded(self, tmp_path, capsys):
+        # Runs (10**12, 1), (1, 10**12): p_3..p_{10**12 + 1} are satellites
+        # proximate to p_1, one stretch of 10**12 - 1 points.
+        path = write(
+            tmp_path,
+            '{"valuations": [{"maximal_contact": [1000000000000, 1000000000001]}]}',
+        )
+        assert main(["invariants", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 999999999999 satellites")
+        assert main(["--format", "json", "invariants", path]) == 0
+        val = json.loads(capsys.readouterr().out)["valuations"][0]
+        assert val["satellite_stretches"] == [[3, 1000000000001, 1]]
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_reports_list_no_chain(self, tmp_path, capsys, monkeypatch, fmt):
+        def refuse(runs):
+            raise AssertionError("a chain was listed point by point")
+
+        original = configurations.expand_runs
+        for name, module in list(sys.modules.items()):
+            if name.startswith("valuation_lab") and (
+                getattr(module, "expand_runs", None) is original
+            ):
+                monkeypatch.setattr(module, "expand_runs", refuse)
+        path = write(
+            tmp_path,
+            '{"valuations": [{"proximity": [[], [1], [2, 1]]}, '
+            '{"maximal_contact": [6, 9, 34], "trailing_free": 6}, '
+            '{"tono": {"a": 4, "e": 1}}]}',
+        )
+        assert main(["--format", fmt, "invariants", path]) == 0
+        assert main(["--format", fmt, "family", "tono", "--a", "12", "--e", "3"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_family_json_is_one_short_line(self, capsys):
+        argv = ["--format", "json", "family", "tono", "--a", "12", "--e", "3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert len(out.encode("utf-8")) < 2048
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert json.loads(out)["valuations"][0]["points"] == 79226
 
     def test_bounds_need_no_points(self, tmp_path, capsys):
         path = write(tmp_path, HUGE)

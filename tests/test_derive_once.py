@@ -12,6 +12,7 @@ import pytest
 from valuation_lab import invariants
 from valuation_lab.bounds import bound_report, tono_family, valuation_bundle
 from valuation_lab.checks import identity_checks
+from valuation_lab.cli import main
 from valuation_lab.configurations import build_configuration
 from valuation_lab.reports import invariants_payload
 
@@ -76,3 +77,14 @@ def test_identity_checks_build_at_most_two_records(calls, cfg):
     results = identity_checks(cfg)
     assert all(r.passed for r in results)
     assert len(calls["invariant_record"]) <= 2
+
+
+@pytest.mark.parametrize("command", ["invariants", "bounds"])
+def test_tono_file_entry_is_built_once(calls, tmp_path, capsys, command):
+    path = tmp_path / "tono.json"
+    path.write_text('{"valuations": [{"tono": {"a": 5, "e": 1}}]}', encoding="utf-8")
+    _reset(calls)
+    assert main([command, str(path)]) == 0
+    # tono_family records the 17-point cusp resolution and then the
+    # 962-point chain; the command reuses the entry's bundle.
+    assert calls["invariant_record"] == [17, 962]
