@@ -18,6 +18,7 @@ from .configurations import (
     Configuration,
     build_configuration,
     max_tangent_count,
+    with_tangent_count,
 )
 from .errors import ChainTooLongError
 from .invariants import (
@@ -27,10 +28,11 @@ from .invariants import (
     noether_pairing,
 )
 from .surface import (
-    generator_pairings,
+    generator_supports,
     intersect_hirzebruch,
     lambda_from_record,
     npi_from_record,
+    pair_with_generator,
 )
 
 # Fraction of growth steps steered toward satellite points, to exercise
@@ -97,8 +99,7 @@ def random_configuration(
     draft = build_configuration(prox)
     if n == 1:
         return draft
-    tangent = rng.randint(2, max_tangent_count(draft))
-    return build_configuration(prox, tangent_count=tangent)
+    return with_tangent_count(draft, rng.randint(2, max_tangent_count(draft)))
 
 
 def random_tail_choices(
@@ -179,14 +180,20 @@ def identity_checks(
             )
         )
 
+    # lambda subtracts v at every delta, so each generator's exceptional part
+    # is summed once; each delta adds only the fiber and section terms.
+    generators = [
+        (name, a, b, sum(m * v[i - 1] for i, m in support))
+        for name, a, b, support in generator_supports(cfg)
+    ]
     ok = True
     detail = ""
     for delta in deltas:
         lam = lambda_from_record(record, delta)
-        for gp in generator_pairings(cfg, lam):
-            expected = 1 if gp.name == f"E{n}" else 0
-            if gp.value != expected:
-                ok, detail = False, f"delta={delta} {gp.name} -> {gp.value}"
+        for name, a, b, exceptional in generators:
+            value = pair_with_generator(lam, a - delta * b, b, exceptional)
+            if value != (1 if name == f"E{n}" else 0):
+                ok, detail = False, f"delta={delta} {name} -> {value}"
                 break
         witness = npi_from_record(record, delta).witness
         if witness != intersect_hirzebruch(lam, lam):

@@ -18,7 +18,7 @@ sum to v_i.  A configuration is therefore held as its multiplicity runs
 a run every point has only its successor proximate to it, so the
 proximity structure is read at the run ends as satellite stretches, and
 every per-point view (proximity lists, adjacency, labels) is listed from
-those stretches on request.
+those stretches on request (the adjacency once, then kept).
 """
 
 from __future__ import annotations
@@ -173,13 +173,16 @@ class Configuration:
     Its multiplicity runs, tangent count and name are its whole state, and
     equality compares them.  Every per-point view (proximity lists, the
     points proximate to each point, free/satellite labels) is read from the
-    satellite stretches of ``structure``.
+    satellite stretches of ``structure``; the adjacency is kept once listed.
     """
 
     runs: tuple[tuple[int, int], ...]
     tangent_count: int
     name: str | None = None
     _structure: RunStructure | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _incoming: list[list[int]] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -203,13 +206,16 @@ class Configuration:
 
     def proximate_points(self) -> list[list[int]]:
         """Entry i lists the points proximate to p_i, ascending: p_{i+1}, then
-        the satellites whose older target is p_i; 1-based, entry 0 unused."""
-        older = _older_targets(self)
-        incoming = [[], *([i + 1] for i in range(1, len(older))), []]
-        for j, target in enumerate(older, start=1):
-            if target:
-                incoming[target].append(j)
-        return incoming
+        the satellites whose older target is p_i; 1-based, entry 0 unused.
+        Derived once and shared by every caller, who must not modify it."""
+        if self._incoming is None:
+            older = _older_targets(self)
+            incoming = [[], *([i + 1] for i in range(1, len(older))), []]
+            for j, target in enumerate(older, start=1):
+                if target:
+                    incoming[target].append(j)
+            object.__setattr__(self, "_incoming", incoming)
+        return self._incoming
 
 
 def build_configuration(
@@ -355,5 +361,10 @@ def max_tangent_count(cfg: Configuration) -> int:
 
 
 def with_tangent_count(cfg: Configuration, tangent_count: int) -> Configuration:
-    """Same proximity structure, different tangent segment."""
-    return build_configuration(cfg.proximity_lists(), tangent_count, name=cfg.name)
+    """Same proximity structure, different tangent segment: 1 for a single
+    point, else 2..``max_tangent_count(cfg)``."""
+    k = int(tangent_count)
+    low, high = (1, 1) if cfg.size == 1 else (2, max_tangent_count(cfg))
+    if not low <= k <= high:
+        raise InvalidConfigurationError(f"tangent_count must lie in {low}..{high}")
+    return Configuration(cfg.runs, k, cfg.name)

@@ -4,7 +4,8 @@ Everything here is exact: multiplicities and contact values are Python
 integers, volumes and Puiseux exponents are ``fractions.Fraction``.  A
 configuration is its multiplicity runs, and the record is read from those
 runs and their run-level proximity structure, so it costs O(runs), not
-O(points): the per-block run tables give the Puiseux exponents, and
+O(points): the per-block run tables give the Puiseux exponents (each a
+continued fraction folded in integers, one ``Fraction`` at the end), and
 Zariski's recursion turns those into the contact values.  The inverse
 construction (``from_maximal_contact``) expands each contact value into a
 block of multiplicity runs by the subtractive Euclidean algorithm, the same
@@ -13,8 +14,8 @@ contact values from the blocks and run tables of the chain it built.
 
 ``multiplicity_sequence``, ``curvette_vector`` and ``noether_pairing``
 work point by point, over the adjacency ``Configuration.proximate_points``
-lists from the satellite stretches; they are the references the record is
-tested against.
+lists once from the satellite stretches and keeps; they are the references
+the record is tested against.
 """
 
 from __future__ import annotations
@@ -127,10 +128,11 @@ def noether_pairing(cfg: Configuration, m: Sequence[int], m2: Sequence[int]) -> 
 
 
 def _continued_fraction(digits: Sequence[int]) -> Fraction:
-    value = Fraction(digits[-1])
+    """[d_0; d_1, ..., d_k] as integers p/q from the last digit (d + q/p)."""
+    p, q = digits[-1], 1
     for d in reversed(digits[:-1]):
-        value = d + 1 / value
-    return value
+        p, q = d * p + q, p
+    return Fraction(p, q)
 
 
 def invariant_record(cfg: Configuration) -> InvariantRecord:

@@ -4,11 +4,14 @@ Classes are written additively against total transforms with the sign
 convention ``class = a*F + b*M - sum(m_i * E_i)`` (ruled model) or
 ``class = d*L - sum(m_i * E_i)`` (plane model).  The pairing table on the
 ruled model of index ``delta`` is F.M = 1, F.F = 0, M.M = delta, with the
-exceptional classes orthonormal of square -1.
+exceptional classes orthonormal of square -1.  The generators of the
+curve cone are held by their nonzero exceptional entries, which do not
+depend on ``delta``, so pairing them costs O(points) per index.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -24,7 +27,7 @@ class PlaneClass:
     mults: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
+        object.__setattr__(self, "mults", tuple(map(int, self.mults)))
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,7 @@ class HirzebruchClass:
     def __post_init__(self) -> None:
         if self.delta < 0:
             raise ValueError("ruled surface index must be non-negative")
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
+        object.__setattr__(self, "mults", tuple(map(int, self.mults)))
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,7 @@ def intersect_plane(x: PlaneClass, y: PlaneClass) -> int:
         raise ValueError(
             f"ambient size mismatch: {len(x.mults)} vs {len(y.mults)}"
         )
-    return x.degree * y.degree - sum(a * b for a, b in zip(x.mults, y.mults))
+    return x.degree * y.degree - sum(map(operator.mul, x.mults, y.mults))
 
 
 def intersect_hirzebruch(x: HirzebruchClass, y: HirzebruchClass) -> int:
@@ -121,7 +124,7 @@ def intersect_hirzebruch(x: HirzebruchClass, y: HirzebruchClass) -> int:
         raise ValueError(
             f"ambient size mismatch: {len(x.mults)} vs {len(y.mults)}"
         )
-    exceptional = sum(a * b for a, b in zip(x.mults, y.mults))
+    exceptional = sum(map(operator.mul, x.mults, y.mults))
     return x.a * y.b + y.a * x.b + x.delta * x.b * y.b - exceptional
 
 
@@ -164,44 +167,48 @@ def npi_check(cfg: Configuration, delta: int) -> NpiResult:
     return npi_from_record(invariant_record(cfg), delta)
 
 
-def _pair_with_support(
-    lam: HirzebruchClass, a: int, b: int, support: tuple[tuple[int, int], ...]
-) -> int:
-    """``intersect_hirzebruch(lam, c)`` for the class c = a*F + b*M - sum(m_i * E_i)
-    given by its nonzero ``(i, m_i)`` entries."""
-    exceptional = sum(m * lam.mults[i - 1] for i, m in support)
+def pair_with_generator(lam: HirzebruchClass, a: int, b: int, exceptional: int) -> int:
+    """``intersect_hirzebruch(lam, c)`` for the class c = a*F + b*M - sum(m_i * E_i),
+    given its exceptional part ``sum(m_i * lam.mults[i-1])``."""
     return lam.a * b + a * lam.b + lam.delta * lam.b * b - exceptional
 
 
-def generator_pairings(
-    cfg: Configuration, lam: HirzebruchClass
-) -> list[GeneratorPairing]:
-    """Pair the nef candidate with every claimed generator of the curve cone.
+def generator_supports(cfg: Configuration) -> list[tuple[str, int, int, tuple]]:
+    """``(name, a, b, support)`` of every claimed generator of the curve cone.
 
     Generators: the strict transform of the fiber through the center (it
     passes through exactly the tangent-flagged points), the strict
     transform of the special section (through p_1 only), and the strict
     transforms of the exceptional divisors (E_i minus the E_j of the points
-    proximate to p_i).  Each is held by its support and paired over it, so
-    this costs O(points), not O(points^2).
+    proximate to p_i).  Each is a*F + b*S - sum(m_i * E_i) with S = M - delta*F
+    the special section, held by its nonzero ``(i, m_i)`` entries; none of
+    this depends on delta, and on the ruled model of index delta the fiber
+    coefficient is ``a - delta * b``.
     """
-    n = cfg.size
-    delta = lam.delta
-    generators = [
-        ("fiber", 1, 0, tuple((i, 1) for i in range(1, cfg.tangent_count + 1))),
-        ("special_section", -delta, 1, ((1, 1),)),
-    ]
     incoming = cfg.proximate_points()
-    generators += (
-        (f"E{i}", 0, 0, ((i, -1), *((j, 1) for j in incoming[i])))
-        for i in range(1, n + 1)
-    )
     return [
-        GeneratorPairing(
-            name, _pair_with_support(lam, a, b, support), a, b, support, n, delta
-        )
-        for name, a, b, support in generators
+        ("fiber", 1, 0, tuple((i, 1) for i in range(1, cfg.tangent_count + 1))),
+        ("special_section", 0, 1, ((1, 1),)),
+        *(
+            (f"E{i}", 0, 0, ((i, -1), *((j, 1) for j in incoming[i])))
+            for i in range(1, cfg.size + 1)
+        ),
     ]
+
+
+def generator_pairings(
+    cfg: Configuration, lam: HirzebruchClass
+) -> list[GeneratorPairing]:
+    """Pair the nef candidate with every generator of ``generator_supports``
+    over its support, so this costs O(points), not O(points^2)."""
+    n, delta = cfg.size, lam.delta
+    pairings = []
+    for name, a, b, support in generator_supports(cfg):
+        a -= delta * b
+        exceptional = sum(m * lam.mults[i - 1] for i, m in support)
+        value = pair_with_generator(lam, a, b, exceptional)
+        pairings.append(GeneratorPairing(name, value, a, b, support, n, delta))
+    return pairings
 
 
 def nef_on_generators(cfg: Configuration, delta: int) -> list[GeneratorPairing]:
@@ -271,6 +278,7 @@ __all__ = [
     "NpiResult",
     "PlaneClass",
     "generator_pairings",
+    "generator_supports",
     "hirzebruch_class_of_polynomial",
     "intersect_hirzebruch",
     "intersect_plane",
@@ -279,5 +287,6 @@ __all__ = [
     "nef_on_generators",
     "npi_check",
     "npi_from_record",
+    "pair_with_generator",
     "strict_transform_plane",
 ]

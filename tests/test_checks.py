@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from valuation_lab.configurations import (
     extend_with_satellite_tail,
 )
 from valuation_lab.errors import ChainTooLongError, ReconstructionError
-from valuation_lab.invariants import from_maximal_contact
+from valuation_lab.invariants import from_maximal_contact, invariant_record
 
 
 class TestRandomConfiguration:
@@ -100,6 +101,27 @@ class TestIdentityChecks:
         (round_trip,) = [r for r in results if r.name == "contact-round-trip"]
         assert not round_trip.passed
         assert round_trip.detail == "reconstruction failed: ReconstructionError: synthetic"
+
+    def test_nef_pairings_are_taken_at_every_delta(self, monkeypatch):
+        """Only at delta = 2 does the candidate's fiber coefficient move, so a
+        check that paired once and reused the values at every delta would
+        pass; the special section's pairing at delta = 2 must read 1."""
+        cfg = build_configuration([[], [1], [2, 1]])
+        record = invariant_record(cfg)
+        real = checks.lambda_from_record
+
+        def shifted(record, delta):
+            lam = real(record, delta)
+            return dataclasses.replace(lam, a=lam.a + 1) if delta == 2 else lam
+
+        def closed_form(x, y):
+            return record.tangent_value**2 * x.delta - record.threshold_numerator
+
+        monkeypatch.setattr(checks, "lambda_from_record", shifted)
+        monkeypatch.setattr(checks, "intersect_hirzebruch", closed_form)
+        (nef,) = [r for r in identity_checks(cfg) if r.name == "nef-generator-pairings"]
+        assert not nef.passed
+        assert nef.detail == "delta=2 special_section -> 1"
 
 
 def test_identity_checks_list_linearly_many_class_entries(monkeypatch):

@@ -285,6 +285,21 @@ class TestExhaustiveSmallChains:
         ]
         assert pairs == 4181
 
+    def test_with_tangent_count_accepts_exactly_the_admissible_counts(self):
+        pairs = 0
+        for lists in all_chains(10):
+            base = build_configuration(lists, name="chain")
+            for k in range(len(lists) + 2):
+                try:
+                    expected = build_configuration(lists, k, name="chain")
+                except InvalidConfigurationError:
+                    with pytest.raises(InvalidConfigurationError):
+                        with_tangent_count(base, k)
+                    continue
+                assert with_tangent_count(base, k) == expected
+                pairs += 1
+        assert pairs == 4181
+
     def test_identity_checks_pass_on_every_chain(self):
         failures = [
             (lists, result.name, result.detail)

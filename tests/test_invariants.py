@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategies import configurations, proximity_chains
 from valuation_lab.bounds import tono_family
 from valuation_lab.configurations import build_configuration, classify_points
 from valuation_lab.errors import ReconstructionError
 from valuation_lab.invariants import (
+    _continued_fraction,
     curvette_vector,
     from_maximal_contact,
     invariant_record,
@@ -331,3 +333,17 @@ class TestInvariantRecord:
             g = math.gcd(g, b)
             expected.append(g)
         assert record.contact.gcd_chain == tuple(expected)
+
+
+def fraction_fold(digits):
+    """[d_0; d_1, ..., d_k] folded with Fraction arithmetic, the oracle for
+    the integer convergents."""
+    value = Fraction(digits[-1])
+    for d in reversed(digits[:-1]):
+        value = d + 1 / value
+    return value
+
+
+@given(st.lists(st.integers(1, 10**12), min_size=1, max_size=20))
+def test_continued_fraction_by_integer_convergents(digits):
+    assert _continued_fraction(digits) == fraction_fold(digits)
