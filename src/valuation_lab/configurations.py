@@ -16,14 +16,19 @@ proximate to p_i are the consecutive points after it whose multiplicities
 sum to v_i.  A configuration is therefore held as its multiplicity runs
 ``((value, count), ...)`` plus its tangent count and nothing else.  Inside
 a run every point has only its successor proximate to it, so the
-proximity structure is read at the run ends as satellite stretches, and
-every per-point view (proximity lists, adjacency, labels) is listed from
-those stretches on request (the adjacency once, then kept).
+proximity structure is read at the run ends as satellite stretches.
+
+Point by point, a chain is one flat array ``older``: 1-based, each point's
+older proximity target, 0 for a free point (and entry 0).  It is listed
+from the stretches once, every per-point view reads it, and the backward
+recursion runs on it in push form: each point, latest first, adds its
+value to its predecessor and to its older target.  ``build_configuration``
+validates lists into this array, ``extend_with_satellite_tail`` extends
+it, and both push it into runs.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -86,19 +91,6 @@ class RunStructure:
     stretches: tuple[tuple[int, int, int], ...]
     decomposition: BlockDecomposition
 
-    def spans(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """(run index, points of that run inside [lo, hi]) for each run
-        meeting the closed range [lo, hi]."""
-        out = []
-        s = bisect.bisect_left(self.ends, lo)
-        start = lo
-        while s < len(self.ends) and start <= hi:
-            end = min(self.ends[s], hi)
-            out.append((s, end - start + 1))
-            start = end + 1
-            s += 1
-        return out
-
 
 def run_structure(runs: Sequence[tuple[int, int]]) -> RunStructure:
     """Proximity structure of the chain with these multiplicity runs.
@@ -155,15 +147,36 @@ def run_structure(runs: Sequence[tuple[int, int]]) -> RunStructure:
 
 
 def _older_targets(cfg: Configuration) -> list[int]:
-    """Each point's older proximity target, listed point by point (0 for
-    none): the satellites of a stretch (first, last, target) have the
-    target, every other point is proximate to its predecessor alone."""
+    """The ``older`` array, listed point by point: the satellites of a stretch
+    (first, last, target) have the target, every other point has 0."""
     runs, start = [], 1
     for first, last, target in cfg.structure.stretches:
         runs += [(0, first - start), (target, last - first + 1)]
         start = last + 1
     runs.append((0, cfg.size - start + 1))
-    return expand_runs(runs)
+    return [0, *expand_runs(runs)]
+
+
+def push_values(older: Sequence[int], k: int) -> list[int]:
+    """The backward recursion from w_k = 1: each p_j (j <= k), latest first,
+    adds w_j to its predecessor and to ``older[j]``.  Entries past k stay 0,
+    and entry 0 collects the pushes of free points."""
+    w = [0] * len(older)
+    w[k] = 1
+    for j in range(k, 1, -1):
+        x = w[j]
+        w[j - 1] += x
+        w[older[j]] += x
+    return w
+
+
+def value_runs(values: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """Run-length form ``((value, count), ...)`` of a listed sequence."""
+    return tuple((value, len(list(run))) for value, run in itertools.groupby(values))
+
+
+# A view derived on first read, outside equality and repr.
+_DERIVED = dict(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,24 +184,22 @@ class Configuration:
     """Immutable, validated chain of infinitely near points.
 
     Its multiplicity runs, tangent count and name are its whole state, and
-    equality compares them.  Every per-point view (proximity lists, the
-    points proximate to each point, free/satellite labels) is read from the
-    satellite stretches of ``structure``; the adjacency is kept once listed.
+    equality compares them; ``size`` is summed from the runs once.  Every
+    per-point view (proximity lists, the points proximate to each point,
+    free/satellite labels) is read from ``older``; it and the adjacency are
+    kept once listed.
     """
 
     runs: tuple[tuple[int, int], ...]
     tangent_count: int
     name: str | None = None
-    _structure: RunStructure | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    _incoming: list[list[int]] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    size: int = field(init=False, compare=False, repr=False)
+    _structure: RunStructure | None = field(**_DERIVED)
+    _older: list[int] | None = field(**_DERIVED)
+    _incoming: list[list[int]] | None = field(**_DERIVED)
 
-    @property
-    def size(self) -> int:
-        return sum(count for _, count in self.runs)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "size", sum(count for _, count in self.runs))
 
     @property
     def structure(self) -> RunStructure:
@@ -197,21 +208,27 @@ class Configuration:
             object.__setattr__(self, "_structure", run_structure(self.runs))
         return self._structure
 
+    def older(self) -> list[int]:
+        """The ``older`` array, listed once from the satellite stretches and
+        shared by every caller, who must not modify it."""
+        if self._older is None:
+            object.__setattr__(self, "_older", _older_targets(self))
+        return self._older
+
     def proximity_lists(self) -> list[list[int]]:
         """Plain 1-based proximity lists, each sorted ascending."""
-        return [
-            [t for t in (older, i - 1) if t]
-            for i, older in enumerate(_older_targets(self), start=1)
-        ]
+        older = self.older()
+        return [[t for t in (older[i], i - 1) if t] for i in range(1, len(older))]
 
     def proximate_points(self) -> list[list[int]]:
         """Entry i lists the points proximate to p_i, ascending: p_{i+1}, then
         the satellites whose older target is p_i; 1-based, entry 0 unused.
-        Derived once and shared by every caller, who must not modify it."""
+        Derived once from ``older`` and shared by every caller, who must not
+        modify it."""
         if self._incoming is None:
-            older = _older_targets(self)
-            incoming = [[], *([i + 1] for i in range(1, len(older))), []]
-            for j, target in enumerate(older, start=1):
+            older = self.older()
+            incoming = [[], *[[i + 1] for i in range(1, len(older) - 1)], []]
+            for j, target in enumerate(older):
                 if target:
                     incoming[target].append(j)
             object.__setattr__(self, "_incoming", incoming)
@@ -232,14 +249,17 @@ def build_configuration(
     if n < 1:
         raise InvalidConfigurationError("a configuration needs at least one point")
 
-    prox: list[frozenset[int]] = []
-    for i, raw in enumerate(proximity_lists, start=1):
-        targets = frozenset(int(t) for t in raw)
-        if i == 1:
-            if targets:
-                raise InvalidConfigurationError("p_1 cannot be proximate to anything")
-            prox.append(targets)
+    if {int(t) for t in proximity_lists[0]}:
+        raise InvalidConfigurationError("p_1 cannot be proximate to anything")
+    older = [0] * (n + 1)
+    for i in range(2, n + 1):
+        raw = proximity_lists[i - 1]
+        if raw == [i - 1]:  # a free point, the common case
             continue
+        if raw in ([i - 2, i - 1], [older[i - 1], i - 1]) and raw[0]:
+            older[i] = int(raw[0])  # a satellite, as sorted lists write it
+            continue
+        targets = {int(t) for t in raw}
         if any(t < 1 or t >= i for t in targets):
             raise InvalidConfigurationError(
                 f"p_{i}: proximity targets must be earlier points"
@@ -251,13 +271,14 @@ def build_configuration(
                 f"p_{i}: a point is proximate to at most two points"
             )
         if len(targets) == 2:
-            older = min(targets)
-            if older not in prox[i - 2]:
+            # p_{i-1} is proximate to p_{i-2} and to its own older target.
+            target = min(targets)
+            if target != i - 2 and target != older[i - 1]:
                 raise InvalidConfigurationError(
-                    f"p_{i} claims proximity to p_{older}, but p_{i - 1} is not "
-                    f"proximate to p_{older} (its divisor no longer meets E_{i - 1})"
+                    f"p_{i} claims proximity to p_{target}, but p_{i - 1} is not "
+                    f"proximate to p_{target} (its divisor no longer meets E_{i - 1})"
                 )
-        prox.append(targets)
+            older[i] = target
 
     if tangent_count is None:
         tangent_count = min(2, n)
@@ -273,25 +294,19 @@ def build_configuration(
                 f"tangent_count must lie in 2..{n} for {n} points"
             )
         for i in range(3, k + 1):
-            if len(prox[i - 1]) != 1:
+            if older[i]:
                 raise InvalidConfigurationError(
                     f"tangent segment cannot reach p_{i}: a smooth line cannot "
                     "pass through a satellite point"
                 )
 
-    # v_n = 1; every point, latest first, adds its value to its targets.
-    v = [0] * (n + 1)
-    v[n] = 1
-    for j in range(n, 1, -1):
-        for target in prox[j - 1]:
-            v[target] += v[j]
-    runs = tuple((value, len(list(run))) for value, run in itertools.groupby(v[1:]))
+    runs = value_runs(push_values(older, n)[1:])
     return Configuration(runs=runs, tangent_count=k, name=name)
 
 
 def classify_points(cfg: Configuration) -> list[str]:
     """Label each point free or satellite (two proximity targets)."""
-    return [SATELLITE if older else FREE for older in _older_targets(cfg)]
+    return [SATELLITE if older else FREE for older in cfg.older()[1:]]
 
 
 def block_decomposition(cfg: Configuration) -> BlockDecomposition:
@@ -338,7 +353,7 @@ def extend_with_satellite_tail(
     if not choices:
         return cfg
 
-    lists = cfg.proximity_lists()
+    older = [*cfg.older()]
     allowed = frozenset({n - 1})
     prev = n
     for offset, choice in enumerate(choices):
@@ -348,10 +363,11 @@ def extend_with_satellite_tail(
                 f"tail point {offset + 1}: target p_{c} is not admissible "
                 f"(options: {sorted(allowed)})"
             )
-        lists.append([c, prev])
+        older.append(c)
         allowed = frozenset({prev, c})
         prev += 1
-    return build_configuration(lists, cfg.tangent_count, name=cfg.name)
+    runs = value_runs(push_values(older, prev)[1:])
+    return Configuration(runs, cfg.tangent_count, cfg.name)
 
 
 def max_tangent_count(cfg: Configuration) -> int:

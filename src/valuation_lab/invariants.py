@@ -4,24 +4,26 @@ Everything here is exact: multiplicities and contact values are Python
 integers, volumes and Puiseux exponents are ``fractions.Fraction``.  A
 configuration is its multiplicity runs, and the record is read from those
 runs and their run-level proximity structure, so it costs O(runs), not
-O(points): the per-block run tables give the Puiseux exponents (each a
-continued fraction folded in integers, one ``Fraction`` at the end), and
-Zariski's recursion turns those into the contact values.  The inverse
-construction (``from_maximal_contact``) expands each contact value into a
-block of multiplicity runs by the subtractive Euclidean algorithm, the same
+O(points): the per-block run tables, read in one walk over the run ends,
+give the Puiseux exponents (each a continued fraction folded in integers,
+one ``Fraction`` per block), and Zariski's recursion turns their integer
+p/q into the contact values.  The inverse construction
+(``from_maximal_contact``) expands each contact value into a block of
+multiplicity runs by the subtractive Euclidean algorithm, the same
 recursion read backwards, and then verifies itself by recomputing the
 contact values from the blocks and run tables of the chain it built.
 
 ``multiplicity_sequence``, ``curvette_vector`` and ``noether_pairing``
-work point by point, over the adjacency ``Configuration.proximate_points``
-lists once from the satellite stretches and keeps; they are the references
-the record is tested against.
+work point by point; the first two push the backward recursion over the
+chain's ``older`` array (``configurations.push_values``).  They are the
+references the record is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +34,8 @@ from .configurations import (
     Configuration,
     append_free_chain,
     expand_runs,
+    push_values,
+    value_runs,
 )
 from .errors import ReconstructionError
 
@@ -92,16 +96,8 @@ class InvariantRecord:
 
 def multiplicity_sequence(cfg: Configuration) -> MultiplicityVector:
     """Backward recursion v_n = 1, v_i = sum of v_j over points proximate to p_i,
-    point by point."""
-    n = cfg.size
-    incoming = cfg.proximate_points()
-    v = [0] * (n + 1)
-    v[n] = 1
-    for i in range(n - 1, 0, -1):
-        v[i] = sum(v[j] for j in incoming[i])
-    return MultiplicityVector(
-        runs=tuple((value, len(list(run))) for value, run in itertools.groupby(v[1:]))
-    )
+    point by point, pushed over the ``older`` array."""
+    return MultiplicityVector(runs=value_runs(push_values(cfg.older(), cfg.size)[1:]))
 
 
 def curvette_vector(cfg: Configuration, k: int) -> tuple[int, ...]:
@@ -109,13 +105,8 @@ def curvette_vector(cfg: Configuration, k: int) -> tuple[int, ...]:
     n = cfg.size
     if not 1 <= k <= n:
         raise ValueError(f"curvette index must lie in 1..{n}, got {k}")
-    incoming = cfg.proximate_points()
     # Entries past k stay 0, so the points after p_k add nothing.
-    w = [0] * (n + 1)
-    w[k] = 1
-    for i in range(k - 1, 0, -1):
-        w[i] = sum(w[j] for j in incoming[i])
-    return tuple(w[1:])
+    return tuple(push_values(cfg.older(), k)[1:])
 
 
 def noether_pairing(cfg: Configuration, m: Sequence[int], m2: Sequence[int]) -> int:
@@ -124,7 +115,7 @@ def noether_pairing(cfg: Configuration, m: Sequence[int], m2: Sequence[int]) -> 
         raise ValueError(
             f"vectors must have length {cfg.size}, got {len(m)} and {len(m2)}"
         )
-    return sum(a * b for a, b in zip(m, m2))
+    return sum(map(operator.mul, m, m2))
 
 
 def _continued_fraction(digits: Sequence[int]) -> Fraction:
@@ -149,31 +140,39 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
     """
     structure = cfg.structure
     decomposition = structure.decomposition
-    runs = tuple(
-        tuple(count for _, count in structure.spans(lo, hi))
-        for lo, hi in decomposition.blocks
-    )
+    # Run lengths inside each closed block, in one walk over the run ends;
+    # a block ending inside run s leaves the rest of run s to the next.
+    ends, runs, s, start = structure.ends, [], 0, 1
+    for hi in decomposition.boundaries[1:]:
+        table = []
+        while ends[s] < hi:
+            table.append(ends[s] - start + 1)
+            start, s = ends[s] + 1, s + 1
+        runs.append((*table, hi - start + 1))
+        start = hi
     beta_prime = (Fraction(1), *map(_continued_fraction, runs))
-    # Zariski's recursion from e_{-1} = e_0 = beta_0; the y step of
-    # from_maximal_contact is its inverse.
+    # Zariski's recursion from e_{-1} = e_0 = beta_0, in integers on each
+    # exponent's p/q; the y step of from_maximal_contact is its inverse.
     beta = [cfg.runs[0][0]]
     gcd_prev = gcd_here = beta[0]
     for exponent in beta_prime[1 : decomposition.genus_count + 1]:
-        y = int(gcd_here * exponent)
+        y = gcd_here * exponent.numerator // exponent.denominator
         beta.append(y + gcd_prev // gcd_here * beta[-1] - gcd_here)
         gcd_prev, gcd_here = gcd_here, math.gcd(gcd_here, y)
     beta.append(sum(count * value * value for value, count in cfg.runs))
     is_m_adic = cfg.size == 1
-    # A single point has no tangent line; its tangent value is 1.
-    tangent = 1 if is_m_adic else sum(
-        cfg.runs[s][0] * count for s, count in structure.spans(1, cfg.tangent_count)
-    )
+    # The values of the tangent points p_1..p_k; a single point has no
+    # tangent line, and its tangent value is v_1 = 1.
+    tangent, left = 0, cfg.tangent_count
+    for value, count in cfg.runs:
+        taken = min(count, left)
+        tangent, left = tangent + value * taken, left - taken
     return InvariantRecord(
         multiplicities=MultiplicityVector(runs=cfg.runs),
         contact=MaximalContactValues(
             beta_bar=tuple(beta), gcd_chain=tuple(itertools.accumulate(beta, math.gcd))
         ),
-        puiseux=PuiseuxExponents(beta_prime=beta_prime, run_length_tables=runs),
+        puiseux=PuiseuxExponents(beta_prime=beta_prime, run_length_tables=tuple(runs)),
         volume=Fraction(1, beta[-1]),
         normalized_volume=Fraction(beta[0] ** 2, beta[-1]),
         tangent_value=tangent,

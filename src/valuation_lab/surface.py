@@ -190,7 +190,7 @@ def generator_supports(cfg: Configuration) -> list[tuple[str, int, int, tuple]]:
         ("fiber", 1, 0, tuple((i, 1) for i in range(1, cfg.tangent_count + 1))),
         ("special_section", 0, 1, ((1, 1),)),
         *(
-            (f"E{i}", 0, 0, ((i, -1), *((j, 1) for j in incoming[i])))
+            (f"E{i}", 0, 0, ((i, -1), *[(j, 1) for j in incoming[i]]))
             for i in range(1, cfg.size + 1)
         ),
     ]
@@ -205,7 +205,7 @@ def generator_pairings(
     pairings = []
     for name, a, b, support in generator_supports(cfg):
         a -= delta * b
-        exceptional = sum(m * lam.mults[i - 1] for i, m in support)
+        exceptional = sum([m * lam.mults[i - 1] for i, m in support])
         value = pair_with_generator(lam, a, b, exceptional)
         pairings.append(GeneratorPairing(name, value, a, b, support, n, delta))
     return pairings

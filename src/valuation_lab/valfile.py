@@ -79,14 +79,16 @@ def _parse_entry(raw: Any, where: str) -> ValuationEntry:
         if kind == "proximity":
             lists = raw["proximity"]
             if not isinstance(lists, list) or not all(
-                isinstance(entry, list) for entry in lists
+                [isinstance(entry, list) for entry in lists]
             ):
                 raise FileFormatError(
                     f"{where}.proximity: expected a list of lists of integers"
                 )
-            for i, entry in enumerate(lists):
-                for t in entry:
-                    _require_int(t, f"{where}.proximity[{i}]", minimum=1)
+            # One pass over every target; the loop names the first bad one.
+            if not all([type(t) is int and t >= 1 for entry in lists for t in entry]):
+                for i, entry in enumerate(lists):
+                    for t in entry:
+                        _require_int(t, f"{where}.proximity[{i}]", minimum=1)
             tangent = raw.get("tangent_count")
             if tangent is not None:
                 tangent = _require_int(tangent, f"{where}.tangent_count", minimum=1)

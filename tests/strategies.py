@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared across the test modules."""
+"""Hypothesis strategies and chain enumerations shared across the test modules."""
 
 from hypothesis import strategies as st
 
@@ -29,3 +29,19 @@ def configurations(draw, max_points: int = 12, min_points: int = 1):
     """Random admissible configuration with a random valid tangent segment."""
     prox, tangent = draw(proximity_chains(max_points, min_points))
     return build_configuration(prox, tangent_count=tangent)
+
+
+def all_chains(max_points):
+    """Every chain of at most ``max_points`` points, as sorted proximity
+    lists: each point p_i (i >= 2) is free, or a satellite whose older target
+    is one of the targets of p_{i-1}."""
+
+    def grow(lists):
+        yield lists
+        if len(lists) < max_points:
+            i = len(lists) + 1
+            yield from grow([*lists, [i - 1]])
+            for older in lists[-1]:
+                yield from grow([*lists, [older, i - 1]])
+
+    return grow([[]])

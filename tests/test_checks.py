@@ -124,6 +124,68 @@ class TestIdentityChecks:
         assert nef.detail == "delta=2 special_section -> 1"
 
 
+    def test_a_wrong_exceptional_support_is_named_at_the_first_delta(
+        self, monkeypatch
+    ):
+        """E_i pairs to the same number at every delta, so a wrong support
+        fails at the first one, with its value."""
+        cfg = build_configuration([[], [1], [2, 1], [3]])
+        real = checks.generator_supports
+
+        def corrupted(cfg):
+            # Drop p_3 from the points proximate to p_1: E1 pairs to v_3 = 1.
+            return [
+                (name, a, b, support[:2] if name == "E1" else support)
+                for name, a, b, support in real(cfg)
+            ]
+
+        monkeypatch.setattr(checks, "generator_supports", corrupted)
+        (nef,) = [r for r in identity_checks(cfg) if r.name == "nef-generator-pairings"]
+        assert not nef.passed
+        assert nef.detail == "delta=0 E1 -> 1"
+
+        # A witness mismatch at the same index still overwrites the detail.
+        monkeypatch.setattr(checks, "intersect_hirzebruch", lambda x, y: None)
+        (nef,) = [r for r in identity_checks(cfg) if r.name == "nef-generator-pairings"]
+        assert nef.detail == "witness mismatch at delta=0"
+
+    def test_delta0_threshold_takes_logarithmically_many_indices(self, monkeypatch):
+        """The witness rises with delta, so the first non-negative index is
+        found by bisection: on a 100,000-point chain (delta0 = 24,999) one
+        suite asks ``npi_from_record`` a few dozen times, not 25,000."""
+        calls = 0
+        real = checks.npi_from_record
+
+        def counted(record, delta):
+            nonlocal calls
+            calls += 1
+            return real(record, delta)
+
+        cfg = from_maximal_contact((1, 100000))
+        monkeypatch.setattr(checks, "npi_from_record", counted)
+        results = identity_checks(cfg)
+        assert all(r.passed for r in results)
+        assert calls <= 64
+
+    @pytest.mark.parametrize("shift", [-2, -1, 1, 3])
+    def test_delta0_threshold_names_the_first_index(self, monkeypatch, shift):
+        """A recorded delta0 off by ``shift`` fails, and the detail names
+        the true first index."""
+        real = checks.valuation_bundle
+
+        def shifted(cfg):
+            bundle = real(cfg)
+            return dataclasses.replace(bundle, delta0=bundle.delta0 + shift)
+
+        cfg = from_maximal_contact((4, 6, 13), trailing_free=400)
+        d0 = real(cfg).delta0
+        assert d0 == 11
+        monkeypatch.setattr(checks, "valuation_bundle", shifted)
+        (threshold,) = [r for r in identity_checks(cfg) if r.name == "delta0-threshold"]
+        assert not threshold.passed
+        assert threshold.detail == f"delta0={d0 + shift} first={d0}"
+
+
 def test_identity_checks_list_linearly_many_class_entries(monkeypatch):
     """The nef-generator check holds each generator by its support, so one
     call lists O(n) dense class entries (the nef candidate per index), not

@@ -70,6 +70,21 @@ class TestParse:
         with pytest.raises(FileFormatError):
             parse(text)
 
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("true", "expected an integer, got True"),
+            ("0", "must be >= 1, got 0"),
+            ("2.5", "expected an integer, got 2.5"),
+            ('"3"', "expected an integer, got '3'"),
+        ],
+    )
+    def test_bad_proximity_target_is_named_by_its_point(self, target, message):
+        text = '{"valuations": [{"proximity": [[], [1], [%s, 2]]}]}' % target
+        with pytest.raises(FileFormatError) as info:
+            parse(text)
+        assert str(info.value) == f"valuations[0].proximity[2]: {message}"
+
     def test_json_error_carries_line_number(self):
         with pytest.raises(FileFormatError, match="line"):
             parse('{"valuations": [\n  {"proximity": }\n]}')

@@ -1,14 +1,16 @@
+import dataclasses
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import configurations, proximity_chains
+from strategies import all_chains, configurations, proximity_chains
 from valuation_lab.bounds import tono_family
 from valuation_lab.checks import identity_checks
 from valuation_lab.configurations import (
     FREE,
+    Configuration,
     SATELLITE,
     append_free_chain,
     block_decomposition,
@@ -18,7 +20,7 @@ from valuation_lab.configurations import (
     max_tangent_count,
     with_tangent_count,
 )
-from valuation_lab.errors import InvalidConfigurationError
+from valuation_lab.errors import InvalidConfigurationError, ReconstructionError
 from valuation_lab.invariants import from_maximal_contact
 
 
@@ -218,6 +220,21 @@ class TestSatelliteTail:
         assert after == before + 1
 
 
+class TestSize:
+    def test_size_is_read_without_the_run_structure(self):
+        # No chain ends in multiplicity 2, so the structure cannot be derived.
+        cfg = Configuration(((3, 1), (2, 3)), 2)
+        assert cfg.size == 4
+        with pytest.raises(ReconstructionError):
+            cfg.structure
+
+    def test_size_follows_replaced_runs(self):
+        cfg = from_maximal_contact((2, 7))
+        longer = dataclasses.replace(cfg, runs=((2, 3), (1, 5)))
+        assert (cfg.size, longer.size) == (5, 8)
+        assert longer == Configuration(((2, 3), (1, 5)), cfg.tangent_count)
+
+
 class TestTangentHandling:
     @given(configurations())
     def test_classification_ignores_tangent_flags(self, cfg):
@@ -236,20 +253,19 @@ class TestTangentHandling:
                 with_tangent_count(cfg, k + 1)
 
 
-def all_chains(max_points):
-    """Every chain of at most ``max_points`` points, as sorted proximity
-    lists: each point p_i (i >= 2) is free, or a satellite whose older target
-    is one of the targets of p_{i-1}."""
+def satellite_tails(n, max_length):
+    """Every admissible older-target sequence of 1..``max_length`` satellites
+    after a free p_n: the first is p_{n-1}, each later one is a target of
+    the point before it."""
 
-    def grow(lists):
-        yield lists
-        if len(lists) < max_points:
-            i = len(lists) + 1
-            yield from grow([*lists, [i - 1]])
-            for older in lists[-1]:
-                yield from grow([*lists, [older, i - 1]])
+    def grow(tail, options):
+        if tail:
+            yield tail
+        if len(tail) < max_length:
+            for c in options:
+                yield from grow([*tail, c], (n + len(tail), c))
 
-    return grow([[]])
+    return grow([], (n - 1,))
 
 
 class TestExhaustiveSmallChains:
@@ -299,6 +315,24 @@ class TestExhaustiveSmallChains:
                 assert with_tangent_count(base, k) == expected
                 pairs += 1
         assert pairs == 4181
+
+    def test_satellite_tails_equal_the_chains_built_from_lists(self):
+        """``extend_with_satellite_tail`` pushes the extended ``older`` array
+        into runs; building the extended lists must give the same chain."""
+        cases = 0
+        for lists in all_chains(8):
+            n = len(lists)
+            if n < 2 or len(lists[-1]) == 2:
+                continue
+            base = build_configuration(lists, name="chain")
+            for k in sorted({2, max_tangent_count(base)}):
+                cfg = with_tangent_count(base, k)
+                for tail in satellite_tails(n, 3):
+                    tail_lists = [[c, n + t] for t, c in enumerate(tail)]
+                    expected = build_configuration(lists + tail_lists, k, name="chain")
+                    assert extend_with_satellite_tail(cfg, tail) == expected
+                    cases += 1
+        assert cases > 1000
 
     def test_identity_checks_pass_on_every_chain(self):
         failures = [
