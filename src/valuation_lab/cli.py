@@ -3,6 +3,9 @@
 Exit codes: 0 on success, 1 on any validation or usage error (a chain too
 long to list point by point, or running out of memory or recursion depth,
 included), 2 when a ``check`` or ``fuzz`` run reports a failed identity.
+
+The argument parser is built once per process; each ``main()`` call parses
+into a new namespace.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import sys
 from collections.abc import Callable
 from datetime import datetime, timezone
+from functools import cache
 
 from . import checks as checks_module
 from .bounds import bound_report, multi_valuation, tono_family
@@ -32,6 +36,7 @@ from .reports import (
 from .valfile import ValuationEntry, ValuationFile, parse_path, serialize
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="valuation-lab",
