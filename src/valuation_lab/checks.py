@@ -3,9 +3,9 @@
 The same identity suite backs the ``check`` command (run on parsed files)
 and the ``fuzz`` command (run on random configurations); failures are
 reported as findings, never raised.  One suite costs O(points): the
-proximity residual is pushed over the chain's ``older`` array, each E_i is
-paired once (its pairing does not move with the ruled model's index), and
-the first index past the delta0 threshold is found by bisection.
+proximity residual is pushed over the chain's ``older`` array once, every
+E_i pairing is read off it (it does not move with the ruled model's index),
+and the first index past the delta0 threshold is found by bisection.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .configurations import (
     Configuration,
     build_configuration,
     max_tangent_count,
+    proximity_residual,
     with_tangent_count,
 )
 from .errors import ChainTooLongError
@@ -31,7 +32,6 @@ from .invariants import (
     noether_pairing,
 )
 from .surface import (
-    generator_supports,
     intersect_hirzebruch,
     lambda_from_record,
     npi_from_record,
@@ -126,16 +126,6 @@ def random_tail_choices(
     return choices
 
 
-def _proximity_residual(cfg: Configuration, v: tuple[int, ...]) -> list[int]:
-    """Entry i (1-based) is v_i minus the values of the points proximate to
-    p_i: each point pushes its value off its predecessor and older target."""
-    residual, older = [0, *v], cfg.older()
-    for j in range(2, len(residual)):
-        residual[j - 1] -= v[j - 1]
-        residual[older[j]] -= v[j - 1]
-    return residual
-
-
 def identity_checks(
     cfg: Configuration, deltas: tuple[int, ...] = NEF_DELTAS
 ) -> list[CheckResult]:
@@ -148,7 +138,7 @@ def identity_checks(
     v = record.multiplicities.values
     contact = record.beta_bar
 
-    residual = _proximity_residual(cfg, v)
+    residual = proximity_residual(cfg, v)
     equal = residual[n] == 1 and not any(residual[1:n])
     results.append(
         CheckResult("proximity-equalities", equal, "" if equal else f"v={v}")
@@ -198,24 +188,24 @@ def identity_checks(
             )
         )
 
-    # lambda subtracts v at every delta, so each generator's exceptional part
-    # is summed once; each delta adds only the fiber and section terms.
-    generators = [
-        (name, a, b, sum([m * v[i - 1] for i, m in support]))
-        for name, a, b, support in generator_supports(cfg)
-    ]
-    ok = True
-    detail = ""
-    last = f"E{n}"
-    for delta in deltas:
+    # E_i has no fiber or section part, so lambda pairs with it to residual[i]
+    # at every delta: the E_i are read off once, at the first delta, and the
+    # first entry off the proximity equalities is the first wrong pairing.
+    fiber = sum(v[: cfg.tangent_count])
+    ok, detail = True, ""
+    for step, delta in enumerate(deltas):
         lam = lambda_from_record(record, delta)
-        for name, a, b, exceptional in generators:
-            value = pair_with_generator(lam, a - delta * b, b, exceptional)
-            if value != (1 if name == last else 0):
+        pairings = [
+            ("fiber", pair_with_generator(lam, 1, 0, fiber), 0),
+            ("special_section", pair_with_generator(lam, -delta, 1, v[0]), 0),
+        ]
+        if step == 0 and not equal:
+            i = next(i for i in range(1, n + 1) if residual[i] != int(i == n))
+            pairings.append((f"E{i}", residual[i], int(i == n)))
+        for name, value, expected in pairings:
+            if value != expected:
                 ok, detail = False, f"delta={delta} {name} -> {value}"
                 break
-        # E_i has a = b = 0, so its pairing is the same at every delta.
-        generators = generators[:2]
         witness = npi_from_record(record, delta).witness
         if witness != intersect_hirzebruch(lam, lam):
             ok, detail = False, f"witness mismatch at delta={delta}"

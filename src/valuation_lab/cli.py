@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on any validation or usage error (a chain too
-long to list point by point, or running out of memory or recursion depth,
-included), 2 when a ``check`` or ``fuzz`` run reports a failed identity.
+long to list point by point, a number too large for a float, or running out
+of memory or recursion depth, included), 2 when a ``check`` or ``fuzz`` run
+reports a failed identity.
 
 The argument parser is built once per process; each ``main()`` call parses
 into a new namespace.
@@ -173,7 +174,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except (ValuationError, ValueError, OSError, MemoryError, RecursionError) as exc:
+    except (
+        ValuationError, ValueError, OSError, OverflowError, MemoryError, RecursionError
+    ) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

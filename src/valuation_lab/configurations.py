@@ -170,6 +170,16 @@ def push_values(older: Sequence[int], k: int) -> list[int]:
     return w
 
 
+def proximity_residual(cfg: Configuration, m: Sequence[int]) -> list[int]:
+    """Entry i (1-based) is m_i minus the values of the points proximate to
+    p_i: each point pushes its value off its predecessor and older target."""
+    residual, older = [0, *m], cfg.older()
+    for j in range(2, len(residual)):
+        residual[j - 1] -= m[j - 1]
+        residual[older[j]] -= m[j - 1]
+    return residual
+
+
 def value_runs(values: Iterable[int]) -> tuple[tuple[int, int], ...]:
     """Run-length form ``((value, count), ...)`` of a listed sequence."""
     return tuple((value, len(list(run))) for value, run in itertools.groupby(values))

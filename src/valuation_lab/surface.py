@@ -15,7 +15,7 @@ import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .configurations import Configuration
+from .configurations import Configuration, proximity_residual
 from .invariants import InvariantRecord, invariant_record
 
 
@@ -173,47 +173,41 @@ def pair_with_generator(lam: HirzebruchClass, a: int, b: int, exceptional: int) 
     return lam.a * b + a * lam.b + lam.delta * lam.b * b - exceptional
 
 
-def generator_supports(cfg: Configuration) -> list[tuple[str, int, int, tuple]]:
-    """``(name, a, b, support)`` of every claimed generator of the curve cone.
+def nef_on_generators(cfg: Configuration, delta: int) -> list[GeneratorPairing]:
+    """Pair the configuration's nef candidate with every claimed generator of
+    the curve cone, in O(points), not O(points^2).
 
     Generators: the strict transform of the fiber through the center (it
     passes through exactly the tangent-flagged points), the strict
     transform of the special section (through p_1 only), and the strict
     transforms of the exceptional divisors (E_i minus the E_j of the points
     proximate to p_i).  Each is a*F + b*S - sum(m_i * E_i) with S = M - delta*F
-    the special section, held by its nonzero ``(i, m_i)`` entries; none of
-    this depends on delta, and on the ruled model of index delta the fiber
-    coefficient is ``a - delta * b``.
+    the special section, held by its nonzero ``(i, m_i)`` entries; on the
+    ruled model of index delta the fiber coefficient is ``a - delta * b``.
+    The candidate pairs with E_i, which has no fiber or section part, to
+    entry i of the proximity residual of its multiplicities.
     """
+    lam = lambda_divisor(cfg, delta)
+    n, k, v = cfg.size, cfg.tangent_count, lam.mults
+    residual = proximity_residual(cfg, v)
     incoming = cfg.proximate_points()
     return [
-        ("fiber", 1, 0, tuple((i, 1) for i in range(1, cfg.tangent_count + 1))),
-        ("special_section", 0, 1, ((1, 1),)),
+        GeneratorPairing(
+            "fiber", pair_with_generator(lam, 1, 0, sum(v[:k])), 1, 0,
+            tuple((i, 1) for i in range(1, k + 1)), n, delta,
+        ),
+        GeneratorPairing(
+            "special_section", pair_with_generator(lam, -delta, 1, v[0]),
+            -delta, 1, ((1, 1),), n, delta,
+        ),
         *(
-            (f"E{i}", 0, 0, ((i, -1), *[(j, 1) for j in incoming[i]]))
-            for i in range(1, cfg.size + 1)
+            GeneratorPairing(
+                f"E{i}", residual[i], 0, 0,
+                ((i, -1), *[(j, 1) for j in incoming[i]]), n, delta,
+            )
+            for i in range(1, n + 1)
         ),
     ]
-
-
-def generator_pairings(
-    cfg: Configuration, lam: HirzebruchClass
-) -> list[GeneratorPairing]:
-    """Pair the nef candidate with every generator of ``generator_supports``
-    over its support, so this costs O(points), not O(points^2)."""
-    n, delta = cfg.size, lam.delta
-    pairings = []
-    for name, a, b, support in generator_supports(cfg):
-        a -= delta * b
-        exceptional = sum([m * lam.mults[i - 1] for i, m in support])
-        value = pair_with_generator(lam, a, b, exceptional)
-        pairings.append(GeneratorPairing(name, value, a, b, support, n, delta))
-    return pairings
-
-
-def nef_on_generators(cfg: Configuration, delta: int) -> list[GeneratorPairing]:
-    """``generator_pairings`` of the configuration's nef candidate."""
-    return generator_pairings(cfg, lambda_divisor(cfg, delta))
 
 
 def hirzebruch_class_of_polynomial(
@@ -260,13 +254,12 @@ def strict_transform_plane(
                 f"expected {cfg.size} multiplicities, got {len(mults)}"
             )
         if check_proximity:
-            incoming = cfg.proximate_points()
+            residual = proximity_residual(cfg, mults)
             for i in range(1, cfg.size + 1):
-                required = sum(mults[j - 1] for j in incoming[i])
-                if mults[i - 1] < required:
+                if residual[i] < 0:
                     raise ValueError(
                         f"proximity inequality fails at p_{i}: "
-                        f"{mults[i - 1]} < {required}"
+                        f"{mults[i - 1]} < {mults[i - 1] - residual[i]}"
                     )
     return PlaneClass(degree=degree, mults=mults)
 
@@ -277,8 +270,6 @@ __all__ = [
     "HirzebruchClass",
     "NpiResult",
     "PlaneClass",
-    "generator_pairings",
-    "generator_supports",
     "hirzebruch_class_of_polynomial",
     "intersect_hirzebruch",
     "intersect_plane",

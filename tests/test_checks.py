@@ -124,22 +124,21 @@ class TestIdentityChecks:
         assert nef.detail == "delta=2 special_section -> 1"
 
 
-    def test_a_wrong_exceptional_support_is_named_at_the_first_delta(
+    def test_a_wrong_exceptional_pairing_is_named_at_the_first_delta(
         self, monkeypatch
     ):
-        """E_i pairs to the same number at every delta, so a wrong support
-        fails at the first one, with its value."""
+        """E_i pairs to the same number at every delta, so a wrong residual
+        entry fails at the first one, with its value."""
         cfg = build_configuration([[], [1], [2, 1], [3]])
-        real = checks.generator_supports
+        real = checks.proximity_residual
 
-        def corrupted(cfg):
+        def corrupted(cfg, m):
             # Drop p_3 from the points proximate to p_1: E1 pairs to v_3 = 1.
-            return [
-                (name, a, b, support[:2] if name == "E1" else support)
-                for name, a, b, support in real(cfg)
-            ]
+            residual = real(cfg, m)
+            residual[1] += m[2]
+            return residual
 
-        monkeypatch.setattr(checks, "generator_supports", corrupted)
+        monkeypatch.setattr(checks, "proximity_residual", corrupted)
         (nef,) = [r for r in identity_checks(cfg) if r.name == "nef-generator-pairings"]
         assert not nef.passed
         assert nef.detail == "delta=0 E1 -> 1"

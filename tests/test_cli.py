@@ -340,6 +340,24 @@ class TestChainsTooLongToList:
         assert main(["check", write(tmp_path, THREE_POINT)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("command", ["family", "invariants"])
+    def test_numbers_too_large_for_a_float_exit_one(
+        self, tmp_path, capsys, command, fmt
+    ):
+        # a = 10**160 puts mu-hat near a**2, past the largest float; the
+        # second contact value 10**320 + 1 does the same to beta'_1.
+        if command == "family":
+            argv = ["family", "tono", "--a", str(10**160), "--e", "0"]
+        else:
+            text = f'{{"valuations": [{{"maximal_contact": [2, {10**320 + 1}]}}]}}'
+            argv = ["invariants", write(tmp_path, text)]
+        assert main(["--format", fmt, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -6,15 +6,18 @@ points proximate to each point from ``proximate_points()``,
     w_k = 1,  w_i = sum of w_j over the points p_j proximate to p_i (i < k),
 
 and stays here as their oracle, on every chain of at most 10 points and on
-random chains of up to 200.
+random chains of up to 200.  The proximity residual, and the proximity
+check of ``strict_transform_plane`` that reads it, are held to the
+pull-form residual the same way.
 """
 
+import pytest
 from hypothesis import given, settings
 
 from strategies import all_chains, configurations
-from valuation_lab.checks import _proximity_residual
-from valuation_lab.configurations import build_configuration
+from valuation_lab.configurations import build_configuration, proximity_residual
 from valuation_lab.invariants import curvette_vector, multiplicity_sequence
+from valuation_lab.surface import strict_transform_plane
 
 
 def pull(cfg, k):
@@ -41,10 +44,24 @@ def assert_push_matches_pull(cfg):
     assert multiplicity_sequence(cfg).values == v
     for k in range(1, n + 1):
         assert curvette_vector(cfg, k) == pull(cfg, k)
-    # The residual of the multiplicities (zero but for v_n = 1), and of a
-    # vector that breaks the proximity equalities almost everywhere.
-    for vector in (v, tuple((7 * i + 3) % 11 for i in range(n))):
-        assert _proximity_residual(cfg, vector)[1:] == pull_residual(cfg, vector)
+    # The residual of the multiplicities (zero but for v_n = 1), of the same
+    # with v_n raised by one (an inequality broken by one before p_n), and of
+    # a vector that breaks the proximity equalities almost everywhere.
+    raised = (*v[:-1], v[-1] + 1)
+    for vector in (v, raised, tuple((7 * i + 3) % 11 for i in range(n))):
+        residual = pull_residual(cfg, vector)
+        assert proximity_residual(cfg, vector)[1:] == residual
+        # The proximity inequalities hold exactly where no entry is negative,
+        # and the first negative entry is the point named.
+        failing = [i for i, r in enumerate(residual, 1) if r < 0]
+        if not failing:
+            strict_transform_plane(0, vector, cfg, check_proximity=True)
+            continue
+        i = failing[0]
+        m = vector[i - 1]
+        message = f"fails at p_{i}: {m} < {m - residual[i - 1]}$"
+        with pytest.raises(ValueError, match=message):
+            strict_transform_plane(0, vector, cfg, check_proximity=True)
 
 
 def test_every_small_chain():

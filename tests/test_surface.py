@@ -12,7 +12,6 @@ from valuation_lab.surface import (
     AffinePolynomial,
     HirzebruchClass,
     PlaneClass,
-    generator_pairings,
     hirzebruch_class_of_polynomial,
     intersect_hirzebruch,
     intersect_plane,
@@ -179,7 +178,7 @@ def dense_generators(cfg, delta):
 
 def assert_matches_dense_generators(cfg, delta):
     lam = lambda_divisor(cfg, delta)
-    pairings = generator_pairings(cfg, lam)
+    pairings = nef_on_generators(cfg, delta)
     reference = dense_generators(cfg, delta)
     assert [gp.name for gp in pairings] == [name for name, _ in reference]
     for gp, (_, divisor) in zip(pairings, reference):
@@ -270,6 +269,6 @@ class TestStrictTransformPlane:
 
     def test_proximity_validation(self):
         # mult 1 at p_1 cannot support mult 1 at both p_2 and p_3.
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"p_1: 1 < 2"):
             strict_transform_plane(2, (1, 1, 1), cfg3(), check_proximity=True)
         strict_transform_plane(2, (2, 1, 1), cfg3(), check_proximity=True)
