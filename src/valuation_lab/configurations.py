@@ -19,19 +19,20 @@ a run every point has only its successor proximate to it, so the
 proximity structure is read at the run ends as satellite stretches.
 
 Point by point, a chain is one flat array ``older``: 1-based, each point's
-older proximity target, 0 for a free point (and entry 0).  It is listed
-from the stretches once, every per-point view reads it, and the backward
-recursion runs on it in push form: each point, latest first, adds its
-value to its predecessor and to its older target.  ``build_configuration``
-validates lists into this array, ``extend_with_satellite_tail`` extends
-it, and both push it into runs.
+older proximity target, 0 for a free point (and entry 0).  Like the size
+and the stretches, it is derived on first read and kept; every per-point
+view reads it, and the backward recursion runs on it in push form: each
+point, latest first, adds its value to its predecessor and older target.
+``build_configuration`` validates lists into this array,
+``extend_with_satellite_tail`` extends it, and both push it into runs.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ChainTooLongError, InvalidConfigurationError, ReconstructionError
 
@@ -185,44 +186,35 @@ def value_runs(values: Iterable[int]) -> tuple[tuple[int, int], ...]:
     return tuple((value, len(list(run))) for value, run in itertools.groupby(values))
 
 
-# A view derived on first read, outside equality and repr.
-_DERIVED = dict(default=None, init=False, compare=False, repr=False)
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Configuration:
     """Immutable, validated chain of infinitely near points.
 
     Its multiplicity runs, tangent count and name are its whole state, and
-    equality compares them; ``size`` is summed from the runs once.  Every
-    per-point view (proximity lists, the points proximate to each point,
-    free/satellite labels) is read from ``older``; it and the adjacency are
-    kept once listed.
+    equality compares them.  ``size``, ``structure`` and the ``older`` array
+    that every per-point view reads are cached properties, derived on first read.
     """
 
     runs: tuple[tuple[int, int], ...]
     tangent_count: int
     name: str | None = None
-    size: int = field(init=False, compare=False, repr=False)
-    _structure: RunStructure | None = field(**_DERIVED)
-    _older: list[int] | None = field(**_DERIVED)
-    _incoming: list[list[int]] | None = field(**_DERIVED)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "size", sum(count for _, count in self.runs))
+    @cached_property
+    def size(self) -> int:
+        return sum(count for _, count in self.runs)
 
-    @property
+    @cached_property
     def structure(self) -> RunStructure:
-        """The run-level proximity structure, derived once."""
-        if self._structure is None:
-            object.__setattr__(self, "_structure", run_structure(self.runs))
-        return self._structure
+        """The run-level proximity structure."""
+        return run_structure(self.runs)
+
+    @cached_property
+    def _older(self) -> list[int]:
+        return _older_targets(self)
 
     def older(self) -> list[int]:
         """The ``older`` array, listed once from the satellite stretches and
         shared by every caller, who must not modify it."""
-        if self._older is None:
-            object.__setattr__(self, "_older", _older_targets(self))
         return self._older
 
     def proximity_lists(self) -> list[list[int]]:
@@ -233,16 +225,13 @@ class Configuration:
     def proximate_points(self) -> list[list[int]]:
         """Entry i lists the points proximate to p_i, ascending: p_{i+1}, then
         the satellites whose older target is p_i; 1-based, entry 0 unused.
-        Derived once from ``older`` and shared by every caller, who must not
-        modify it."""
-        if self._incoming is None:
-            older = self.older()
-            incoming = [[], *[[i + 1] for i in range(1, len(older) - 1)], []]
-            for j, target in enumerate(older):
-                if target:
-                    incoming[target].append(j)
-            object.__setattr__(self, "_incoming", incoming)
-        return self._incoming
+        Listed from ``older`` on each call."""
+        older = self.older()
+        incoming = [[], *[[i + 1] for i in range(1, len(older) - 1)], []]
+        for j, target in enumerate(older):
+            if target:
+                incoming[target].append(j)
+        return incoming
 
 
 def build_configuration(

@@ -1,10 +1,8 @@
-"""Derive once, for the adjacency: ``identity_checks`` lists the points
-proximate to each point once per configuration, and every reader (the
-proximity equalities, the point-level references, the nef generators)
-shares that list.
+"""Derive once, for the per-point listing: ``identity_checks`` lists a
+chain's ``older`` array once per configuration, and every per-point reader
+(the proximity residual, the point-level references) shares that array.
 
-The counter wraps ``configurations._older_targets``, the per-point listing
-every adjacency is built from.
+The counter wraps ``configurations._older_targets``, which lists it.
 """
 
 import pytest
@@ -42,8 +40,3 @@ def test_identity_checks_build_the_adjacency_at_most_twice(monkeypatch, make):
     # One for the chain, one for the chain the contact round trip rebuilds.
     assert len(sizes) <= 2
     assert sizes.count(cfg.size) >= 1
-
-
-def test_the_adjacency_is_shared():
-    cfg = from_maximal_contact((2, 7))
-    assert cfg.proximate_points() is cfg.proximate_points()

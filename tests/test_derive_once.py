@@ -85,6 +85,17 @@ def test_tono_file_entry_is_built_once(calls, tmp_path, capsys, command):
     path.write_text('{"valuations": [{"tono": {"a": 5, "e": 1}}]}', encoding="utf-8")
     _reset(calls)
     assert main([command, str(path)]) == 0
-    # tono_family records the 17-point cusp resolution and then the
-    # 962-point chain; the command reuses the entry's bundle.
-    assert calls["invariant_record"] == [17, 962]
+    # tono_family records the 962-point chain once; building it from the
+    # contact values records nothing, and the command reuses the entry's bundle.
+    assert calls["invariant_record"] == [962]
+
+
+@pytest.mark.parametrize(
+    "contact, trailing",
+    [((4, 6, 13), 3), ((20, 25, 136), 0)],
+    ids=["two-blocks", "tono-5-1-prefix"],
+)
+def test_from_maximal_contact_builds_no_record(calls, contact, trailing):
+    cfg = invariants.from_maximal_contact(contact, trailing_free=trailing)
+    assert cfg.size > len(contact)
+    assert calls == {name: [] for name in COUNTED}

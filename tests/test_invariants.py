@@ -289,6 +289,102 @@ class TestFromMaximalContact:
         assert rebuilt.proximity_lists() == cfg.proximity_lists()
 
 
+# The rejections from_maximal_contact raises itself, before building anything.
+OWN_REJECTIONS = (
+    "need at least two contact values",
+    "contact values must be positive",
+    "cannot be smaller than the first",
+    "gcd chain must strictly decrease",
+    "too small to open a new block",
+    "sequence does not terminate",
+)
+
+
+def built_or_rejected(sequence, trailing_free=0):
+    """The configuration built from ``sequence``, or None when one of the
+    function's own input checks rejects it."""
+    try:
+        return from_maximal_contact(sequence, trailing_free=trailing_free)
+    except ReconstructionError as exc:
+        assert any(phrase in str(exc) for phrase in OWN_REJECTIONS), exc
+        return None
+
+
+def gives_back_its_prefix(sequence):
+    """Build from ``sequence`` and check the record's contact values start
+    with it; True when built, False when rejected."""
+    cfg = built_or_rejected(sequence)
+    if cfg is None:
+        return False
+    assert invariant_record(cfg).beta_bar[: len(sequence)] == tuple(sequence)
+    return True
+
+
+class TestContactValuesComeBack:
+    """from_maximal_contact does not re-derive its output: its docstring
+    proves the record gives the contact values back, and these tests check
+    the claim, exhaustively on small values and by hypothesis beyond."""
+
+    def test_every_sequence_of_two_or_three_small_values(self):
+        accepted = 0
+        for b0 in range(1, 13):
+            for b1 in range(b0, 49):
+                accepted += gives_back_its_prefix((b0, b1))
+                for b2 in range(1, 201):
+                    accepted += gives_back_its_prefix((b0, b1, b2))
+        assert accepted == 21542
+
+    def test_genus_three_over_gcd_admissible_prefixes(self):
+        """Every (b0, b1, b2) that opens two falling blocks, closed by every
+        b3 whose y_3 lies near the smallest that opens a third block."""
+        accepted = 0
+        for b0 in range(1, 13):
+            for b1 in range(b0, 49):
+                e1 = math.gcd(b0, b1)
+                for b2 in range(1, 201):
+                    y2 = b2 - b0 // e1 * b1 + e1
+                    e2 = math.gcd(e1, y2)
+                    if y2 < e1 or e2 in (1, e1):
+                        continue
+                    for y3 in range(e2 - 1, e2 + 15):
+                        accepted += gives_back_its_prefix(
+                            (b0, b1, b2, y3 + e1 // e2 * b2 - e2)
+                        )
+        assert accepted == 4092
+
+    @given(st.data(), st.integers(0, 50))
+    @settings(max_examples=200)
+    def test_larger_values_with_and_without_a_free_tail(self, data, trailing):
+        # A falling gcd chain e_0 > ... > e_g = 1, each a multiple of the next.
+        factors = data.draw(st.lists(st.integers(2, 7), max_size=4))
+        gcds = [math.prod(factors[j:]) for j in range(len(factors) + 1)]
+        beta = [gcds[0]]
+        for j in range(1, len(gcds)):
+            n = gcds[j - 1] // gcds[j]
+            coprime = st.integers(n + 1, 10**9).filter(lambda u: math.gcd(u, n) == 1)
+            y = gcds[j] * data.draw(coprime)
+            previous = gcds[j - 2] if j >= 2 else gcds[0]
+            beta.append(y + previous // gcds[j - 1] * beta[-1] - gcds[j - 1])
+        if len(beta) == 1 or data.draw(st.booleans()):
+            # A final block at gcd 1: a run of y ones, its first point shared.
+            y = data.draw(st.integers(1, 10**9))
+            previous = gcds[-2] if len(gcds) >= 2 else 1
+            beta.append(y + previous * beta[-1] - 1)
+        # Sometimes nudge one value, which may or may not stay realizable.
+        position = data.draw(st.integers(0, len(beta) - 1))
+        beta[position] += data.draw(st.sampled_from([0, 0, -1, 1]))
+        cfg = built_or_rejected(beta)
+        if cfg is None:
+            return
+        record = invariant_record(cfg)
+        assert record.beta_bar[: len(beta)] == tuple(beta)
+        longer = from_maximal_contact(beta, trailing_free=trailing)
+        assert longer.size == cfg.size + trailing
+        assert invariant_record(longer).beta_bar == (
+            *record.beta_bar[:-1], record.beta_bar[-1] + trailing
+        )
+
+
 class TestSemigroupValues:
     def test_single_point(self):
         assert semigroup_values(build_configuration([[]]), 3) == [0, 1, 2, 3]
