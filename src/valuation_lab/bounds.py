@@ -333,9 +333,7 @@ _COMBINATORIAL_TAG = "dual-graph data only"
 _TRIVIAL_TAG = "point count"
 
 
-def bound_report(
-    bundle: ValuationBundle, aligned_mu: int | None = None
-) -> BoundReport:
+def bound_report(bundle: ValuationBundle) -> BoundReport:
     """All bounds for a single valuation, treated as a one-element ensemble.
 
     The degree bound is evaluated at the valuation's own multiplicity
@@ -343,7 +341,7 @@ def bound_report(
     sum v_i^2 over the mu-hat bound, that is beta_bar_last over it.
     """
     cfg = bundle.cfg
-    mv = multi_valuation([bundle], aligned_mu)
+    mv = multi_valuation([bundle])
     combinatorial = None
     if cfg.size >= 2:
         combinatorial = BoundEntry(

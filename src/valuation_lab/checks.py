@@ -22,6 +22,7 @@ from .configurations import (
     build_configuration,
     max_tangent_count,
     proximity_residual,
+    satellite_targets,
     with_tangent_count,
 )
 from .errors import ChainTooLongError
@@ -75,9 +76,7 @@ class FuzzSummary:
         return self.checks_failed == 0
 
 
-def random_configuration(
-    rng: random.Random, max_points: int, satellite_bias: float = SATELLITE_BIAS
-) -> Configuration:
+def random_configuration(rng: random.Random, max_points: int) -> Configuration:
     """Uniform random size, then admissible growth steps with satellite bias.
 
     ``max_points`` above ``configurations.MAX_LISTED_POINTS`` raises
@@ -93,12 +92,13 @@ def random_configuration(
         )
     n = rng.randint(1, max_points)
     prox: list[list[int]] = [[]]
+    prev_older = 0
     for i in range(2, n + 1):
-        targets = [i - 1]
-        if i >= 3 and rng.random() < satellite_bias:
-            options = sorted(prox[i - 2])
-            targets.append(rng.choice(options))
-        prox.append(targets)
+        c = 0
+        if i >= 3 and rng.random() < SATELLITE_BIAS:
+            c = rng.choice(satellite_targets(i, prev_older))
+        prox.append([c, i - 1] if c else [i - 1])
+        prev_older = c
     draft = build_configuration(prox)
     if n == 1:
         return draft
@@ -108,27 +108,22 @@ def random_configuration(
 def random_tail_choices(
     cfg: Configuration, length: int, rng: random.Random
 ) -> list[int]:
-    """Admissible older-target sequence for a satellite tail of given length.
+    """Admissible older-target sequence for a satellite tail of given length
+    after a free p_n: each point takes one of its ``satellite_targets``.
 
-    The first target is forced to n-1; after appending a point proximate to
-    {prev, c}, the next older target is either of those two.
+    The first target is forced to n-1 and taken without drawing; every
+    later one is drawn from its two options.
     """
-    if length < 1:
-        return []
-    choices = [cfg.size - 1]
-    prev = cfg.size
-    pair = (prev, choices[0])
-    for _ in range(length - 1):
-        c = rng.choice(sorted(pair))
-        choices.append(c)
-        prev += 1
-        pair = (prev, c)
+    choices: list[int] = []
+    prev_older = 0
+    for i in range(cfg.size + 1, cfg.size + 1 + length):
+        options = satellite_targets(i, prev_older)
+        prev_older = rng.choice(options) if len(options) > 1 else options[0]
+        choices.append(prev_older)
     return choices
 
 
-def identity_checks(
-    cfg: Configuration, deltas: tuple[int, ...] = NEF_DELTAS
-) -> list[CheckResult]:
+def identity_checks(cfg: Configuration) -> list[CheckResult]:
     """Run every built-in identity on one configuration, reading one invariant
     record; only the round trip builds a second, for the rebuilt chain."""
     results: list[CheckResult] = []
@@ -193,7 +188,7 @@ def identity_checks(
     # first entry off the proximity equalities is the first wrong pairing.
     fiber = sum(v[: cfg.tangent_count])
     ok, detail = True, ""
-    for step, delta in enumerate(deltas):
+    for step, delta in enumerate(NEF_DELTAS):
         lam = lambda_from_record(record, delta)
         pairings = [
             ("fiber", pair_with_generator(lam, 1, 0, fiber), 0),

@@ -5,11 +5,13 @@ p_i (i >= 2) lies on the exceptional divisor of its predecessor and is
 therefore proximate to p_{i-1}.  A point proximate to a second, older
 point is a satellite; the admissible older targets for p_i are exactly
 the points that p_{i-1} is itself proximate to (those exceptional
-divisors still meet the one through p_{i-1}).
+divisors still meet the one through p_{i-1}), listed by
+``satellite_targets`` (Enriques' proximity rule).
 
 Tangent membership is geometric data on top of the proximity structure:
 the flagged points form an initial segment {1, ..., k} and, from index 3
-on, a smooth line can only follow free points.
+on, a smooth line can only follow free points; ``check_tangent_count``
+enforces it.
 
 The multiplicity sequence determines the proximity structure: the points
 proximate to p_i are the consecutive points after it whose multiplicities
@@ -181,6 +183,30 @@ def proximity_residual(cfg: Configuration, m: Sequence[int]) -> list[int]:
     return residual
 
 
+def satellite_targets(i: int, prev_older: int) -> list[int]:
+    """The older targets p_i (i >= 3) may take, ascending: the points p_{i-1}
+    is proximate to, that is p_{i-2} and ``prev_older``, the older target of
+    p_{i-1} (0 when p_{i-1} is free)."""
+    return [prev_older, i - 2] if prev_older else [i - 2]
+
+
+def check_tangent_count(k: int, n: int, first_satellite: int) -> None:
+    """Reject a tangent segment {p_1..p_k} that a chain of n points whose first
+    satellite is ``first_satellite`` (n + 1 when it has none) cannot carry:
+    k is 1 for a single point, else 2..n, and stops before a satellite."""
+    if n == 1 and k != 1:
+        raise InvalidConfigurationError("tangent_count must be 1 for a single point")
+    if n > 1 and not 2 <= k <= n:
+        raise InvalidConfigurationError(
+            f"tangent_count must lie in 2..{n} for {n} points"
+        )
+    if k >= first_satellite:
+        raise InvalidConfigurationError(
+            f"tangent segment cannot reach p_{first_satellite}: a smooth line "
+            "cannot pass through a satellite point"
+        )
+
+
 def value_runs(values: Iterable[int]) -> tuple[tuple[int, int], ...]:
     """Run-length form ``((value, count), ...)`` of a listed sequence."""
     return tuple((value, len(list(run))) for value, run in itertools.groupby(values))
@@ -270,9 +296,8 @@ def build_configuration(
                 f"p_{i}: a point is proximate to at most two points"
             )
         if len(targets) == 2:
-            # p_{i-1} is proximate to p_{i-2} and to its own older target.
             target = min(targets)
-            if target != i - 2 and target != older[i - 1]:
+            if target not in satellite_targets(i, older[i - 1]):
                 raise InvalidConfigurationError(
                     f"p_{i} claims proximity to p_{target}, but p_{i - 1} is not "
                     f"proximate to p_{target} (its divisor no longer meets E_{i - 1})"
@@ -282,23 +307,8 @@ def build_configuration(
     if tangent_count is None:
         tangent_count = min(2, n)
     k = int(tangent_count)
-    if n == 1:
-        if k != 1:
-            raise InvalidConfigurationError(
-                "tangent_count must be 1 for a single point"
-            )
-    else:
-        if k < 2 or k > n:
-            raise InvalidConfigurationError(
-                f"tangent_count must lie in 2..{n} for {n} points"
-            )
-        for i in range(3, k + 1):
-            if older[i]:
-                raise InvalidConfigurationError(
-                    f"tangent segment cannot reach p_{i}: a smooth line cannot "
-                    "pass through a satellite point"
-                )
-
+    first_satellite = next(itertools.compress(range(n + 1), older), n + 1)
+    check_tangent_count(k, n, first_satellite)
     runs = value_runs(push_values(older, n)[1:])
     return Configuration(runs=runs, tangent_count=k, name=name)
 
@@ -337,9 +347,8 @@ def extend_with_satellite_tail(
     """Append a chain of satellite points, one per entry of ``choices``.
 
     Each appended point is proximate to its predecessor and to the chosen
-    older point, which must be among the predecessor's own proximity
-    targets.  The first choice is forced to n-1: p_n is free, so it is
-    proximate to p_{n-1} alone.
+    older point, one of ``satellite_targets``.  The first choice is forced
+    to n-1: p_n is free, so it is proximate to p_{n-1} alone.
     """
     n = cfg.size
     if n < 2:
@@ -353,19 +362,16 @@ def extend_with_satellite_tail(
         return cfg
 
     older = [*cfg.older()]
-    allowed = frozenset({n - 1})
-    prev = n
     for offset, choice in enumerate(choices):
         c = int(choice)
-        if c not in allowed:
+        options = satellite_targets(len(older), older[-1])
+        if c not in options:
             raise InvalidConfigurationError(
                 f"tail point {offset + 1}: target p_{c} is not admissible "
-                f"(options: {sorted(allowed)})"
+                f"(options: {options})"
             )
         older.append(c)
-        allowed = frozenset({prev, c})
-        prev += 1
-    runs = value_runs(push_values(older, prev)[1:])
+    runs = value_runs(push_values(older, len(older) - 1)[1:])
     return Configuration(runs, cfg.tangent_count, cfg.name)
 
 
@@ -379,7 +385,5 @@ def with_tangent_count(cfg: Configuration, tangent_count: int) -> Configuration:
     """Same proximity structure, different tangent segment: 1 for a single
     point, else 2..``max_tangent_count(cfg)``."""
     k = int(tangent_count)
-    low, high = (1, 1) if cfg.size == 1 else (2, max_tangent_count(cfg))
-    if not low <= k <= high:
-        raise InvalidConfigurationError(f"tangent_count must lie in {low}..{high}")
+    check_tangent_count(k, cfg.size, max_tangent_count(cfg) + 1)
     return Configuration(cfg.runs, k, cfg.name)

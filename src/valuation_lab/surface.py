@@ -124,8 +124,7 @@ def intersect_hirzebruch(x: HirzebruchClass, y: HirzebruchClass) -> int:
         raise ValueError(
             f"ambient size mismatch: {len(x.mults)} vs {len(y.mults)}"
         )
-    exceptional = sum(map(operator.mul, x.mults, y.mults))
-    return x.a * y.b + y.a * x.b + x.delta * x.b * y.b - exceptional
+    return pair_with_generator(x, y.a, y.b, sum(map(operator.mul, x.mults, y.mults)))
 
 
 def lambda_from_record(record: InvariantRecord, delta: int) -> HirzebruchClass:

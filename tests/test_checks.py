@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from valuation_lab.checks import (
     identity_checks,
     random_configuration,
     random_tail_choices,
+    trial_rng,
 )
 from valuation_lab.configurations import (
     SATELLITE,
@@ -69,6 +71,21 @@ class TestRandomTailChoices:
         assert len(choices) == length
         extended = extend_with_satellite_tail(cfg, choices)
         assert extended.size == cfg.size + length
+
+    def test_random_streams_are_pinned(self):
+        """The acceptance corpus, plus a 6-point tail drawn from the same
+        stream on each chain that can take one, hashed: growing a chain or a
+        tail must keep drawing the same numbers from every stream."""
+        digest = hashlib.sha256()
+        for trial in range(1000):
+            rng = trial_rng(1729, trial)
+            cfg = random_configuration(rng, 12)
+            digest.update(repr((cfg.runs, cfg.tangent_count)).encode())
+            if cfg.size >= 2 and classify_points(cfg)[-1] != SATELLITE:
+                digest.update(repr(random_tail_choices(cfg, 6, rng)).encode())
+        assert digest.hexdigest() == (
+            "9c468a1467d9dbe6854ff20f49aaccb9d6ef1eed822e34572d1e02d5b24abeaf"
+        )
 
 
 class TestIdentityChecks:
@@ -226,7 +243,7 @@ class TestFuzz:
         real = checks.identity_checks
 
         def broken(cfg, deltas=checks.NEF_DELTAS):
-            results = real(cfg, deltas)
+            results = real(cfg)
             if cfg.size >= 3:
                 results.append(CheckResult("injected", False, "synthetic"))
             return results

@@ -18,6 +18,7 @@ from valuation_lab.configurations import (
     classify_points,
     extend_with_satellite_tail,
     max_tangent_count,
+    satellite_targets,
     with_tangent_count,
 )
 from valuation_lab.errors import InvalidConfigurationError, ReconstructionError
@@ -197,6 +198,14 @@ class TestSatelliteTail:
         with pytest.raises(InvalidConfigurationError):
             extend_with_satellite_tail(build_configuration([[]]), [0])
 
+    def test_rejection_names_the_admissible_targets(self):
+        cfg = build_configuration([[], [1], [2, 1], [3]])
+        with pytest.raises(InvalidConfigurationError) as info:
+            extend_with_satellite_tail(cfg, [3, 1])
+        assert str(info.value) == (
+            "tail point 2: target p_1 is not admissible (options: [3, 4])"
+        )
+
     def test_tono_tail_is_forced(self):
         cfg = tono_family(3, 0).bundle.cfg
         extended = extend_with_satellite_tail(cfg, [16])
@@ -315,6 +324,48 @@ class TestExhaustiveSmallChains:
                 assert with_tangent_count(base, k) == expected
                 pairs += 1
         assert pairs == 4181
+
+    def test_satellite_targets_decide_every_older_target(self):
+        """Every chain of at most 9 points, extended by one satellite p_i
+        (i <= 10): the rule lists the sorted targets of p_{i-1}, and
+        ``build_configuration`` accepts an older target t exactly when the
+        rule lists it, whether the list reads [t, i - 1] (the sorted-list
+        fast path) or [i - 1, t] (the validating path).  Every prefix of a
+        chain is a chain, so this covers each i >= 3 of every chain of at
+        most 10 points."""
+        checked = 0
+        for lists in all_chains(9):
+            i = len(lists) + 1
+            if i < 3:
+                continue
+            options = satellite_targets(i, lists[-1][0] if len(lists[-1]) == 2 else 0)
+            assert options == sorted(lists[-1])
+            for t in range(1, i - 1):
+                for last in ([t, i - 1], [i - 1, t]):
+                    if t in options:
+                        cfg = build_configuration([*lists, last])
+                        assert cfg.proximity_lists()[-1] == [t, i - 1]
+                    else:
+                        with pytest.raises(
+                            InvalidConfigurationError, match="claims proximity"
+                        ):
+                            build_configuration([*lists, last])
+                    checked += 1
+        assert checked > 10_000
+
+    def test_with_tangent_count_raises_what_build_configuration_raises(self):
+        def outcome(make, *args):
+            try:
+                return make(*args)
+            except InvalidConfigurationError as exc:
+                return str(exc)
+
+        for lists in all_chains(8):
+            base = build_configuration(lists)
+            for k in range(len(lists) + 2):
+                assert outcome(build_configuration, lists, k) == outcome(
+                    with_tangent_count, base, k
+                )
 
     def test_satellite_tails_equal_the_chains_built_from_lists(self):
         """``extend_with_satellite_tail`` pushes the extended ``older`` array
