@@ -12,6 +12,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .configurations import (
     Configuration,
@@ -50,22 +51,19 @@ class ValuationBundle:
         return -(1 + self.delta0)
 
 
-@dataclass(frozen=True)
-class MultiValuation:
+class MultiValuation(NamedTuple):
     """Several valuations blown up together, plus their aligned-point count."""
 
     bundles: tuple[ValuationBundle, ...]
     aligned_mu: int
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     value: int | Fraction
     source: str
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Every bound for one valuation, tagged with what produced it."""
 
     degree_bound: BoundEntry
@@ -77,8 +75,7 @@ class BoundReport:
     trivial_bound: BoundEntry
 
 
-@dataclass(frozen=True)
-class TailComparison:
+class TailComparison(NamedTuple):
     """Exact effect of a satellite tail on the threshold index."""
 
     delta0_before: int
@@ -94,8 +91,7 @@ class TailComparison:
         return 0 < self.difference < 1
 
 
-@dataclass(frozen=True)
-class TonoValuation:
+class TonoValuation(NamedTuple):
     """One member of the unicuspidal example family, fully verified."""
 
     a: int

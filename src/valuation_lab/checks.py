@@ -12,18 +12,17 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import configurations
 from .bounds import bound_report, valuation_bundle
 from .configurations import (
     Configuration,
     build_configuration,
-    max_tangent_count,
     proximity_residual,
+    require_free_end,
     satellite_targets,
-    with_tangent_count,
 )
 from .errors import ChainTooLongError
 from .invariants import (
@@ -46,15 +45,13 @@ SATELLITE_BIAS = 0.3
 NEF_DELTAS = (0, 1, 2, 3)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class FuzzFailure:
+class FuzzFailure(NamedTuple):
     trial: int
     proximity_lists: tuple[tuple[int, ...], ...]
     tangent_count: int
@@ -62,8 +59,7 @@ class FuzzFailure:
     detail: str
 
 
-@dataclass(frozen=True)
-class FuzzSummary:
+class FuzzSummary(NamedTuple):
     max_points: int
     trials: int
     seed: int
@@ -93,16 +89,16 @@ def random_configuration(rng: random.Random, max_points: int) -> Configuration:
     n = rng.randint(1, max_points)
     prox: list[list[int]] = [[]]
     prev_older = 0
+    first_satellite = n + 1
     for i in range(2, n + 1):
         c = 0
         if i >= 3 and rng.random() < SATELLITE_BIAS:
             c = rng.choice(satellite_targets(i, prev_older))
+            first_satellite = min(first_satellite, i)
         prox.append([c, i - 1] if c else [i - 1])
         prev_older = c
-    draft = build_configuration(prox)
-    if n == 1:
-        return draft
-    return with_tangent_count(draft, rng.randint(2, max_tangent_count(draft)))
+    k = rng.randint(2, first_satellite - 1) if n > 1 else None
+    return build_configuration(prox, k)
 
 
 def random_tail_choices(
@@ -112,8 +108,11 @@ def random_tail_choices(
     after a free p_n: each point takes one of its ``satellite_targets``.
 
     The first target is forced to n-1 and taken without drawing; every
-    later one is drawn from its two options.
+    later one is drawn from its two options.  A chain of fewer than two
+    points, or one ending in a satellite, raises InvalidConfigurationError
+    as ``extend_with_satellite_tail`` does, before anything is drawn.
     """
+    require_free_end(cfg)
     choices: list[int] = []
     prev_older = 0
     for i in range(cfg.size + 1, cfg.size + 1 + length):

@@ -35,6 +35,7 @@ import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ChainTooLongError, InvalidConfigurationError, ReconstructionError
 
@@ -62,8 +63,7 @@ def expand_runs(runs: Sequence[tuple[int, int]]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """Overlapping blocks C_1..C_{g+1} cut at the ends of satellite runs.
 
     ``boundaries`` holds (l_0, ..., l_{g+1}) with l_0 = 1 and l_{g+1} = n;
@@ -81,8 +81,7 @@ class BlockDecomposition:
         return tuple((b[j], b[j + 1]) for j in range(len(b) - 1))
 
 
-@dataclass(frozen=True, slots=True)
-class RunStructure:
+class RunStructure(NamedTuple):
     """The proximity structure of a chain, read at the ends of its runs.
 
     ``ends[s]`` is the last point of run s.  ``stretches`` holds
@@ -341,6 +340,18 @@ def append_free_chain(cfg: Configuration, k: int) -> Configuration:
     )
 
 
+def require_free_end(cfg: Configuration) -> None:
+    """Reject a chain that no satellite tail can follow: one of fewer than
+    two points, or one whose last point is a satellite."""
+    if cfg.size < 2:
+        raise InvalidConfigurationError("satellite tail needs at least two points")
+    stretches = cfg.structure.stretches
+    if stretches and stretches[-1][1] == cfg.size:
+        raise InvalidConfigurationError(
+            "satellite tail must start after a free point"
+        )
+
+
 def extend_with_satellite_tail(
     cfg: Configuration, choices: Sequence[int]
 ) -> Configuration:
@@ -350,14 +361,7 @@ def extend_with_satellite_tail(
     older point, one of ``satellite_targets``.  The first choice is forced
     to n-1: p_n is free, so it is proximate to p_{n-1} alone.
     """
-    n = cfg.size
-    if n < 2:
-        raise InvalidConfigurationError("satellite tail needs at least two points")
-    stretches = cfg.structure.stretches
-    if stretches and stretches[-1][1] == n:
-        raise InvalidConfigurationError(
-            "satellite tail must start after a free point"
-        )
+    require_free_end(cfg)
     if not choices:
         return cfg
 

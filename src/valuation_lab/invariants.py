@@ -28,6 +28,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .configurations import (
     BlockDecomposition,
@@ -53,24 +54,21 @@ class MultiplicityVector:
         return tuple(expand_runs(self.runs))
 
 
-@dataclass(frozen=True)
-class MaximalContactValues:
+class MaximalContactValues(NamedTuple):
     """Generators of the value semigroup together with their gcd chain."""
 
     beta_bar: tuple[int, ...]
     gcd_chain: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PuiseuxExponents:
+class PuiseuxExponents(NamedTuple):
     """Block-wise continued fractions of multiplicity run lengths."""
 
     beta_prime: tuple[Fraction, ...]
     run_length_tables: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(NamedTuple):
     """The full derived-invariant bundle of one configuration."""
 
     multiplicities: MultiplicityVector

@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .configurations import Configuration, proximity_residual
 from .invariants import InvariantRecord, invariant_record
@@ -72,16 +73,14 @@ class AffinePolynomial:
         return max(j for _, j in self.support)
 
 
-@dataclass(frozen=True)
-class NpiResult:
+class NpiResult(NamedTuple):
     """Outcome of the non-positivity-at-infinity test with its witness."""
 
     non_positive_at_infinity: bool
     witness: int
 
 
-@dataclass(frozen=True)
-class GeneratorPairing:
+class GeneratorPairing(NamedTuple):
     """A claimed generator of the curve cone and its pairing with the nef
     candidate.
 

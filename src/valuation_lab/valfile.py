@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .bounds import ValuationBundle, tono_family, valuation_bundle
 from .configurations import Configuration, build_configuration
@@ -36,8 +36,7 @@ class ValuationEntry:
         return self.prebuilt or valuation_bundle(self.configuration)
 
 
-@dataclass(frozen=True)
-class ValuationFile:
+class ValuationFile(NamedTuple):
     entries: tuple[ValuationEntry, ...]
     aligned_mu: int | None
 

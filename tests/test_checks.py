@@ -24,7 +24,11 @@ from valuation_lab.configurations import (
     classify_points,
     extend_with_satellite_tail,
 )
-from valuation_lab.errors import ChainTooLongError, ReconstructionError
+from valuation_lab.errors import (
+    ChainTooLongError,
+    InvalidConfigurationError,
+    ReconstructionError,
+)
 from valuation_lab.invariants import from_maximal_contact, invariant_record
 
 
@@ -58,6 +62,20 @@ class TestRandomConfiguration:
         )
         assert seen_satellite
 
+    def test_fuzz_derives_two_run_structures_per_trial(self, monkeypatch):
+        """Each trial's chain is built once, so only ``identity_checks``
+        derives a run structure: one for the chain, one for its round trip."""
+        calls = []
+        real = configurations.run_structure
+
+        def counted(runs):
+            calls.append(runs)
+            return real(runs)
+
+        monkeypatch.setattr(configurations, "run_structure", counted)
+        fuzz(12, 100, 1729)
+        assert len(calls) == 200
+
 
 class TestRandomTailChoices:
     @given(st.integers(0, 10**6), st.integers(1, 6))
@@ -71,6 +89,23 @@ class TestRandomTailChoices:
         assert len(choices) == length
         extended = extend_with_satellite_tail(cfg, choices)
         assert extended.size == cfg.size + length
+
+    @pytest.mark.parametrize(
+        "lists, message",
+        [
+            ([[]], "at least two points"),
+            ([[], [1], [2, 1]], "must start after a free point"),
+        ],
+    )
+    def test_rejects_chains_no_tail_can_follow(self, lists, message):
+        cfg = build_configuration(lists)
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(InvalidConfigurationError, match=message):
+            random_tail_choices(cfg, 3, rng)
+        with pytest.raises(InvalidConfigurationError, match=message):
+            extend_with_satellite_tail(cfg, [1])
+        assert rng.getstate() == state
 
     def test_random_streams_are_pinned(self):
         """The acceptance corpus, plus a 6-point tail drawn from the same

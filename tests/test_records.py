@@ -1,0 +1,194 @@
+"""The plain value records are NamedTuples; seven types stay dataclasses.
+
+Each record keeps the field order it had as a frozen dataclass, so
+positional construction is unchanged, and it stays immutable, hashable
+and comparable by value.  The dataclasses left are exactly the types that
+need a feature a NamedTuple lacks.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import valuation_lab
+
+RECORDS = {
+    ("bounds", "MultiValuation"): ("bundles", "aligned_mu"),
+    ("bounds", "BoundEntry"): ("value", "source"),
+    ("bounds", "BoundReport"): (
+        "degree_bound",
+        "mu_hat_upper",
+        "ratio_bound",
+        "multi_ratio_bound",
+        "lambda_bound",
+        "combinatorial_lambda_bound",
+        "trivial_bound",
+    ),
+    ("bounds", "TailComparison"): ("delta0_before", "delta0_after", "difference"),
+    ("bounds", "TonoValuation"): (
+        "a",
+        "e",
+        "bundle",
+        "curve_degree",
+        "curve_value",
+        "mu_hat",
+        "mu_hat_bound",
+        "ratio",
+        "trailing_free",
+    ),
+    ("checks", "CheckResult"): ("name", "passed", "detail"),
+    ("checks", "FuzzFailure"): (
+        "trial",
+        "proximity_lists",
+        "tangent_count",
+        "check",
+        "detail",
+    ),
+    ("checks", "FuzzSummary"): (
+        "max_points",
+        "trials",
+        "seed",
+        "checks_passed",
+        "checks_failed",
+        "first_failure",
+    ),
+    ("configurations", "BlockDecomposition"): (
+        "boundaries",
+        "last_free_indices",
+        "genus_count",
+    ),
+    ("configurations", "RunStructure"): ("ends", "stretches", "decomposition"),
+    ("invariants", "MaximalContactValues"): ("beta_bar", "gcd_chain"),
+    ("invariants", "PuiseuxExponents"): ("beta_prime", "run_length_tables"),
+    ("invariants", "InvariantRecord"): (
+        "multiplicities",
+        "contact",
+        "puiseux",
+        "volume",
+        "normalized_volume",
+        "tangent_value",
+        "is_m_adic",
+        "decomposition",
+    ),
+    ("surface", "NpiResult"): ("non_positive_at_infinity", "witness"),
+    ("surface", "GeneratorPairing"): (
+        "name",
+        "value",
+        "a",
+        "b",
+        "support",
+        "size",
+        "delta",
+    ),
+    ("valfile", "ValuationFile"): ("entries", "aligned_mu"),
+}
+
+# Each needs what a NamedTuple lacks: a __dict__ for cached_property
+# (Configuration, MultiplicityVector), __post_init__ coercion and checks
+# (PlaneClass, HirzebruchClass, AffinePolynomial), dataclasses.replace
+# (ValuationBundle) or a field left out of equality and repr (ValuationEntry).
+DATACLASSES = {
+    ("bounds", "ValuationBundle"),
+    ("configurations", "Configuration"),
+    ("invariants", "MultiplicityVector"),
+    ("surface", "PlaneClass"),
+    ("surface", "HirzebruchClass"),
+    ("surface", "AffinePolynomial"),
+    ("valfile", "ValuationEntry"),
+}
+
+
+def _classes():
+    """Every class defined in a module of the package, as (module, name, cls)."""
+    for info in pkgutil.iter_modules(valuation_lab.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"valuation_lab.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__:
+                yield info.name, name, cls
+
+
+def _record(key):
+    module, name = key
+    return getattr(importlib.import_module(f"valuation_lab.{module}"), name)
+
+
+def _sample(cls, offset=0):
+    """A value for every field: distinct hashable placeholders."""
+    return cls(*range(offset, offset + len(cls._fields)))
+
+
+params = pytest.mark.parametrize(
+    "key", list(RECORDS), ids=[name for _, name in RECORDS]
+)
+
+
+@params
+def test_fields_keep_the_dataclass_order(key):
+    cls = _record(key)
+    fields = RECORDS[key]
+    assert cls._fields == fields
+    values = [f"{field}-value" for field in fields]
+    assert cls(*values) == cls(**dict(zip(fields, values)))
+
+
+def test_only_check_result_has_a_default():
+    defaults = {key: _record(key)._field_defaults for key in RECORDS}
+    assert {key: d for key, d in defaults.items() if d} == {
+        ("checks", "CheckResult"): {"detail": ""}
+    }
+
+
+@params
+def test_records_are_immutable(key):
+    record = _sample(_record(key))
+    with pytest.raises(AttributeError):
+        setattr(record, RECORDS[key][0], -1)
+    with pytest.raises(AttributeError):
+        record.unknown_attribute = -1
+
+
+@params
+def test_equal_values_give_equal_hashes(key):
+    cls = _record(key)
+    a, b = _sample(cls), _sample(cls)
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert a != _sample(cls, offset=1)
+
+
+@params
+def test_repr_names_every_field(key):
+    cls = _record(key)
+    record = _sample(cls)
+    shown = ", ".join(f"{field}={i}" for i, field in enumerate(RECORDS[key]))
+    assert repr(record) == f"{cls.__name__}({shown})"
+
+
+@params
+def test_replace_returns_a_new_instance(key):
+    cls = _record(key)
+    record = _sample(cls)
+    field = RECORDS[key][-1]
+    changed = record._replace(**{field: "new"})
+    assert type(changed) is cls
+    assert getattr(changed, field) == "new"
+    assert record == _sample(cls)
+    assert changed[:-1] == record[:-1]
+
+
+def test_the_kept_dataclasses_are_exactly_the_seven():
+    classes = list(_classes())
+    assert {
+        (module, name) for module, name, cls in classes
+        if dataclasses.is_dataclass(cls)
+    } == DATACLASSES
+    named_tuples = {
+        (module, name) for module, name, cls in classes
+        if issubclass(cls, tuple) and hasattr(cls, "_fields")
+    }
+    assert named_tuples == set(RECORDS)
