@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -31,8 +30,7 @@ def ceil_plus(x: Fraction | int) -> int:
     return max(math.ceil(x), 0)
 
 
-@dataclass(frozen=True)
-class ValuationBundle:
+class ValuationBundle(NamedTuple):
     """A configuration with its derived invariants and threshold index."""
 
     cfg: Configuration

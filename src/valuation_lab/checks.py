@@ -15,16 +15,15 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import configurations
 from .bounds import bound_report, valuation_bundle
 from .configurations import (
     Configuration,
     build_configuration,
     proximity_residual,
     require_free_end,
+    require_listable,
     satellite_targets,
 )
-from .errors import ChainTooLongError
 from .invariants import (
     curvette_vector,
     from_maximal_contact,
@@ -75,17 +74,16 @@ class FuzzSummary(NamedTuple):
 def random_configuration(rng: random.Random, max_points: int) -> Configuration:
     """Uniform random size, then admissible growth steps with satellite bias.
 
-    ``max_points`` above ``configurations.MAX_LISTED_POINTS`` raises
-    ChainTooLongError before anything is drawn: the chain is grown point by
-    point.
+    ``max_points`` above the listing limit raises ChainTooLongError before
+    anything is drawn: the chain is grown point by point.
     """
     if max_points < 1:
         raise ValueError("max_points must be at least 1")
-    if max_points > configurations.MAX_LISTED_POINTS:
-        raise ChainTooLongError(
-            f"chains of up to {max_points} points are too long to grow point "
-            f"by point (limit {configurations.MAX_LISTED_POINTS})"
-        )
+    require_listable(
+        max_points,
+        "chains of up to {count} points are too long to grow point by point "
+        "(limit {limit})",
+    )
     n = rng.randint(1, max_points)
     prox: list[list[int]] = [[]]
     prev_older = 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Callable
-from datetime import datetime, timezone
 from functools import cache
 
 from . import checks as checks_module
@@ -78,6 +77,8 @@ def _emit(
 ) -> None:
     """Write the payload in the requested format; only that format is rendered."""
     if args.timestamps:
+        from datetime import datetime, timezone
+
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
     if args.format == "json":
         sys.stdout.write(render_json(payload))
@@ -139,6 +140,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
                     kind="tono",
                     payload={"tono": {"a": args.a, "e": args.e}},
                     configuration=bundle.cfg,
+                    prebuilt=bundle,
                 ),
             ),
             aligned_mu=None,

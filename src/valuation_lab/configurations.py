@@ -48,15 +48,20 @@ SATELLITE = "satellite"
 MAX_LISTED_POINTS = 10**7
 
 
+def require_listable(count: int, template: str) -> None:
+    """The one check of ``count`` items against MAX_LISTED_POINTS, read at call
+    time; ``template`` is formatted with ``count`` and ``limit`` only to raise."""
+    if count > MAX_LISTED_POINTS:
+        raise ChainTooLongError(template.format(count=count, limit=MAX_LISTED_POINTS))
+
+
 def expand_runs(runs: Sequence[tuple[int, int]]) -> list[int]:
-    """List run-length data point by point: the one place a chain is listed,
-    hence the one place its size is checked against MAX_LISTED_POINTS."""
-    size = sum(count for _, count in runs)
-    if size > MAX_LISTED_POINTS:
-        raise ChainTooLongError(
-            f"a chain of {size} points is too long to list point by point "
-            f"(limit {MAX_LISTED_POINTS})"
-        )
+    """List run-length data point by point: the one place a chain is listed."""
+    require_listable(
+        sum(count for _, count in runs),
+        "a chain of {count} points is too long to list point by point "
+        "(limit {limit})",
+    )
     out: list[int] = []
     for value, count in runs:
         out += [value] * count

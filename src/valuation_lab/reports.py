@@ -17,8 +17,7 @@ from typing import Any
 from .bounds import BoundReport, MultiValuation, TonoValuation, ValuationBundle
 from .bounds import lambda_lower_bound, multi_ratio_bound
 from .checks import CheckResult, FuzzSummary
-from .configurations import MAX_LISTED_POINTS
-from .errors import ChainTooLongError
+from .configurations import require_listable
 
 
 def approx(x: Fraction | int) -> float:
@@ -179,12 +178,10 @@ def _rational_from_payload(entry: dict[str, Any] | int) -> str:
 
 def _satellites_row(stretches: list[list[int]]) -> str:
     """Every satellite index, listed from the stretches (first, last, target)."""
-    count = sum(last - first + 1 for first, last, _ in stretches)
-    if count > MAX_LISTED_POINTS:
-        raise ChainTooLongError(
-            f"{count} satellites are too many to list point by point "
-            f"(limit {MAX_LISTED_POINTS})"
-        )
+    require_listable(
+        sum(last - first + 1 for first, last, _ in stretches),
+        "{count} satellites are too many to list point by point (limit {limit})",
+    )
     listed = (i for first, last, _ in stretches for i in range(first, last + 1))
     return " ".join(map(str, listed)) or "none"
 

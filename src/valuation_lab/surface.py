@@ -233,15 +233,12 @@ def hirzebruch_class_of_polynomial(
 
 
 def strict_transform_plane(
-    degree: int,
-    mults: Sequence[int],
-    cfg: Configuration | None = None,
-    check_proximity: bool = False,
+    degree: int, mults: Sequence[int], cfg: Configuration | None = None
 ) -> PlaneClass:
     """Class of a plane curve of the given degree and point multiplicities.
 
-    With a configuration and ``check_proximity``, enforce the proximity
-    inequalities m_i >= sum of m_j over the points proximate to p_i.
+    With a configuration, enforce one multiplicity per point and the
+    proximity inequalities m_i >= sum of m_j over the points proximate to p_i.
     """
     if degree < 0:
         raise ValueError("a curve has non-negative degree")
@@ -251,14 +248,13 @@ def strict_transform_plane(
             raise ValueError(
                 f"expected {cfg.size} multiplicities, got {len(mults)}"
             )
-        if check_proximity:
-            residual = proximity_residual(cfg, mults)
-            for i in range(1, cfg.size + 1):
-                if residual[i] < 0:
-                    raise ValueError(
-                        f"proximity inequality fails at p_{i}: "
-                        f"{mults[i - 1]} < {mults[i - 1] - residual[i]}"
-                    )
+        residual = proximity_residual(cfg, mults)
+        for i in range(1, cfg.size + 1):
+            if residual[i] < 0:
+                raise ValueError(
+                    f"proximity inequality fails at p_{i}: "
+                    f"{mults[i - 1]} < {mults[i - 1] - residual[i]}"
+                )
     return PlaneClass(degree=degree, mults=mults)
 
 

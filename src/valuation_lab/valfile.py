@@ -11,7 +11,7 @@ Each entry carries an optional ``name`` and exactly one encoding:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -23,13 +23,12 @@ from .invariants import from_maximal_contact
 _ENCODINGS = ("proximity", "maximal_contact", "tono")
 
 
-@dataclass(frozen=True)
-class ValuationEntry:
+class ValuationEntry(NamedTuple):
     name: str | None
     kind: str
     payload: dict[str, Any]
     configuration: Configuration
-    prebuilt: ValuationBundle | None = field(default=None, compare=False, repr=False)
+    prebuilt: ValuationBundle | None
 
     def bundle(self) -> ValuationBundle:
         """The entry's bundle; a tono entry keeps the one its family built."""
@@ -121,7 +120,7 @@ def _parse_entry(raw: Any, where: str) -> ValuationEntry:
             e = _require_int(params["e"], f"{where}.tono.e", minimum=0)
             bundle = tono_family(a, e).bundle
             if name is not None:
-                bundle = replace(bundle, cfg=replace(bundle.cfg, name=name))
+                bundle = bundle._replace(cfg=replace(bundle.cfg, name=name))
             cfg = bundle.cfg
             payload = {"tono": {"a": a, "e": e}}
     except FileFormatError:

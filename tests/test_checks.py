@@ -226,7 +226,7 @@ class TestIdentityChecks:
 
         def shifted(cfg):
             bundle = real(cfg)
-            return dataclasses.replace(bundle, delta0=bundle.delta0 + shift)
+            return bundle._replace(delta0=bundle.delta0 + shift)
 
         cfg = from_maximal_contact((4, 6, 13), trailing_free=400)
         d0 = real(cfg).delta0

@@ -278,6 +278,21 @@ class TestChainsTooLongToList:
         val = json.loads(capsys.readouterr().out)["valuations"][0]
         assert val["satellite_stretches"] == [[3, 1000000000001, 1]]
 
+    def test_satellite_row_reads_a_patched_limit(self, tmp_path, capsys, monkeypatch):
+        # Runs (12, 1), (1, 12): p_3..p_13 are satellites proximate to p_1.
+        monkeypatch.setattr(configurations, "MAX_LISTED_POINTS", 10)
+        path = write(tmp_path, '{"valuations": [{"maximal_contact": [12, 13]}]}')
+        assert main(["invariants", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 11 satellites are too many to list point by point (limit 10)\n"
+        )
+        assert main(["--format", "json", "invariants", path]) == 0
+        val = json.loads(capsys.readouterr().out)["valuations"][0]
+        assert val["points"] == 13
+        assert val["satellite_stretches"] == [[3, 13, 1]]
+
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_reports_list_no_chain(self, tmp_path, capsys, monkeypatch, fmt):
         def refuse(runs):
@@ -422,3 +437,12 @@ def test_module_entry_point(tmp_path):
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["valuations"][0]["contact_values"] == [2, 3, 6]
+
+
+def test_importing_the_command_line_loads_no_datetime():
+    # Only --timestamps reads the clock, so a fresh CLI process skips the module.
+    code = "import sys, valuation_lab.cli; print('datetime' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"

@@ -55,13 +55,13 @@ def assert_push_matches_pull(cfg):
         # and the first negative entry is the point named.
         failing = [i for i, r in enumerate(residual, 1) if r < 0]
         if not failing:
-            strict_transform_plane(0, vector, cfg, check_proximity=True)
+            strict_transform_plane(0, vector, cfg)
             continue
         i = failing[0]
         m = vector[i - 1]
         message = f"fails at p_{i}: {m} < {m - residual[i - 1]}$"
         with pytest.raises(ValueError, match=message):
-            strict_transform_plane(0, vector, cfg, check_proximity=True)
+            strict_transform_plane(0, vector, cfg)
 
 
 def test_every_small_chain():

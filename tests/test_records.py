@@ -1,4 +1,4 @@
-"""The plain value records are NamedTuples; seven types stay dataclasses.
+"""The plain value records are NamedTuples; five types stay dataclasses.
 
 Each record keeps the field order it had as a frozen dataclass, so
 positional construction is unchanged, and it stays immutable, hashable
@@ -16,6 +16,7 @@ import pytest
 import valuation_lab
 
 RECORDS = {
+    ("bounds", "ValuationBundle"): ("cfg", "record", "delta0"),
     ("bounds", "MultiValuation"): ("bundles", "aligned_mu"),
     ("bounds", "BoundEntry"): ("value", "source"),
     ("bounds", "BoundReport"): (
@@ -83,21 +84,25 @@ RECORDS = {
         "size",
         "delta",
     ),
+    ("valfile", "ValuationEntry"): (
+        "name",
+        "kind",
+        "payload",
+        "configuration",
+        "prebuilt",
+    ),
     ("valfile", "ValuationFile"): ("entries", "aligned_mu"),
 }
 
-# Each needs what a NamedTuple lacks: a __dict__ for cached_property
-# (Configuration, MultiplicityVector), __post_init__ coercion and checks
-# (PlaneClass, HirzebruchClass, AffinePolynomial), dataclasses.replace
-# (ValuationBundle) or a field left out of equality and repr (ValuationEntry).
+# The five each need what a NamedTuple lacks: a __dict__ for cached_property
+# (Configuration, MultiplicityVector) or __post_init__ coercion and checks
+# (PlaneClass, HirzebruchClass, AffinePolynomial).
 DATACLASSES = {
-    ("bounds", "ValuationBundle"),
     ("configurations", "Configuration"),
     ("invariants", "MultiplicityVector"),
     ("surface", "PlaneClass"),
     ("surface", "HirzebruchClass"),
     ("surface", "AffinePolynomial"),
-    ("valfile", "ValuationEntry"),
 }
 
 
@@ -181,7 +186,7 @@ def test_replace_returns_a_new_instance(key):
     assert changed[:-1] == record[:-1]
 
 
-def test_the_kept_dataclasses_are_exactly_the_seven():
+def test_the_kept_dataclasses_are_exactly_the_five():
     classes = list(_classes())
     assert {
         (module, name) for module, name, cls in classes

@@ -38,7 +38,7 @@ class TestPlanePairing:
     def test_tono_curve_squared(self):
         cfg = tono_family(3, 0).bundle.cfg
         v = multiplicity_sequence(cfg).values
-        curve = strict_transform_plane(10, v, cfg, check_proximity=True)
+        curve = strict_transform_plane(10, v, cfg)
         assert intersect_plane(curve, curve) == -8
 
     def test_rejects_size_mismatch(self):
@@ -270,5 +270,5 @@ class TestStrictTransformPlane:
     def test_proximity_validation(self):
         # mult 1 at p_1 cannot support mult 1 at both p_2 and p_3.
         with pytest.raises(ValueError, match=r"p_1: 1 < 2"):
-            strict_transform_plane(2, (1, 1, 1), cfg3(), check_proximity=True)
-        strict_transform_plane(2, (2, 1, 1), cfg3(), check_proximity=True)
+            strict_transform_plane(2, (1, 1, 1), cfg3())
+        strict_transform_plane(2, (2, 1, 1), cfg3())
