@@ -3,9 +3,9 @@
 The same identity suite backs the ``check`` command (run on parsed files)
 and the ``fuzz`` command (run on random configurations); failures are
 reported as findings, never raised.  One suite costs O(points): the
-proximity residual is pushed over the chain's ``older`` array once, every
-E_i pairing is read off it (it does not move with the ruled model's index),
-and the first index past the delta0 threshold is found by bisection.
+proximity residual is computed once from the satellite stretches, every E_i
+pairing is read off it (it does not move with the ruled model's index), the
+contact round trip compares runs, and delta0 is found by bisection.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bounds import bound_report, valuation_bundle
+from .bounds import _combinatorial_bound, valuation_bundle
 from .configurations import (
     Configuration,
     build_configuration,
@@ -24,12 +24,7 @@ from .configurations import (
     require_listable,
     satellite_targets,
 )
-from .invariants import (
-    curvette_vector,
-    from_maximal_contact,
-    multiplicity_sequence,
-    noether_pairing,
-)
+from .invariants import curvette_vector, from_maximal_contact, noether_pairing
 from .surface import (
     intersect_hirzebruch,
     lambda_from_record,
@@ -122,7 +117,9 @@ def random_tail_choices(
 
 def identity_checks(cfg: Configuration) -> list[CheckResult]:
     """Run every built-in identity on one configuration, reading one invariant
-    record; only the round trip builds a second, for the rebuilt chain."""
+    record.  The round trip compares the runs rebuilt from the contact values
+    with the chain's: ``value_runs`` is canonical and ``from_maximal_contact``
+    builds realizable runs, so equal runs are the same chain."""
     results: list[CheckResult] = []
     n = cfg.size
     bundle = valuation_bundle(cfg)
@@ -132,9 +129,10 @@ def identity_checks(cfg: Configuration) -> list[CheckResult]:
 
     residual = proximity_residual(cfg, v)
     equal = residual[n] == 1 and not any(residual[1:n])
-    results.append(
-        CheckResult("proximity-equalities", equal, "" if equal else f"v={v}")
-    )
+    # The first point whose residual is off: it should be 0 before p_n, 1 at p_n.
+    off = 0 if equal else next(i for i in range(1, n + 1) if residual[i] != int(i == n))
+    detail = "" if equal else f"p_{off} residual {residual[off]}"
+    results.append(CheckResult("proximity-equalities", equal, detail))
 
     direct = sum(x * x for x in v)
     via_curvette = noether_pairing(cfg, v, curvette_vector(cfg, n))
@@ -149,8 +147,8 @@ def identity_checks(cfg: Configuration) -> list[CheckResult]:
     )
 
     try:
-        rebuilt = multiplicity_sequence(from_maximal_contact(contact)).values
-        ok = rebuilt == v
+        rebuilt = from_maximal_contact(contact).runs
+        ok = rebuilt == cfg.runs
         detail = "" if ok else f"rebuilt {rebuilt}"
     except Exception as exc:  # reported, not raised
         ok, detail = False, f"reconstruction failed: {type(exc).__name__}: {exc}"
@@ -192,8 +190,7 @@ def identity_checks(cfg: Configuration) -> list[CheckResult]:
             ("special_section", pair_with_generator(lam, -delta, 1, v[0]), 0),
         ]
         if step == 0 and not equal:
-            i = next(i for i in range(1, n + 1) if residual[i] != int(i == n))
-            pairings.append((f"E{i}", residual[i], int(i == n)))
+            pairings.append((f"E{off}", residual[off], int(off == n)))
         for name, value, expected in pairings:
             if value != expected:
                 ok, detail = False, f"delta={delta} {name} -> {value}"
@@ -216,7 +213,7 @@ def identity_checks(cfg: Configuration) -> list[CheckResult]:
         )
 
         inverse_normalized = Fraction(contact[-1], contact[0] ** 2)
-        comb = bound_report(bundle).combinatorial_lambda_bound.value
+        comb = _combinatorial_bound(cfg, contact)
         ok = comb >= 1 - math.ceil(inverse_normalized) >= 1 - n
         results.append(
             CheckResult(

@@ -25,6 +25,7 @@ older proximity target, 0 for a free point (and entry 0).  Like the size
 and the stretches, it is derived on first read and kept; every per-point
 view reads it, and the backward recursion runs on it in push form: each
 point, latest first, adds its value to its predecessor and older target.
+The proximity residual lists none: it reads the satellite stretches.
 ``build_configuration`` validates lists into this array,
 ``extend_with_satellite_tail`` extends it, and both push it into runs.
 """
@@ -32,6 +33,7 @@ point, latest first, adds its value to its predecessor and older target.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -179,11 +181,11 @@ def push_values(older: Sequence[int], k: int) -> list[int]:
 
 def proximity_residual(cfg: Configuration, m: Sequence[int]) -> list[int]:
     """Entry i (1-based) is m_i minus the values of the points proximate to
-    p_i: each point pushes its value off its predecessor and older target."""
-    residual, older = [0, *m], cfg.older()
-    for j in range(2, len(residual)):
-        residual[j - 1] -= m[j - 1]
-        residual[older[j]] -= m[j - 1]
+    p_i: p_{i+1}, then each satellite stretch subtracted from its run end.
+    Lists nothing but the residual; entry 0 is 0 and no caller reads it."""
+    residual = [0, *map(operator.sub, m, m[1:]), m[-1]]
+    for first, last, target in cfg.structure.stretches:
+        residual[target] -= sum(m[first - 1 : last])
     return residual
 
 

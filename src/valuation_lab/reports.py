@@ -20,14 +20,15 @@ from .checks import CheckResult, FuzzSummary
 from .configurations import require_listable
 
 
-def approx(x: Fraction | int) -> float:
+def approx(x: float) -> float:
     """Decimal approximation at six significant digits."""
-    return float(f"{float(x):.6g}")
+    return float(f"{x:.6g}")
 
 
 def rational_payload(x: Fraction | int) -> dict[str, Any]:
-    frac = Fraction(x)
-    return {"exact": str(frac), "approx": approx(frac)}
+    frac = x if isinstance(x, Fraction) else Fraction(x)
+    # int / int rounds as float(frac) does and overflows with the same message.
+    return {"exact": str(frac), "approx": approx(frac.numerator / frac.denominator)}
 
 
 def compress_runs(runs: Iterable[Sequence[int]]) -> str:

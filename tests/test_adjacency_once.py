@@ -1,6 +1,6 @@
 """Derive once, for the per-point listing: ``identity_checks`` lists a
-chain's ``older`` array once per configuration, and every per-point reader
-(the proximity residual, the point-level references) shares that array.
+chain's ``older`` array once per configuration, and the point-level
+references share that array; the proximity residual lists none.
 
 The counter wraps ``configurations._older_targets``, which lists it.
 """
@@ -10,8 +10,13 @@ import pytest
 from valuation_lab import configurations
 from valuation_lab.bounds import tono_family
 from valuation_lab.checks import identity_checks
-from valuation_lab.configurations import build_configuration
-from valuation_lab.invariants import from_maximal_contact
+from valuation_lab.configurations import (
+    Configuration,
+    build_configuration,
+    proximity_residual,
+)
+from valuation_lab.invariants import from_maximal_contact, multiplicity_sequence
+from valuation_lab.surface import strict_transform_plane
 
 CHAINS = {
     "satellite": lambda: build_configuration(
@@ -40,3 +45,27 @@ def test_identity_checks_build_the_adjacency_at_most_twice(monkeypatch, make):
     # One for the chain, one for the chain the contact round trip rebuilds.
     assert len(sizes) <= 2
     assert sizes.count(cfg.size) >= 1
+
+
+@pytest.mark.parametrize("make", CHAINS.values(), ids=CHAINS.keys())
+def test_the_residual_lists_no_older_array(monkeypatch, make):
+    """The proximity residual reads the satellite stretches, so neither it nor
+    the inequality check of ``strict_transform_plane`` lists ``older``;
+    ``identity_checks`` lists it once, for the curvette through p_n."""
+    built = make()
+    v = multiplicity_sequence(built).values
+    sizes = []
+    real = configurations._older_targets
+
+    def counted(cfg):
+        sizes.append(cfg.size)
+        return real(cfg)
+
+    monkeypatch.setattr(configurations, "_older_targets", counted)
+    # A fresh configuration: nothing derived from it is cached yet.
+    cfg = Configuration(built.runs, built.tangent_count)
+    assert proximity_residual(cfg, v)[1:] == [0] * (cfg.size - 1) + [1]
+    strict_transform_plane(0, v, cfg)
+    assert sizes == []
+    assert all(r.passed for r in identity_checks(cfg))
+    assert sizes == [cfg.size]

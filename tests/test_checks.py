@@ -1,11 +1,14 @@
 import dataclasses
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strategies import all_chains
+import valuation_lab.bounds as bounds
 import valuation_lab.checks as checks
 import valuation_lab.configurations as configurations
 import valuation_lab.surface as surface
@@ -20,16 +23,22 @@ from valuation_lab.checks import (
 )
 from valuation_lab.configurations import (
     SATELLITE,
+    append_free_chain,
     build_configuration,
     classify_points,
     extend_with_satellite_tail,
+    with_tangent_count,
 )
 from valuation_lab.errors import (
     ChainTooLongError,
     InvalidConfigurationError,
     ReconstructionError,
 )
-from valuation_lab.invariants import from_maximal_contact, invariant_record
+from valuation_lab.invariants import (
+    from_maximal_contact,
+    invariant_record,
+    multiplicity_sequence,
+)
 
 
 class TestRandomConfiguration:
@@ -62,9 +71,9 @@ class TestRandomConfiguration:
         )
         assert seen_satellite
 
-    def test_fuzz_derives_two_run_structures_per_trial(self, monkeypatch):
-        """Each trial's chain is built once, so only ``identity_checks``
-        derives a run structure: one for the chain, one for its round trip."""
+    def test_fuzz_derives_one_run_structure_per_trial(self, monkeypatch):
+        """Each trial's chain is built once, and its round trip compares runs,
+        so ``identity_checks`` derives one run structure: the chain's."""
         calls = []
         real = configurations.run_structure
 
@@ -74,7 +83,7 @@ class TestRandomConfiguration:
 
         monkeypatch.setattr(configurations, "run_structure", counted)
         fuzz(12, 100, 1729)
-        assert len(calls) == 200
+        assert len(calls) == 100
 
 
 class TestRandomTailChoices:
@@ -200,6 +209,46 @@ class TestIdentityChecks:
         (nef,) = [r for r in identity_checks(cfg) if r.name == "nef-generator-pairings"]
         assert nef.detail == "witness mismatch at delta=0"
 
+    def test_a_wrong_residual_is_named_at_its_first_point(self, monkeypatch):
+        """The proximity row names the first point whose residual is off, with
+        its value, not the whole chain; the nef row names the same E_i."""
+        real = checks.proximity_residual
+
+        def corrupted(cfg, m):
+            residual = real(cfg, m)
+            residual[1] += m[2]
+            return residual
+
+        monkeypatch.setattr(checks, "proximity_residual", corrupted)
+        for cfg in (
+            build_configuration([[], [1], [2, 1], [3]]),
+            from_maximal_contact((1, 100000)),
+        ):
+            rows = {r.name: r for r in identity_checks(cfg)}
+            assert not rows["proximity-equalities"].passed
+            assert rows["proximity-equalities"].detail == "p_1 residual 1"
+            assert rows["nef-generator-pairings"].detail == "delta=0 E1 -> 1"
+
+    def test_remark_dominance_builds_no_bound_report(self, monkeypatch):
+        """The row reads the one combinatorial bound, not a full report."""
+        real = bounds.bound_report
+
+        def refuse(bundle):
+            raise AssertionError("bound_report called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("valuation_lab"):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, refuse)
+        for cfg in (
+            build_configuration([[], [1], [2, 1]]),
+            tono_family(3, 0).bundle.cfg,
+        ):
+            rows = identity_checks(cfg)
+            assert all(r.passed for r in rows)
+            assert "remark-dominance" in {r.name for r in rows}
+
     def test_delta0_threshold_takes_logarithmically_many_indices(self, monkeypatch):
         """The witness rises with delta, so the first non-negative index is
         found by bisection: on a 100,000-point chain (delta0 = 24,999) one
@@ -235,6 +284,52 @@ class TestIdentityChecks:
         (threshold,) = [r for r in identity_checks(cfg) if r.name == "delta0-threshold"]
         assert not threshold.passed
         assert threshold.detail == f"delta0={d0 + shift} first={d0}"
+
+
+class TestContactRoundTrip:
+    """The round trip compares the runs of the chain rebuilt from the contact
+    values with the chain's own, where it once compared listed multiplicities."""
+
+    def test_every_small_chain_comes_back(self):
+        """On all 2,585 chains of at most 10 points, at every admissible
+        tangent count, the contact values and the tangent count give the chain
+        back, and comparing runs gives the verdict comparing listed values did."""
+        pairs = 0
+        for lists in all_chains(10):
+            for k in range(1, len(lists) + 1):
+                try:
+                    cfg = build_configuration(lists, tangent_count=k)
+                except InvalidConfigurationError:
+                    continue
+                record = invariant_record(cfg)
+                rebuilt = from_maximal_contact(record.beta_bar)
+                assert with_tangent_count(rebuilt, k) == cfg
+                listed = multiplicity_sequence(rebuilt).values
+                assert (rebuilt.runs == cfg.runs) == (
+                    listed == record.multiplicities.values
+                )
+                pairs += 1
+        assert pairs == 4181
+
+    def test_a_rebuilt_chain_that_differs_is_named_by_its_runs(self, monkeypatch):
+        """A rebuild that appends one free point fails the row, whose detail
+        gives the rebuilt runs."""
+        real = checks.from_maximal_contact
+
+        def one_more_point(contact):
+            return append_free_chain(real(contact), 1)
+
+        monkeypatch.setattr(checks, "from_maximal_contact", one_more_point)
+        tono = tono_family(3, 0).bundle.cfg
+        *head, (value, count) = tono.runs
+        for cfg, runs in (
+            (build_configuration([[]]), ((1, 2),)),
+            (build_configuration([[], [1], [2, 1]]), ((2, 1), (1, 3))),
+            (tono, (*head, (value, count + 1))),
+        ):
+            (row,) = [r for r in identity_checks(cfg) if r.name == "contact-round-trip"]
+            assert not row.passed
+            assert row.detail == f"rebuilt {runs}"
 
 
 def test_identity_checks_list_linearly_many_class_entries(monkeypatch):

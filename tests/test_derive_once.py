@@ -99,3 +99,13 @@ def test_from_maximal_contact_builds_no_record(calls, contact, trailing):
     cfg = invariants.from_maximal_contact(contact, trailing_free=trailing)
     assert cfg.size > len(contact)
     assert calls == {name: [] for name in COUNTED}
+
+
+@pytest.mark.parametrize("cfg", SMALL + [None], ids=["1pt", "2pt", "satellite", "tono"])
+def test_identity_checks_list_no_multiplicity_sequence(calls, cfg):
+    """The round trip compares the rebuilt chain's runs, so the suite reads
+    the multiplicities off its one record and pushes no chain for them."""
+    cfg = tono_family(3, 0).bundle.cfg if cfg is None else cfg
+    _reset(calls)
+    assert all(r.passed for r in identity_checks(cfg))
+    assert calls["multiplicity_sequence"] == []
