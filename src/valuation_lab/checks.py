@@ -2,10 +2,11 @@
 
 The same identity suite backs the ``check`` command (run on parsed files)
 and the ``fuzz`` command (run on random configurations); failures are
-reported as findings, never raised.  One suite costs O(points): the
-proximity residual is computed once from the satellite stretches, every E_i
-pairing is read off it (it does not move with the ruled model's index), the
-contact round trip compares runs, and delta0 is found by bisection.
+reported as findings, never raised.  One suite reads the record and the
+runs and lists nothing, so it costs O(runs) at any chain length: the
+proximity residual is taken once over the runs, the E_i, fiber and section
+pairings (none moves with the ruled model's index) once, the contact round
+trip compares runs, and delta0 is found by bisection.
 """
 
 from __future__ import annotations
@@ -24,13 +25,8 @@ from .configurations import (
     require_listable,
     satellite_targets,
 )
-from .invariants import curvette_vector, from_maximal_contact, noether_pairing
-from .surface import (
-    intersect_hirzebruch,
-    lambda_from_record,
-    npi_from_record,
-    pair_with_generator,
-)
+from .invariants import from_maximal_contact
+from .surface import npi_from_record
 
 # Fraction of growth steps steered toward satellite points, to exercise
 # deep block structures.
@@ -117,38 +113,33 @@ def random_tail_choices(
 
 def identity_checks(cfg: Configuration) -> list[CheckResult]:
     """Run every built-in identity on one configuration, reading one invariant
-    record.  The round trip compares the runs rebuilt from the contact values
-    with the chain's: ``value_runs`` is canonical and ``from_maximal_contact``
-    builds realizable runs, so equal runs are the same chain."""
+    record and the chain's runs; nothing is listed point by point.  The round
+    trip compares the runs rebuilt from the contact values with the chain's:
+    ``value_runs`` is canonical and ``from_maximal_contact`` builds realizable
+    runs, so equal runs are the same chain."""
     results: list[CheckResult] = []
     n = cfg.size
     bundle = valuation_bundle(cfg)
     record = bundle.record
-    v = record.multiplicities.values
+    runs = cfg.runs
     contact = record.beta_bar
 
-    residual = proximity_residual(cfg, v)
-    equal = residual[n] == 1 and not any(residual[1:n])
     # The first point whose residual is off: it should be 0 before p_n, 1 at p_n.
-    off = 0 if equal else next(i for i in range(1, n + 1) if residual[i] != int(i == n))
+    residual = proximity_residual(cfg, runs)
+    off = next((i for i, r in residual.items() if r != (i == n)), 0)
+    equal = not off
     detail = "" if equal else f"p_{off} residual {residual[off]}"
     results.append(CheckResult("proximity-equalities", equal, detail))
 
-    direct = sum(x * x for x in v)
-    via_curvette = noether_pairing(cfg, v, curvette_vector(cfg, n))
-    ok = direct == via_curvette == contact[-1]
-    results.append(
-        CheckResult(
-            "last-contact-value",
-            ok,
-            "" if ok else f"direct={direct} curvette={via_curvette} "
-            f"recorded={contact[-1]}",
-        )
-    )
+    # Zariski's recursion over the last block against the chain paired with itself.
+    square = sum(count * value * value for value, count in runs)
+    ok = square == contact[-1]
+    detail = "" if ok else f"direct={square} recorded={contact[-1]}"
+    results.append(CheckResult("last-contact-value", ok, detail))
 
     try:
         rebuilt = from_maximal_contact(contact).runs
-        ok = rebuilt == cfg.runs
+        ok = rebuilt == runs
         detail = "" if ok else f"rebuilt {rebuilt}"
     except Exception as exc:  # reported, not raised
         ok, detail = False, f"reconstruction failed: {type(exc).__name__}: {exc}"
@@ -178,25 +169,22 @@ def identity_checks(cfg: Configuration) -> list[CheckResult]:
             )
         )
 
-    # E_i has no fiber or section part, so lambda pairs with it to residual[i]
-    # at every delta: the E_i are read off once, at the first delta, and the
-    # first entry off the proximity equalities is the first wrong pairing.
-    fiber = sum(v[: cfg.tangent_count])
-    ok, detail = True, ""
-    for step, delta in enumerate(NEF_DELTAS):
-        lam = lambda_from_record(record, delta)
-        pairings = [
-            ("fiber", pair_with_generator(lam, 1, 0, fiber), 0),
-            ("special_section", pair_with_generator(lam, -delta, 1, v[0]), 0),
-        ]
-        if step == 0 and not equal:
-            pairings.append((f"E{off}", residual[off], int(off == n)))
-        for name, value, expected in pairings:
-            if value != expected:
-                ok, detail = False, f"delta={delta} {name} -> {value}"
-                break
-        witness = npi_from_record(record, delta).witness
-        if witness != intersect_hirzebruch(lam, lam):
+    # lambda = b0 F + t M - sum v_i E_i pairs with the fiber, the special
+    # section and each E_i to numbers free of delta, so they are taken once;
+    # the first entry off the proximity equalities is the first wrong E_i.
+    # The witness must be lambda^2 = 2 b0 t + delta t^2 - sum v^2 at each delta.
+    t, left, fiber = record.tangent_value, cfg.tangent_count, 0
+    for value, count in runs:
+        fiber, left = fiber + value * min(count, left), max(left - count, 0)
+    section = contact[0] - runs[0][0]
+    pairings = [("fiber", t - fiber, 0), ("special_section", section, 0)]
+    if not equal:
+        pairings.append((f"E{off}", residual[off], int(off == n)))
+    wrong = [f"delta=0 {name} -> {x}" for name, x, want in pairings if x != want]
+    ok, detail = not wrong, wrong[0] if wrong else ""
+    for delta in NEF_DELTAS:
+        square_lambda = (2 * contact[0] + delta * t) * t - square
+        if npi_from_record(record, delta).witness != square_lambda:
             ok, detail = False, f"witness mismatch at delta={delta}"
         if not ok:
             break
@@ -206,7 +194,6 @@ def identity_checks(cfg: Configuration) -> list[CheckResult]:
     results.append(CheckResult("normalized-volume-scaling", ok))
 
     if n >= 2:
-        t = record.tangent_value
         ok = contact[0] < t <= contact[1]
         results.append(
             CheckResult("tangent-range", ok, "" if ok else f"t={t} contact={contact}")

@@ -25,13 +25,14 @@ older proximity target, 0 for a free point (and entry 0).  Like the size
 and the stretches, it is derived on first read and kept; every per-point
 view reads it, and the backward recursion runs on it in push form: each
 point, latest first, adds its value to its predecessor and older target.
-The proximity residual lists none: it reads the satellite stretches.
+The proximity residual lists none: it takes runs and reads the stretches.
 ``build_configuration`` validates lists into this array,
 ``extend_with_satellite_tail`` extends it, and both push it into runs.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from collections.abc import Iterable, Sequence
@@ -179,14 +180,25 @@ def push_values(older: Sequence[int], k: int) -> list[int]:
     return w
 
 
-def proximity_residual(cfg: Configuration, m: Sequence[int]) -> list[int]:
-    """Entry i (1-based) is m_i minus the values of the points proximate to
-    p_i: p_{i+1}, then each satellite stretch subtracted from its run end.
-    Lists nothing but the residual; entry 0 is 0 and no caller reads it."""
-    residual = [0, *map(operator.sub, m, m[1:]), m[-1]]
+def proximity_residual(
+    cfg: Configuration, m: Sequence[tuple[int, int]]
+) -> dict[int, int]:
+    """m_i minus the m_j of the points proximate to p_i, for m as runs
+    ``((value, count), ...)``: ``{point: residual}``, ascending, with entries
+    only at m's run ends and the stretch targets (every other one is 0).
+    Each stretch is summed by prefix sums over the runs; nothing is listed."""
+    values = [value for value, _ in m]
+    ends = list(itertools.accumulate(count for _, count in m))
+    sums = [0, *itertools.accumulate(value * count for value, count in m)]
+
+    def prefix(i: int) -> int:  # m_1 + ... + m_i
+        s = bisect.bisect_left(ends, i)
+        return sums[s + 1] - (ends[s] - i) * values[s]
+
+    residual = dict(zip(ends, map(operator.sub, values, [*values[1:], 0])))
     for first, last, target in cfg.structure.stretches:
-        residual[target] -= sum(m[first - 1 : last])
-    return residual
+        residual[target] = residual.get(target, 0) - prefix(last) + prefix(first - 1)
+    return dict(sorted(residual.items()))
 
 
 def satellite_targets(i: int, prev_older: int) -> list[int]:

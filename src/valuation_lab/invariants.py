@@ -7,11 +7,12 @@ runs and their run-level proximity structure, so it costs O(runs), not
 O(points): the per-block run tables, read in one walk over the run ends,
 give the Puiseux exponents (each a continued fraction folded in integers,
 one ``Fraction`` per block), and Zariski's recursion turns their integer
-p/q into the contact values.  The inverse construction
+p/q into the contact values, the last one over the last block.  The inverse
 (``from_maximal_contact``) expands each contact value into a block of
 multiplicity runs by the subtractive Euclidean algorithm, the same
-recursion read backwards; its docstring proves that its input checks
-make the record of the chain it builds give the contact values back.
+recursion read backwards; its docstring proves that its input checks make
+the record of the chain it builds give the contact values back, and the
+last one the chain's sum of v^2.
 
 ``multiplicity_sequence``, ``curvette_vector`` and ``noether_pairing``
 work point by point; the first two push the backward recursion over the
@@ -25,9 +26,7 @@ import itertools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from .configurations import (
@@ -41,16 +40,15 @@ from .configurations import (
 from .errors import ReconstructionError
 
 
-@dataclass(frozen=True)
-class MultiplicityVector:
+class MultiplicityVector(NamedTuple):
     """Values of the maximal ideals along the chain, as runs (value, count);
     v_n = 1."""
 
     runs: tuple[tuple[int, int], ...]
 
-    @cached_property
+    @property
     def values(self) -> tuple[int, ...]:
-        """The multiplicities listed point by point."""
+        """The multiplicities listed point by point, on each read."""
         return tuple(expand_runs(self.runs))
 
 
@@ -133,8 +131,8 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
     multiplicity run lengths.  Blocks are read as closed ranges, so the
     shared endpoint of consecutive blocks contributes to the first run of
     the later block.  Contact values follow from them by Zariski's
-    recursion; the last one pairs the chain with itself, the sum of
-    count * value^2.
+    recursion, continued over the last block for the last one, which the
+    identity suite holds to the sum of count * value^2.
     """
     structure = cfg.structure
     decomposition = structure.decomposition
@@ -151,13 +149,13 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
     beta_prime = (Fraction(1), *map(_continued_fraction, runs))
     # Zariski's recursion from e_{-1} = e_0 = beta_0, in integers on each
     # exponent's p/q; the y step of from_maximal_contact is its inverse.
+    # Continued over the last block, it gives beta_bar_{g+1}.
     beta = [cfg.runs[0][0]]
     gcd_prev = gcd_here = beta[0]
-    for exponent in beta_prime[1 : decomposition.genus_count + 1]:
+    for exponent in beta_prime[1:]:
         y = gcd_here * exponent.numerator // exponent.denominator
         beta.append(y + gcd_prev // gcd_here * beta[-1] - gcd_here)
         gcd_prev, gcd_here = gcd_here, math.gcd(gcd_here, y)
-    beta.append(sum(count * value * value for value, count in cfg.runs))
     is_m_adic = cfg.size == 1
     # The values of the tangent points p_1..p_k; a single point has no
     # tangent line, and its tangent value is v_1 = 1.
@@ -180,8 +178,8 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
 
 
 def maximal_contact_values(cfg: Configuration) -> MaximalContactValues:
-    """Contact values by Zariski's recursion from the Puiseux run tables; the
-    last one pairs the chain with itself."""
+    """Contact values by Zariski's recursion from the Puiseux run tables, the
+    last one over the last block."""
     return invariant_record(cfg).contact
 
 
@@ -267,7 +265,10 @@ def from_maximal_contact(
     continued fraction is y_j/e_{j-1} and the forward step gives b_1..b_g.
     (5) By r_{i-1} r_i - r_i r_{i+1} = q_i r_i^2, block j's sum of v^2 is
     e_{j-1} y_j; with e_{j-1} times the y_j step, the chain's sum of v^2
-    (P_j has value e_j) telescopes to e_{m-1} b_m, which is b_m if g = m - 1.
+    (P_j has value e_j) telescopes to e_{m-1} b_m.  Zariski's step over the
+    last block gives the same: that block is block m, with e_{m-1} = 1, if
+    g = m - 1, else P_m alone, of exponent 1, whose step is e_{m-1} b_m.  A
+    free point appended adds 1 to both, so the sum-of-squares row passes.
     """
     b = [int(x) for x in beta_bar]
     if len(b) < 2:

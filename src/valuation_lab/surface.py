@@ -16,7 +16,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .configurations import Configuration, proximity_residual
+from .configurations import Configuration, proximity_residual, value_runs
 from .invariants import InvariantRecord, invariant_record
 
 
@@ -187,7 +187,7 @@ def nef_on_generators(cfg: Configuration, delta: int) -> list[GeneratorPairing]:
     """
     lam = lambda_divisor(cfg, delta)
     n, k, v = cfg.size, cfg.tangent_count, lam.mults
-    residual = proximity_residual(cfg, v)
+    residual = proximity_residual(cfg, cfg.runs)
     incoming = cfg.proximate_points()
     return [
         GeneratorPairing(
@@ -200,7 +200,7 @@ def nef_on_generators(cfg: Configuration, delta: int) -> list[GeneratorPairing]:
         ),
         *(
             GeneratorPairing(
-                f"E{i}", residual[i], 0, 0,
+                f"E{i}", residual.get(i, 0), 0, 0,
                 ((i, -1), *[(j, 1) for j in incoming[i]]), n, delta,
             )
             for i in range(1, n + 1)
@@ -248,12 +248,11 @@ def strict_transform_plane(
             raise ValueError(
                 f"expected {cfg.size} multiplicities, got {len(mults)}"
             )
-        residual = proximity_residual(cfg, mults)
-        for i in range(1, cfg.size + 1):
-            if residual[i] < 0:
+        for i, r in proximity_residual(cfg, value_runs(mults)).items():
+            if r < 0:
                 raise ValueError(
                     f"proximity inequality fails at p_{i}: "
-                    f"{mults[i - 1]} < {mults[i - 1] - residual[i]}"
+                    f"{mults[i - 1]} < {mults[i - 1] - r}"
                 )
     return PlaneClass(degree=degree, mults=mults)
 

@@ -1,4 +1,4 @@
-import dataclasses
+import functools
 import hashlib
 import random
 import sys
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import all_chains
+from strategies import configurations as strategy_configurations
 import valuation_lab.bounds as bounds
 import valuation_lab.checks as checks
 import valuation_lab.configurations as configurations
@@ -35,9 +36,11 @@ from valuation_lab.errors import (
     ReconstructionError,
 )
 from valuation_lab.invariants import (
+    curvette_vector,
     from_maximal_contact,
     invariant_record,
     multiplicity_sequence,
+    noether_pairing,
 )
 
 
@@ -164,26 +167,38 @@ class TestIdentityChecks:
         assert round_trip.detail == "reconstruction failed: ReconstructionError: synthetic"
 
     def test_nef_pairings_are_taken_at_every_delta(self, monkeypatch):
-        """Only at delta = 2 does the candidate's fiber coefficient move, so a
-        check that paired once and reused the values at every delta would
-        pass; the special section's pairing at delta = 2 must read 1."""
+        """The fiber, section and E_i pairings do not move with delta, so they
+        are taken once; the witness does, and a check that compared it once
+        and reused the verdict at every delta would pass.  A witness off at
+        delta = 2 alone must be named there."""
         cfg = build_configuration([[], [1], [2, 1]])
-        record = invariant_record(cfg)
-        real = checks.lambda_from_record
-
-        def shifted(record, delta):
-            lam = real(record, delta)
-            return dataclasses.replace(lam, a=lam.a + 1) if delta == 2 else lam
-
-        def closed_form(x, y):
-            return record.tangent_value**2 * x.delta - record.threshold_numerator
-
-        monkeypatch.setattr(checks, "lambda_from_record", shifted)
-        monkeypatch.setattr(checks, "intersect_hirzebruch", closed_form)
+        self._shift_witness(monkeypatch, at=(2,))
         (nef,) = [r for r in identity_checks(cfg) if r.name == "nef-generator-pairings"]
         assert not nef.passed
-        assert nef.detail == "delta=2 special_section -> 1"
+        assert nef.detail == "witness mismatch at delta=2"
 
+    @staticmethod
+    def _shift_witness(monkeypatch, at=checks.NEF_DELTAS):
+        """Raise the witness of ``npi_from_record`` by one at the indices ``at``."""
+        real = checks.npi_from_record
+
+        def shifted(record, delta):
+            npi = real(record, delta)
+            return npi._replace(witness=npi.witness + 1) if delta in at else npi
+
+        monkeypatch.setattr(checks, "npi_from_record", shifted)
+
+    @staticmethod
+    def _corrupt_residual(monkeypatch):
+        """Raise the residual at p_1 by v_3 = 1, as if p_3 were dropped from the
+        points proximate to p_1; p_1 stays the first key."""
+        real = checks.proximity_residual
+
+        def corrupted(cfg, m):
+            residual = real(cfg, m)
+            return {1: residual.pop(1, 0) + 1, **residual}
+
+        monkeypatch.setattr(checks, "proximity_residual", corrupted)
 
     def test_a_wrong_exceptional_pairing_is_named_at_the_first_delta(
         self, monkeypatch
@@ -191,35 +206,20 @@ class TestIdentityChecks:
         """E_i pairs to the same number at every delta, so a wrong residual
         entry fails at the first one, with its value."""
         cfg = build_configuration([[], [1], [2, 1], [3]])
-        real = checks.proximity_residual
-
-        def corrupted(cfg, m):
-            # Drop p_3 from the points proximate to p_1: E1 pairs to v_3 = 1.
-            residual = real(cfg, m)
-            residual[1] += m[2]
-            return residual
-
-        monkeypatch.setattr(checks, "proximity_residual", corrupted)
+        self._corrupt_residual(monkeypatch)
         (nef,) = [r for r in identity_checks(cfg) if r.name == "nef-generator-pairings"]
         assert not nef.passed
         assert nef.detail == "delta=0 E1 -> 1"
 
         # A witness mismatch at the same index still overwrites the detail.
-        monkeypatch.setattr(checks, "intersect_hirzebruch", lambda x, y: None)
+        self._shift_witness(monkeypatch)
         (nef,) = [r for r in identity_checks(cfg) if r.name == "nef-generator-pairings"]
         assert nef.detail == "witness mismatch at delta=0"
 
     def test_a_wrong_residual_is_named_at_its_first_point(self, monkeypatch):
         """The proximity row names the first point whose residual is off, with
         its value, not the whole chain; the nef row names the same E_i."""
-        real = checks.proximity_residual
-
-        def corrupted(cfg, m):
-            residual = real(cfg, m)
-            residual[1] += m[2]
-            return residual
-
-        monkeypatch.setattr(checks, "proximity_residual", corrupted)
+        self._corrupt_residual(monkeypatch)
         for cfg in (
             build_configuration([[], [1], [2, 1], [3]]),
             from_maximal_contact((1, 100000)),
@@ -286,6 +286,21 @@ class TestIdentityChecks:
         assert threshold.detail == f"delta0={d0 + shift} first={d0}"
 
 
+@functools.cache
+def small_pairs():
+    """Every (chain, tangent count) pair of at most 10 points, built once, as
+    (configuration, invariant record)."""
+    pairs = []
+    for lists in all_chains(10):
+        for k in range(1, len(lists) + 1):
+            try:
+                cfg = build_configuration(lists, tangent_count=k)
+            except InvalidConfigurationError:
+                continue
+            pairs.append((cfg, invariant_record(cfg)))
+    return pairs
+
+
 class TestContactRoundTrip:
     """The round trip compares the runs of the chain rebuilt from the contact
     values with the chain's own, where it once compared listed multiplicities."""
@@ -294,22 +309,15 @@ class TestContactRoundTrip:
         """On all 2,585 chains of at most 10 points, at every admissible
         tangent count, the contact values and the tangent count give the chain
         back, and comparing runs gives the verdict comparing listed values did."""
-        pairs = 0
-        for lists in all_chains(10):
-            for k in range(1, len(lists) + 1):
-                try:
-                    cfg = build_configuration(lists, tangent_count=k)
-                except InvalidConfigurationError:
-                    continue
-                record = invariant_record(cfg)
-                rebuilt = from_maximal_contact(record.beta_bar)
-                assert with_tangent_count(rebuilt, k) == cfg
-                listed = multiplicity_sequence(rebuilt).values
-                assert (rebuilt.runs == cfg.runs) == (
-                    listed == record.multiplicities.values
-                )
-                pairs += 1
-        assert pairs == 4181
+        pairs = small_pairs()
+        for cfg, record in pairs:
+            rebuilt = from_maximal_contact(record.beta_bar)
+            assert with_tangent_count(rebuilt, cfg.tangent_count) == cfg
+            listed = multiplicity_sequence(rebuilt).values
+            assert (rebuilt.runs == cfg.runs) == (
+                listed == record.multiplicities.values
+            )
+        assert len(pairs) == 4181
 
     def test_a_rebuilt_chain_that_differs_is_named_by_its_runs(self, monkeypatch):
         """A rebuild that appends one free point fails the row, whose detail
@@ -332,10 +340,56 @@ class TestContactRoundTrip:
             assert row.detail == f"rebuilt {runs}"
 
 
+class TestLastContactValue:
+    """``check`` compares the record's last contact value, from Zariski's
+    recursion over the last block, with the sum of count * value^2 over the
+    runs.  The point-level fact behind that sum, the chain paired with the
+    curvette through p_n, is kept here."""
+
+    @staticmethod
+    def assert_three_sides_agree(cfg, record):
+        v = multiplicity_sequence(cfg).values
+        curvette = noether_pairing(cfg, v, curvette_vector(cfg, cfg.size))
+        runs = sum(count * value * value for value, count in cfg.runs)
+        assert curvette == runs == record.beta_bar[-1]
+
+    def test_every_small_chain(self):
+        pairs = small_pairs()
+        for cfg, record in pairs:
+            self.assert_three_sides_agree(cfg, record)
+        assert len(pairs) == 4181
+
+    @given(strategy_configurations(max_points=200))
+    @settings(max_examples=40, deadline=None)
+    def test_long_random_chains(self, cfg):
+        self.assert_three_sides_agree(cfg, invariant_record(cfg))
+
+    def test_a_record_off_by_one_is_caught(self, monkeypatch):
+        """A Zariski step over the last block that is off by one leaves the
+        record's last contact value one off the runs' sum of squares."""
+        real = checks.valuation_bundle
+
+        def off_by_one(cfg):
+            bundle = real(cfg)
+            *head, last = bundle.record.beta_bar
+            contact = bundle.record.contact._replace(beta_bar=(*head, last + 1))
+            return bundle._replace(record=bundle.record._replace(contact=contact))
+
+        monkeypatch.setattr(checks, "valuation_bundle", off_by_one)
+        for cfg in (
+            build_configuration([[], [1], [2, 1], [3]]),
+            tono_family(3, 0).bundle.cfg,
+            from_maximal_contact((1, 10**12)),
+        ):
+            square = sum(count * value * value for value, count in cfg.runs)
+            (row,) = [r for r in identity_checks(cfg) if r.name == "last-contact-value"]
+            assert not row.passed
+            assert row.detail == f"direct={square} recorded={square + 1}"
+
+
 def test_identity_checks_list_linearly_many_class_entries(monkeypatch):
-    """The nef-generator check holds each generator by its support, so one
-    call lists O(n) dense class entries (the nef candidate per index), not
-    a length-n class per generator."""
+    """The nef-generator check pairs integers read off the record and the
+    runs, so one call builds no class at all: 0 dense class entries."""
     entries = 0
     real = surface.HirzebruchClass.__post_init__
 
@@ -345,11 +399,45 @@ def test_identity_checks_list_linearly_many_class_entries(monkeypatch):
         real(self)
 
     cfg = from_maximal_contact((1, 2000))
-    n = cfg.size
     monkeypatch.setattr(surface.HirzebruchClass, "__post_init__", counted)
     results = identity_checks(cfg)
     assert all(r.passed for r in results)
-    assert 0 < entries <= 16 * n
+    assert entries == 0
+
+
+def test_identity_checks_list_nothing_on_tono_12_3(monkeypatch):
+    """On the 79,226-point tono (12, 3) chain the suite lists no chain (no
+    ``expand_runs``, no ``older`` array) and builds no ``HirzebruchClass``."""
+
+    def refuse(*args):
+        raise AssertionError("listed or built point by point")
+
+    cfg = tono_family(12, 3).bundle.cfg
+    for name, module in list(sys.modules.items()):
+        if name.startswith("valuation_lab"):
+            for attr in ("expand_runs", "_older_targets"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.setattr(surface.HirzebruchClass, "__post_init__", refuse)
+    results = identity_checks(cfg)
+    assert len(results) == 9
+    assert all(r.passed for r in results)
+
+
+def test_checks_imports_one_name_each_from_surface_and_invariants():
+    """The suite reads the record: from ``invariants`` it takes only the
+    contact-value reconstruction, from ``surface`` only the witness."""
+    imported = {
+        (value.__module__, name)
+        for name, value in vars(checks).items()
+        if callable(value) and value.__module__ != checks.__name__
+    }
+    assert {n for m, n in imported if m == "valuation_lab.invariants"} == {
+        "from_maximal_contact"
+    }
+    assert {n for m, n in imported if m == "valuation_lab.surface"} == {
+        "npi_from_record"
+    }
 
 
 class TestFuzz:

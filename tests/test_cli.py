@@ -222,15 +222,28 @@ HUGE = '{"valuations": [{"maximal_contact": [1, 1000000000000]}]}'
 
 
 class TestChainsTooLongToList:
-    @pytest.mark.parametrize("command", ["check"])
-    def test_listing_commands_exit_one(self, tmp_path, capsys, command):
-        path = write(tmp_path, HUGE)
-        assert main([command, path]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
-        assert "1000000000000 points" in captured.err
-        assert "Traceback" not in captured.err
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_check_needs_no_points(self, tmp_path, capsys, fmt):
+        # (entry, rows): a free chain of 10**12 points; 10**12 points of
+        # multiplicity 2 closed by one satellite, with no free tail; 10**12 - 1
+        # satellites proximate to p_1; the paper's tono (40, 3), 10,108,882
+        # points.  The last three have a satellite, so first-puiseux-ratio runs.
+        cases = [
+            ('{"maximal_contact": [1, 1000000000000]}', 8),
+            ('{"maximal_contact": [2, 2000000000001]}', 9),
+            ('{"maximal_contact": [1000000000000, 1000000000001]}', 9),
+            ('{"tono": {"a": 40, "e": 3}}', 9),
+        ]
+        for entry, rows in cases:
+            path = write(tmp_path, f'{{"valuations": [{entry}]}}')
+            assert main(["--format", fmt, "check", path]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            if fmt == "table":
+                assert captured.out.endswith(f"checks run: {rows}, failed: 0\n")
+            else:
+                summary = json.loads(captured.out)["summary"]
+                assert (summary["checks_run"], summary["checks_failed"]) == (rows, 0)
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_invariants_need_no_points(self, tmp_path, capsys, fmt):

@@ -6,16 +6,23 @@ points proximate to each point from ``proximate_points()``,
     w_k = 1,  w_i = sum of w_j over the points p_j proximate to p_i (i < k),
 
 and stays here as their oracle, on every chain of at most 10 points and on
-random chains of up to 200.  The proximity residual, and the proximity
+random chains of up to 200.  The proximity residual, which takes a vector
+as runs and keeps entries only where they can be nonzero, and the proximity
 check of ``strict_transform_plane`` that reads it, are held to the
 pull-form residual the same way.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
 
 from strategies import all_chains, configurations
-from valuation_lab.configurations import build_configuration, proximity_residual
+from valuation_lab.configurations import (
+    build_configuration,
+    proximity_residual,
+    value_runs,
+)
 from valuation_lab.invariants import curvette_vector, multiplicity_sequence
 from valuation_lab.surface import strict_transform_plane
 
@@ -45,12 +52,21 @@ def assert_push_matches_pull(cfg):
     for k in range(1, n + 1):
         assert curvette_vector(cfg, k) == pull(cfg, k)
     # The residual of the multiplicities (zero but for v_n = 1), of the same
-    # with v_n raised by one (an inequality broken by one before p_n), and of
-    # a vector that breaks the proximity equalities almost everywhere.
+    # with v_n raised by one (an inequality broken by one before p_n), of a
+    # vector that breaks the proximity equalities almost everywhere, and of
+    # ones raised at p_n: one run spans every stretch target, where the
+    # residual is negative, and ends at p_{n-1}, negative too but later.
     raised = (*v[:-1], v[-1] + 1)
-    for vector in (v, raised, tuple((7 * i + 3) % 11 for i in range(n))):
+    noisy = tuple((7 * i + 3) % 11 for i in range(n))
+    for vector in (v, raised, noisy, (1,) * (n - 1) + (2,)):
         residual = pull_residual(cfg, vector)
-        assert proximity_residual(cfg, vector)[1:] == residual
+        runs = value_runs(vector)
+        pushed = proximity_residual(cfg, runs)
+        assert [pushed.get(i, 0) for i in range(1, n + 1)] == residual
+        # Ascending, and keyed only by run ends and stretch targets.
+        ends = set(itertools.accumulate(count for _, count in runs))
+        targets = {target for _, _, target in cfg.structure.stretches}
+        assert list(pushed) == sorted(pushed) and set(pushed) <= ends | targets
         # The proximity inequalities hold exactly where no entry is negative,
         # and the first negative entry is the point named.
         failing = [i for i, r in enumerate(residual, 1) if r < 0]

@@ -1,4 +1,4 @@
-"""The plain value records are NamedTuples; five types stay dataclasses.
+"""The plain value records are NamedTuples; four types stay dataclasses.
 
 Each record keeps the field order it had as a frozen dataclass, so
 positional construction is unchanged, and it stays immutable, hashable
@@ -62,6 +62,7 @@ RECORDS = {
         "genus_count",
     ),
     ("configurations", "RunStructure"): ("ends", "stretches", "decomposition"),
+    ("invariants", "MultiplicityVector"): ("runs",),
     ("invariants", "MaximalContactValues"): ("beta_bar", "gcd_chain"),
     ("invariants", "PuiseuxExponents"): ("beta_prime", "run_length_tables"),
     ("invariants", "InvariantRecord"): (
@@ -94,12 +95,11 @@ RECORDS = {
     ("valfile", "ValuationFile"): ("entries", "aligned_mu"),
 }
 
-# The five each need what a NamedTuple lacks: a __dict__ for cached_property
-# (Configuration, MultiplicityVector) or __post_init__ coercion and checks
-# (PlaneClass, HirzebruchClass, AffinePolynomial).
+# The four each need what a NamedTuple lacks: a __dict__ for cached_property
+# (Configuration) or __post_init__ coercion and checks (PlaneClass,
+# HirzebruchClass, AffinePolynomial).
 DATACLASSES = {
     ("configurations", "Configuration"),
-    ("invariants", "MultiplicityVector"),
     ("surface", "PlaneClass"),
     ("surface", "HirzebruchClass"),
     ("surface", "AffinePolynomial"),
@@ -186,7 +186,7 @@ def test_replace_returns_a_new_instance(key):
     assert changed[:-1] == record[:-1]
 
 
-def test_the_kept_dataclasses_are_exactly_the_five():
+def test_the_kept_dataclasses_are_exactly_the_four():
     classes = list(_classes())
     assert {
         (module, name) for module, name, cls in classes
