@@ -11,10 +11,8 @@ from .bounds import (
     degree_lower_bound,
     delta0,
     lambda_lower_bound,
-    mu_hat_upper_bound,
     multi_ratio_bound,
     multi_valuation,
-    ratio_bound,
     satellite_tail_comparison,
     supraminimal_certificate,
     tono_family,
@@ -52,8 +50,6 @@ from .invariants import (
     normalized_volume,
     puiseux_exponents,
     semigroup_values,
-    tangent_value,
-    volume,
 )
 from .surface import (
     AffinePolynomial,

@@ -67,8 +67,6 @@ class BoundReport(NamedTuple):
     degree_bound: BoundEntry
     mu_hat_upper: BoundEntry
     ratio_bound: BoundEntry
-    multi_ratio_bound: BoundEntry
-    lambda_bound: BoundEntry
     combinatorial_lambda_bound: BoundEntry | None
     trivial_bound: BoundEntry
 
@@ -127,19 +125,17 @@ def delta0(cfg: Configuration) -> int:
 
 
 def degree_lower_bound(cfg: Configuration, m: Sequence[int]) -> Fraction:
-    """Lower bound on the degree of a plane curve with multiplicities >= m."""
-    bundle = valuation_bundle(cfg)
-    v = bundle.record.multiplicities.values
-    if len(m) != len(v):
-        raise ValueError(f"expected {len(v)} multiplicities, got {len(m)}")
+    """Lower bound on the degree of a plane curve with multiplicities >= m:
+    sum v_i m_i over the mu-hat bound, with v walked run by run."""
+    if len(m) != cfg.size:
+        raise ValueError(f"expected {cfg.size} multiplicities, got {len(m)}")
     if any(x < 0 for x in m):
         raise ValueError("prescribed multiplicities must be non-negative")
-    return Fraction(sum(a * b for a, b in zip(v, m)), bundle.mu_hat_bound)
-
-
-def mu_hat_upper_bound(cfg: Configuration) -> int:
-    """Upper bound on the Seshadri-type constant of the valuation."""
-    return valuation_bundle(cfg).mu_hat_bound
+    pairing, start = 0, 0
+    for value, count in cfg.runs:
+        pairing += value * sum(m[start:start + count])
+        start += count
+    return Fraction(pairing, valuation_bundle(cfg).mu_hat_bound)
 
 
 def _certificate(
@@ -163,12 +159,6 @@ def supraminimal_certificate(
     if curve_value < 1 or curve_degree < 1:
         raise ValueError("curve value and degree must be positive")
     return _certificate(invariant_record(cfg).beta_bar[-1], curve_value, curve_degree)
-
-
-def ratio_bound(cfg: Configuration) -> int:
-    """Lower bound on (strict transform)^2 / degree^2 for curves other than
-    the tangent line."""
-    return valuation_bundle(cfg).ratio_bound
 
 
 def default_aligned_mu(bundles: Sequence[ValuationBundle]) -> int:
@@ -321,21 +311,18 @@ def tono_family(a: int, e: int) -> TonoValuation:
 _DEGREE_TAG = "nef pairing on the ruled model"
 _MU_HAT_TAG = "limit of the degree bound"
 _RATIO_TAG = "self-intersection of strict transforms"
-_MULTI_TAG = "fibred product over the plane"
-_LAMBDA_TAG = "aligned-points minimum"
 _COMBINATORIAL_TAG = "dual-graph data only"
 _TRIVIAL_TAG = "point count"
 
 
 def bound_report(bundle: ValuationBundle) -> BoundReport:
-    """All bounds for a single valuation, treated as a one-element ensemble.
+    """Every bound of one valuation, read off its bundle.
 
     The degree bound is evaluated at the valuation's own multiplicity
     sequence (a curve through every center with those multiplicities):
     sum v_i^2 over the mu-hat bound, that is beta_bar_last over it.
     """
     cfg = bundle.cfg
-    mv = multi_valuation([bundle])
     combinatorial = None
     if cfg.size >= 2:
         combinatorial = BoundEntry(
@@ -347,8 +334,6 @@ def bound_report(bundle: ValuationBundle) -> BoundReport:
         ),
         mu_hat_upper=BoundEntry(bundle.mu_hat_bound, _MU_HAT_TAG),
         ratio_bound=BoundEntry(bundle.ratio_bound, _RATIO_TAG),
-        multi_ratio_bound=BoundEntry(multi_ratio_bound(mv), _MULTI_TAG),
-        lambda_bound=BoundEntry(lambda_lower_bound(mv), _LAMBDA_TAG),
         combinatorial_lambda_bound=combinatorial,
         trivial_bound=BoundEntry(1 - cfg.size, _TRIVIAL_TAG),
     )
@@ -368,10 +353,8 @@ __all__ = [
     "degree_lower_bound",
     "delta0",
     "lambda_lower_bound",
-    "mu_hat_upper_bound",
     "multi_ratio_bound",
     "multi_valuation",
-    "ratio_bound",
     "satellite_tail_comparison",
     "supraminimal_certificate",
     "tono_family",

@@ -2,9 +2,8 @@
 
 Exit codes: 0 on success, 1 on any validation or usage error (a number too
 large for a float, running out of memory or recursion depth, or a chain too
-long to list point by point, included: only ``fuzz`` and the table's
-satellites row list one, never ``check``), 2 when a ``check`` or ``fuzz`` run
-reports a failed identity.
+long to list point by point, which only ``fuzz`` lists, included), 2 when a
+``check`` or ``fuzz`` run reports a failed identity.
 
 The argument parser is built once per process; each ``main()`` call parses
 into a new namespace.

@@ -30,7 +30,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .configurations import (
-    BlockDecomposition,
     Configuration,
     append_free_chain,
     expand_runs,
@@ -76,7 +75,6 @@ class InvariantRecord(NamedTuple):
     normalized_volume: Fraction
     tangent_value: int
     is_m_adic: bool
-    decomposition: BlockDecomposition
 
     @property
     def beta_bar(self) -> tuple[int, ...]:
@@ -135,11 +133,10 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
     identity suite holds to the sum of count * value^2.
     """
     structure = cfg.structure
-    decomposition = structure.decomposition
     # Run lengths inside each closed block, in one walk over the run ends;
     # a block ending inside run s leaves the rest of run s to the next.
     ends, runs, s, start = structure.ends, [], 0, 1
-    for hi in decomposition.boundaries[1:]:
+    for hi in structure.decomposition.boundaries[1:]:
         table = []
         while ends[s] < hi:
             table.append(ends[s] - start + 1)
@@ -156,7 +153,6 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
         y = gcd_here * exponent.numerator // exponent.denominator
         beta.append(y + gcd_prev // gcd_here * beta[-1] - gcd_here)
         gcd_prev, gcd_here = gcd_here, math.gcd(gcd_here, y)
-    is_m_adic = cfg.size == 1
     # The values of the tangent points p_1..p_k; a single point has no
     # tangent line, and its tangent value is v_1 = 1.
     tangent, left = 0, cfg.tangent_count
@@ -172,8 +168,7 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
         volume=Fraction(1, beta[-1]),
         normalized_volume=Fraction(beta[0] ** 2, beta[-1]),
         tangent_value=tangent,
-        is_m_adic=is_m_adic,
-        decomposition=decomposition,
+        is_m_adic=cfg.size == 1,
     )
 
 
@@ -188,21 +183,8 @@ def puiseux_exponents(cfg: Configuration) -> PuiseuxExponents:
     return invariant_record(cfg).puiseux
 
 
-def volume(cfg: Configuration) -> Fraction:
-    """Reciprocal of the last maximal contact value."""
-    return invariant_record(cfg).volume
-
-
 def normalized_volume(cfg: Configuration) -> Fraction:
     return invariant_record(cfg).normalized_volume
-
-
-def tangent_value(cfg: Configuration) -> int:
-    """Value of the tangent line: sum of multiplicities over flagged points.
-
-    A single point has no tangent line; its value is 1 by convention.
-    """
-    return invariant_record(cfg).tangent_value
 
 
 def semigroup_values(cfg: Configuration, limit: int) -> list[int]:
@@ -330,6 +312,4 @@ __all__ = [
     "normalized_volume",
     "puiseux_exponents",
     "semigroup_values",
-    "tangent_value",
-    "volume",
 ]

@@ -17,7 +17,6 @@ from typing import Any
 from .bounds import BoundReport, MultiValuation, TonoValuation, ValuationBundle
 from .bounds import lambda_lower_bound, multi_ratio_bound
 from .checks import CheckResult, FuzzSummary
-from .configurations import require_listable
 
 
 def approx(x: float) -> float:
@@ -41,7 +40,7 @@ def compress_runs(runs: Iterable[Sequence[int]]) -> str:
 def invariants_payload(bundle: ValuationBundle) -> dict[str, Any]:
     cfg = bundle.cfg
     record = bundle.record
-    decomposition = record.decomposition
+    decomposition = cfg.structure.decomposition
     return {
         "name": cfg.name,
         "points": cfg.size,
@@ -178,13 +177,12 @@ def _rational_from_payload(entry: dict[str, Any] | int) -> str:
 
 
 def _satellites_row(stretches: list[list[int]]) -> str:
-    """Every satellite index, listed from the stretches (first, last, target)."""
-    require_listable(
-        sum(last - first + 1 for first, last, _ in stretches),
-        "{count} satellites are too many to list point by point (limit {limit})",
-    )
-    listed = (i for first, last, _ in stretches for i in range(first, last + 1))
-    return " ".join(map(str, listed)) or "none"
+    """Each satellite stretch (first, last, target) as ``first-last``, or as
+    ``first`` when it has one point."""
+    return " ".join(
+        str(first) if first == last else f"{first}-{last}"
+        for first, last, _ in stretches
+    ) or "none"
 
 
 def render_invariants_table(payload: dict[str, Any]) -> str:

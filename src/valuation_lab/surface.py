@@ -126,24 +126,20 @@ def intersect_hirzebruch(x: HirzebruchClass, y: HirzebruchClass) -> int:
     return pair_with_generator(x, y.a, y.b, sum(map(operator.mul, x.mults, y.mults)))
 
 
-def lambda_from_record(record: InvariantRecord, delta: int) -> HirzebruchClass:
+def lambda_divisor(cfg: Configuration, delta: int) -> HirzebruchClass:
     """The nef candidate attached to the valuation on the ruled model.
 
     Its fiber coefficient is the first contact value, its section
     coefficient is the tangent value, and it subtracts the multiplicity
     sequence over the exceptional classes.
     """
+    record = invariant_record(cfg)
     return HirzebruchClass(
         a=record.beta_bar[0],
         b=record.tangent_value,
         mults=record.multiplicities.values,
         delta=delta,
     )
-
-
-def lambda_divisor(cfg: Configuration, delta: int) -> HirzebruchClass:
-    """``lambda_from_record`` on the configuration's invariant record."""
-    return lambda_from_record(invariant_record(cfg), delta)
 
 
 def npi_from_record(record: InvariantRecord, delta: int) -> NpiResult:
@@ -267,7 +263,6 @@ __all__ = [
     "intersect_hirzebruch",
     "intersect_plane",
     "lambda_divisor",
-    "lambda_from_record",
     "nef_on_generators",
     "npi_check",
     "npi_from_record",

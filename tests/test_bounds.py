@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import configurations, proximity_chains
+from strategies import all_chains, configurations, proximity_chains
 from valuation_lab.bounds import (
     bound_report,
     ceil_plus,
@@ -13,17 +14,19 @@ from valuation_lab.bounds import (
     degree_lower_bound,
     delta0,
     lambda_lower_bound,
-    mu_hat_upper_bound,
     multi_ratio_bound,
     multi_valuation,
-    ratio_bound,
     satellite_tail_comparison,
     supraminimal_certificate,
     tono_family,
     valuation_bundle,
 )
 from valuation_lab.configurations import SATELLITE, build_configuration, classify_points
-from valuation_lab.invariants import maximal_contact_values, multiplicity_sequence
+from valuation_lab.invariants import (
+    maximal_contact_values,
+    multiplicity_sequence,
+    noether_pairing,
+)
 from valuation_lab.surface import intersect_plane, strict_transform_plane
 
 
@@ -107,18 +110,33 @@ class TestDegreeLowerBound:
         with pytest.raises(ValueError):
             degree_lower_bound(cfg3(), (1, -1, 0))
 
+    def test_every_small_chain_matches_the_point_pairing(self):
+        """The run walk equals the pairing with the listed multiplicity
+        sequence on all 2,585 chains of at most 10 points, at m = v, the
+        tangent line and a seeded random vector."""
+        rng = random.Random(18)
+        for lists in all_chains(10):
+            cfg = build_configuration(lists)
+            v = multiplicity_sequence(cfg).values
+            bound = valuation_bundle(cfg).mu_hat_bound
+            line = tuple(int(i <= cfg.tangent_count) for i in range(1, cfg.size + 1))
+            noise = tuple(rng.randint(0, 9) for _ in v)
+            for m in (v, line, noise):
+                expected = Fraction(noether_pairing(cfg, v, m), bound)
+                assert degree_lower_bound(cfg, m) == expected, (lists, m)
+
 
 class TestMuHatUpperBound:
     def test_m_adic(self):
-        assert mu_hat_upper_bound(m_adic()) == 1
+        assert valuation_bundle(m_adic()).mu_hat_bound == 1
 
     def test_tono_closed_forms(self):
-        assert mu_hat_upper_bound(tono_family(3, 0).bundle.cfg) == 15
-        assert mu_hat_upper_bound(tono_family(4, 1).bundle.cfg) == 44
+        assert valuation_bundle(tono_family(3, 0).bundle.cfg).mu_hat_bound == 15
+        assert valuation_bundle(tono_family(4, 1).bundle.cfg).mu_hat_bound == 44
 
     @given(configurations())
     def test_square_dominates_inverse_volume(self, cfg):
-        bound = mu_hat_upper_bound(cfg)
+        bound = valuation_bundle(cfg).mu_hat_bound
         assert bound * bound >= maximal_contact_values(cfg).beta_bar[-1]
 
 
@@ -141,13 +159,14 @@ class TestSupraminimalCertificate:
 
 class TestRatioBounds:
     def test_single_values(self):
-        assert ratio_bound(m_adic()) == 0
-        assert ratio_bound(tono_family(3, 0).bundle.cfg) == -1
-        assert ratio_bound(tono_family(4, 1).bundle.cfg) == -2
+        assert valuation_bundle(m_adic()).ratio_bound == 0
+        assert valuation_bundle(tono_family(3, 0).bundle.cfg).ratio_bound == -1
+        assert valuation_bundle(tono_family(4, 1).bundle.cfg).ratio_bound == -2
 
     def test_multi_reduces_to_single(self):
-        mv = multi_valuation([tono_family(3, 0).bundle])
-        assert multi_ratio_bound(mv) == ratio_bound(tono_family(3, 0).bundle.cfg)
+        bundle = tono_family(3, 0).bundle
+        mv = multi_valuation([bundle])
+        assert multi_ratio_bound(mv) == valuation_bundle(bundle.cfg).ratio_bound
 
     def test_two_copies(self):
         bundle = tono_family(3, 0).bundle
@@ -220,7 +239,7 @@ class TestCombinatorialLambdaBound:
         lists, tangent = chain
         cfg = build_configuration(lists, tangent_count=tangent)
         if len(lists) >= 3 and len(lists[2]) == 2:
-            assert combinatorial_lambda_bound(cfg) == ratio_bound(cfg)
+            assert combinatorial_lambda_bound(cfg) == valuation_bundle(cfg).ratio_bound
 
 
 class TestSatelliteTailComparison:
@@ -276,7 +295,7 @@ class TestTonoFamily:
     def test_fields_agree_with_the_public_operations(self):
         fam = tono_family(3, 0)
         cfg = fam.bundle.cfg
-        assert mu_hat_upper_bound(cfg) == fam.mu_hat_bound
+        assert valuation_bundle(cfg).mu_hat_bound == fam.mu_hat_bound
         assert delta0(cfg) == fam.e
         assert (
             supraminimal_certificate(cfg, fam.curve_value, fam.curve_degree)
@@ -303,10 +322,11 @@ class TestTonoFamily:
 
 class TestBoundReport:
     def test_single_valuation(self):
-        report = bound_report(tono_family(4, 1).bundle)
+        bundle = tono_family(4, 1).bundle
+        report = bound_report(bundle)
         assert report.mu_hat_upper.value == 44
         assert report.ratio_bound.value == -2
-        assert report.lambda_bound.value == -2
+        assert lambda_lower_bound(multi_valuation([bundle])) == -2
         assert report.combinatorial_lambda_bound.value == -2
         assert report.trivial_bound.value == 1 - 362
 

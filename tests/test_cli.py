@@ -276,35 +276,30 @@ class TestChainsTooLongToList:
             assert val["multiplicity_runs"] == runs
             assert val["satellite_stretches"] == [[3, 1000, 1], [2004, 3002, 2002]]
 
-    def test_satellite_row_is_guarded(self, tmp_path, capsys):
+    def test_satellite_row_prints_stretches(self, tmp_path, capsys):
         # Runs (10**12, 1), (1, 10**12): p_3..p_{10**12 + 1} are satellites
-        # proximate to p_1, one stretch of 10**12 - 1 points.
-        path = write(
-            tmp_path,
-            '{"valuations": [{"maximal_contact": [1000000000000, 1000000000001]}]}',
-        )
-        assert main(["invariants", path]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: 999999999999 satellites")
-        assert main(["--format", "json", "invariants", path]) == 0
-        val = json.loads(capsys.readouterr().out)["valuations"][0]
-        assert val["satellite_stretches"] == [[3, 1000000000001, 1]]
+        # proximate to p_1, one stretch of 10**12 - 1 points; tono (4, 1) has
+        # two stretches and [2, 5] one satellite, p_4.
+        cases = [
+            ('{"maximal_contact": [1000000000000, 1000000000001]}', "3-1000000000001"),
+            ('{"tono": {"a": 4, "e": 1}}', "3-4 12-14"),
+            ('{"maximal_contact": [2, 5]}', "4"),
+        ]
+        for entry, row in cases:
+            path = write(tmp_path, f'{{"valuations": [{entry}]}}')
+            assert main(["invariants", path]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert f"\n  satellites         {row}\n" in captured.out
 
-    def test_satellite_row_reads_a_patched_limit(self, tmp_path, capsys, monkeypatch):
+    def test_satellite_row_ignores_a_patched_limit(self, tmp_path, capsys, monkeypatch):
         # Runs (12, 1), (1, 12): p_3..p_13 are satellites proximate to p_1.
         monkeypatch.setattr(configurations, "MAX_LISTED_POINTS", 10)
         path = write(tmp_path, '{"valuations": [{"maximal_contact": [12, 13]}]}')
-        assert main(["invariants", path]) == 1
+        assert main(["invariants", path]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: 11 satellites are too many to list point by point (limit 10)\n"
-        )
-        assert main(["--format", "json", "invariants", path]) == 0
-        val = json.loads(capsys.readouterr().out)["valuations"][0]
-        assert val["points"] == 13
-        assert val["satellite_stretches"] == [[3, 13, 1]]
+        assert captured.err == ""
+        assert "\n  satellites         3-13\n" in captured.out
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_reports_list_no_chain(self, tmp_path, capsys, monkeypatch, fmt):

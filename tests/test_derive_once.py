@@ -1,16 +1,23 @@
 """Derive once: each configuration's invariants are computed once and passed along.
 
-The counters wrap ``invariant_record`` and ``multiplicity_sequence`` and
-rebind every attribute of every loaded ``valuation_lab`` module that holds
-them, since the other modules import both by name.
+The counters wrap ``invariant_record`` and ``multiplicity_sequence`` (and,
+where a test asks, ``multi_valuation``) and rebind every attribute of every
+loaded ``valuation_lab`` module that holds them, since the other modules
+import them by name.
 """
 
 import sys
 
 import pytest
 
-from valuation_lab import invariants
-from valuation_lab.bounds import bound_report, tono_family, valuation_bundle
+from test_golden_reports import EXAMPLE_FILE
+from valuation_lab import bounds, invariants
+from valuation_lab.bounds import (
+    bound_report,
+    degree_lower_bound,
+    tono_family,
+    valuation_bundle,
+)
 from valuation_lab.checks import identity_checks
 from valuation_lab.cli import main
 from valuation_lab.configurations import build_configuration
@@ -25,15 +32,19 @@ SMALL = [
 ]
 
 
+def _rebind(monkeypatch, original, replacement):
+    """Replace every binding of ``original`` in the loaded package modules."""
+    for name, module in list(sys.modules.items()):
+        if name == "valuation_lab" or name.startswith("valuation_lab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Per counted function, the sizes of the configurations it was called on."""
     log = {name: [] for name in COUNTED}
-    modules = [
-        module
-        for name, module in sys.modules.items()
-        if name == "valuation_lab" or name.startswith("valuation_lab.")
-    ]
     for name in COUNTED:
         original = getattr(invariants, name)
 
@@ -41,10 +52,7 @@ def calls(monkeypatch):
             _sizes.append(cfg.size)
             return _original(cfg)
 
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+        _rebind(monkeypatch, original, counted)
     return log
 
 
@@ -109,3 +117,41 @@ def test_identity_checks_list_no_multiplicity_sequence(calls, cfg):
     _reset(calls)
     assert all(r.passed for r in identity_checks(cfg))
     assert calls["multiplicity_sequence"] == []
+
+
+@pytest.mark.parametrize("cfg", SMALL + [None], ids=["1pt", "2pt", "satellite", "tono"])
+def test_bound_report_builds_no_ensemble(monkeypatch, cfg):
+    bundle = tono_family(3, 0).bundle if cfg is None else valuation_bundle(cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bound_report built an ensemble")
+
+    _rebind(monkeypatch, bounds.multi_valuation, refuse)
+    report = bound_report(bundle)
+    assert report.mu_hat_upper.value == bundle.mu_hat_bound
+
+
+def test_bounds_builds_one_ensemble_per_file(monkeypatch, tmp_path):
+    path = tmp_path / "example.json"
+    path.write_text(EXAMPLE_FILE, encoding="utf-8")
+    ensembles = []
+    original = bounds.multi_valuation
+
+    def counted(bundles, aligned_mu=None):
+        ensembles.append(len(bundles))
+        return original(bundles, aligned_mu)
+
+    _rebind(monkeypatch, original, counted)
+    assert main(["bounds", str(path)]) == 0
+    # The file's three valuations, once; no report builds its own.
+    assert ensembles == [3]
+
+
+@pytest.mark.parametrize("cfg", SMALL + [None], ids=["1pt", "2pt", "satellite", "tono"])
+def test_degree_bound_checks_the_length_before_any_record(calls, cfg):
+    cfg = tono_family(3, 0).bundle.cfg if cfg is None else cfg
+    _reset(calls)
+    for m in ((1,) * (cfg.size + 1), (1,) * (cfg.size - 1)):
+        with pytest.raises(ValueError, match=f"expected {cfg.size} multiplicities"):
+            degree_lower_bound(cfg, m)
+    assert calls == {name: [] for name in COUNTED}

@@ -27,19 +27,19 @@ FUZZ = ["fuzz", "--max-points", "12", "--trials", "200", "--seed", "0"]
 # (command, format, exit code, stdout sha256); "FILE" stands for the example.
 GOLDEN = [
     (["family", "tono", "--a", "3", "--e", "0"], "table", 0,
-     "1c6be01428055bd88fa93067cd8af81f68f363d608b2af61f2a42298ac11825a"),
+     "e176571b607f9308cdba0f553b411566e6a113ab5c4c1877dc51d00764ccfd3c"),
     (["family", "tono", "--a", "3", "--e", "0"], "json", 0,
      "33da57301d11ab5f6d835d10c0609630b653fc2694bcde7d31ac912ba468a19a"),
     (["family", "tono", "--a", "4", "--e", "1"], "table", 0,
-     "4dd63308ae1213ec130605115797e51e0351f98455f7a013ac5ac88d560b970f"),
+     "ca38aeee72290bd2dcdb53cebe0c37bf11047f105aac2480ff7b97c90c3bfd8e"),
     (["family", "tono", "--a", "4", "--e", "1"], "json", 0,
      "54a0d44db5b04ac799a6e7b95e71dffa1a122569fd49a2de2269af32274e9b8e"),
     (["family", "tono", "--a", "5", "--e", "3"], "table", 0,
-     "a528d3d7dc402338c3bf4e48d0946243c0f908a1ecb3a8ded265bfc48807b7d0"),
+     "58f12a497d32ee9db38f8e4ca31cbfb1781ec3d91a5b98edd51873fd96cbbc4d"),
     (["family", "tono", "--a", "5", "--e", "3"], "json", 0,
      "fdf547b5e2ddf5e01de4cbc33ca00a41f82c4a8aadb999b1c270db217ff16e36"),
     (["invariants", "FILE"], "table", 0,
-     "4be78b888ded9cd6c3e30d41816f9b67330d0ed53951ead3e18b676f9f8d0b1f"),
+     "bec2867ee90b62afd3ae5e9e929997880ec4d3f4dcd8f5917414577a7f473419"),
     (["invariants", "FILE"], "json", 0,
      "7dcf29524b6d88d692fb919966747bb3c7d0caddfa1e7d14beebf5b51e9318fa"),
     (["bounds", "FILE"], "table", 0,

@@ -20,8 +20,6 @@ from valuation_lab.invariants import (
     normalized_volume,
     puiseux_exponents,
     semigroup_values,
-    tangent_value,
-    volume,
 )
 
 TONO30_MULTIPLICITIES = (6,) + (3,) * 7 + (1,) * 9
@@ -188,37 +186,38 @@ class TestPuiseuxExponents:
 class TestVolumes:
     def test_single_point(self):
         cfg = build_configuration([[]])
-        assert volume(cfg) == 1
+        assert invariant_record(cfg).volume == 1
         assert normalized_volume(cfg) == 1
 
     def test_three_points(self):
-        assert volume(cfg3()) == Fraction(1, 6)
+        assert invariant_record(cfg3()).volume == Fraction(1, 6)
         assert normalized_volume(cfg3()) == Fraction(2, 3)
 
     def test_tono(self):
         cfg = tono_family(4, 1).bundle.cfg
-        assert volume(cfg) == Fraction(1, 640)
+        assert invariant_record(cfg).volume == Fraction(1, 640)
         assert normalized_volume(cfg) == Fraction(9, 40)
 
     @given(configurations())
     def test_normalization(self, cfg):
         contact = maximal_contact_values(cfg).beta_bar
-        assert normalized_volume(cfg) == contact[0] ** 2 * volume(cfg)
+        volume = invariant_record(cfg).volume
+        assert normalized_volume(cfg) == contact[0] ** 2 * volume
 
 
 class TestTangentValue:
     def test_single_point_convention(self):
-        assert tangent_value(build_configuration([[]])) == 1
+        assert invariant_record(build_configuration([[]])).tangent_value == 1
 
     def test_three_points(self):
-        assert tangent_value(cfg3()) == 3
+        assert invariant_record(cfg3()).tangent_value == 3
 
     def test_tono(self):
-        assert tangent_value(tono_family(3, 0).bundle.cfg) == 9
+        assert invariant_record(tono_family(3, 0).bundle.cfg).tangent_value == 9
 
     @given(configurations())
     def test_range(self, cfg):
-        t = tangent_value(cfg)
+        t = invariant_record(cfg).tangent_value
         contact = maximal_contact_values(cfg).beta_bar
         if cfg.size == 1:
             assert t == 1
@@ -229,7 +228,8 @@ class TestTangentValue:
         # With p_3 satellite the tangent line stops at p_2, so its value is
         # the second contact value.
         cfg = cfg3()
-        assert tangent_value(cfg) == maximal_contact_values(cfg).beta_bar[1]
+        t = invariant_record(cfg).tangent_value
+        assert t == maximal_contact_values(cfg).beta_bar[1]
 
     @given(configurations())
     def test_invariant_under_free_extension(self, cfg):
@@ -237,7 +237,8 @@ class TestTangentValue:
 
         extended = append_free_chain(cfg, 3)
         if cfg.size >= 2:
-            assert tangent_value(extended) == tangent_value(cfg)
+            before = invariant_record(cfg).tangent_value
+            assert invariant_record(extended).tangent_value == before
 
 
 class TestFromMaximalContact:

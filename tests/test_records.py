@@ -23,8 +23,6 @@ RECORDS = {
         "degree_bound",
         "mu_hat_upper",
         "ratio_bound",
-        "multi_ratio_bound",
-        "lambda_bound",
         "combinatorial_lambda_bound",
         "trivial_bound",
     ),
@@ -73,7 +71,6 @@ RECORDS = {
         "normalized_volume",
         "tangent_value",
         "is_m_adic",
-        "decomposition",
     ),
     ("surface", "NpiResult"): ("non_positive_at_infinity", "witness"),
     ("surface", "GeneratorPairing"): (

@@ -61,6 +61,8 @@ def point_level_record(cfg: Configuration) -> InvariantRecord:
         last_free_indices=tuple(last_free),
         genus_count=len(last_free),
     )
+    # The record reads the configuration's own decomposition.
+    assert decomposition == cfg.structure.decomposition
     beta = (
         v[0],
         *(noether_pairing(cfg, v, curvette_vector(cfg, r)) for r in last_free),
@@ -90,7 +92,6 @@ def point_level_record(cfg: Configuration) -> InvariantRecord:
         normalized_volume=Fraction(beta[0] ** 2, beta[-1]),
         tangent_value=1 if cfg.size == 1 else sum(v[: cfg.tangent_count]),
         is_m_adic=cfg.size == 1,
-        decomposition=decomposition,
     )
 
 
