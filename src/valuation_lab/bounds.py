@@ -96,9 +96,12 @@ class TonoValuation(NamedTuple):
     curve_degree: int
     curve_value: int
     mu_hat: Fraction
-    mu_hat_bound: int
     ratio: Fraction
     trailing_free: int
+
+    @property
+    def mu_hat_bound(self) -> int:
+        return self.bundle.mu_hat_bound
 
 
 def _threshold_term(record: InvariantRecord) -> Fraction:
@@ -302,7 +305,6 @@ def tono_family(a: int, e: int) -> TonoValuation:
         curve_degree=curve_degree,
         curve_value=curve_value,
         mu_hat=certificate,
-        mu_hat_bound=actual_bound,
         ratio=ratio,
         trailing_free=trailing,
     )

@@ -4,9 +4,11 @@ The same identity suite backs the ``check`` command (run on parsed files)
 and the ``fuzz`` command (run on random configurations); failures are
 reported as findings, never raised.  One suite reads the record and the
 runs and lists nothing, so it costs O(runs) at any chain length: the
-proximity residual is taken once over the runs, the E_i, fiber and section
-pairings (none moves with the ruled model's index) once, the contact round
-trip compares runs, and delta0 is found by bisection.
+proximity residual is taken once over the runs, the contact round trip
+compares runs, and delta0 is found by bisection.  Each row checks a fact
+that no other row and no single line of ``invariant_record`` already fixes;
+the nef pairings of lambda with the curve-cone generators are checked point
+by point in the tests, through ``surface.nef_on_generators``.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from .surface import npi_from_record
 # Fraction of growth steps steered toward satellite points, to exercise
 # deep block structures.
 SATELLITE_BIAS = 0.3
-
-NEF_DELTAS = (0, 1, 2, 3)
 
 
 class CheckResult(NamedTuple):
@@ -127,9 +127,8 @@ def identity_checks(cfg: Configuration) -> list[CheckResult]:
     # The first point whose residual is off: it should be 0 before p_n, 1 at p_n.
     residual = proximity_residual(cfg, runs)
     off = next((i for i, r in residual.items() if r != (i == n)), 0)
-    equal = not off
-    detail = "" if equal else f"p_{off} residual {residual[off]}"
-    results.append(CheckResult("proximity-equalities", equal, detail))
+    detail = f"p_{off} residual {residual[off]}" if off else ""
+    results.append(CheckResult("proximity-equalities", not off, detail))
 
     # Zariski's recursion over the last block against the chain paired with itself.
     square = sum(count * value * value for value, count in runs)
@@ -169,31 +168,8 @@ def identity_checks(cfg: Configuration) -> list[CheckResult]:
             )
         )
 
-    # lambda = b0 F + t M - sum v_i E_i pairs with the fiber, the special
-    # section and each E_i to numbers free of delta, so they are taken once;
-    # the first entry off the proximity equalities is the first wrong E_i.
-    # The witness must be lambda^2 = 2 b0 t + delta t^2 - sum v^2 at each delta.
-    t, left, fiber = record.tangent_value, cfg.tangent_count, 0
-    for value, count in runs:
-        fiber, left = fiber + value * min(count, left), max(left - count, 0)
-    section = contact[0] - runs[0][0]
-    pairings = [("fiber", t - fiber, 0), ("special_section", section, 0)]
-    if not equal:
-        pairings.append((f"E{off}", residual[off], int(off == n)))
-    wrong = [f"delta=0 {name} -> {x}" for name, x, want in pairings if x != want]
-    ok, detail = not wrong, wrong[0] if wrong else ""
-    for delta in NEF_DELTAS:
-        square_lambda = (2 * contact[0] + delta * t) * t - square
-        if npi_from_record(record, delta).witness != square_lambda:
-            ok, detail = False, f"witness mismatch at delta={delta}"
-        if not ok:
-            break
-    results.append(CheckResult("nef-generator-pairings", ok, detail))
-
-    ok = record.normalized_volume == contact[0] ** 2 * record.volume
-    results.append(CheckResult("normalized-volume-scaling", ok))
-
     if n >= 2:
+        t = record.tangent_value
         ok = contact[0] < t <= contact[1]
         results.append(
             CheckResult("tangent-range", ok, "" if ok else f"t={t} contact={contact}")
@@ -263,7 +239,6 @@ __all__ = [
     "CheckResult",
     "FuzzFailure",
     "FuzzSummary",
-    "NEF_DELTAS",
     "SATELLITE_BIAS",
     "fuzz",
     "identity_checks",

@@ -137,7 +137,6 @@ def _cmd_family(args: argparse.Namespace) -> int:
             entries=(
                 ValuationEntry(
                     name=bundle.cfg.name,
-                    kind="tono",
                     payload={"tono": {"a": args.a, "e": args.e}},
                     configuration=bundle.cfg,
                     prebuilt=bundle,

@@ -147,7 +147,7 @@ def npi_from_record(record: InvariantRecord, delta: int) -> NpiResult:
 
     The witness is the self-intersection of the nef candidate, computed
     from the closed formula 2*b0*t + t^2*delta - b_last rather than the
-    pairing (the two paths are compared in tests and in the identity suite).
+    pairing (the two paths are compared in tests).
     """
     if delta < 0:
         raise ValueError("ruled surface index must be non-negative")

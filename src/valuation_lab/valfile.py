@@ -25,7 +25,6 @@ _ENCODINGS = ("proximity", "maximal_contact", "tono")
 
 class ValuationEntry(NamedTuple):
     name: str | None
-    kind: str
     payload: dict[str, Any]
     configuration: Configuration
     prebuilt: ValuationBundle | None
@@ -129,7 +128,7 @@ def _parse_entry(raw: Any, where: str) -> ValuationEntry:
         raise FileFormatError(f"{where}: {exc}") from exc
 
     prebuilt = bundle if kind == "tono" else None
-    return ValuationEntry(name, kind, payload, cfg, prebuilt)
+    return ValuationEntry(name, payload, cfg, prebuilt)
 
 
 def parse(text: str) -> ValuationFile:

@@ -135,6 +135,11 @@ class TestRandomTailChoices:
         )
 
 
+def failed_rows(cfg):
+    """The names of the rows of ``identity_checks`` that fail on ``cfg``."""
+    return {r.name for r in identity_checks(cfg) if not r.passed}
+
+
 class TestIdentityChecks:
     def test_all_pass_on_handpicked_configurations(self):
         for cfg in (
@@ -146,15 +151,28 @@ class TestIdentityChecks:
             results = identity_checks(cfg)
             assert all(r.passed for r in results), [r for r in results if not r.passed]
 
-    def test_check_names_cover_the_documented_identities(self):
-        names = {r.name for r in identity_checks(build_configuration([[], [1], [2, 1]]))}
-        assert {
+    @pytest.mark.parametrize(
+        "cfg, rows",
+        [
+            (build_configuration([[]]), 4),
+            (from_maximal_contact((1, 5)), 6),
+            (build_configuration([[], [1], [2, 1]]), 7),
+        ],
+        ids=["one-point", "no-satellite", "satellite"],
+    )
+    def test_rows_are_named_in_order(self, cfg, rows):
+        """A single point gets the first four rows, a chain with no satellite
+        the first six, and a chain with a satellite all seven."""
+        names = [
+            "proximity-equalities",
             "last-contact-value",
             "contact-round-trip",
             "delta0-threshold",
-            "nef-generator-pairings",
+            "tangent-range",
             "remark-dominance",
-        } <= names
+            "first-puiseux-ratio",
+        ]
+        assert [r.name for r in identity_checks(cfg)] == names[:rows]
 
     def test_round_trip_failure_keeps_the_exception_type(self, monkeypatch):
         def failing(beta_bar, trailing_free=0, name=None):
@@ -165,28 +183,6 @@ class TestIdentityChecks:
         (round_trip,) = [r for r in results if r.name == "contact-round-trip"]
         assert not round_trip.passed
         assert round_trip.detail == "reconstruction failed: ReconstructionError: synthetic"
-
-    def test_nef_pairings_are_taken_at_every_delta(self, monkeypatch):
-        """The fiber, section and E_i pairings do not move with delta, so they
-        are taken once; the witness does, and a check that compared it once
-        and reused the verdict at every delta would pass.  A witness off at
-        delta = 2 alone must be named there."""
-        cfg = build_configuration([[], [1], [2, 1]])
-        self._shift_witness(monkeypatch, at=(2,))
-        (nef,) = [r for r in identity_checks(cfg) if r.name == "nef-generator-pairings"]
-        assert not nef.passed
-        assert nef.detail == "witness mismatch at delta=2"
-
-    @staticmethod
-    def _shift_witness(monkeypatch, at=checks.NEF_DELTAS):
-        """Raise the witness of ``npi_from_record`` by one at the indices ``at``."""
-        real = checks.npi_from_record
-
-        def shifted(record, delta):
-            npi = real(record, delta)
-            return npi._replace(witness=npi.witness + 1) if delta in at else npi
-
-        monkeypatch.setattr(checks, "npi_from_record", shifted)
 
     @staticmethod
     def _corrupt_residual(monkeypatch):
@@ -200,34 +196,17 @@ class TestIdentityChecks:
 
         monkeypatch.setattr(checks, "proximity_residual", corrupted)
 
-    def test_a_wrong_exceptional_pairing_is_named_at_the_first_delta(
-        self, monkeypatch
-    ):
-        """E_i pairs to the same number at every delta, so a wrong residual
-        entry fails at the first one, with its value."""
-        cfg = build_configuration([[], [1], [2, 1], [3]])
-        self._corrupt_residual(monkeypatch)
-        (nef,) = [r for r in identity_checks(cfg) if r.name == "nef-generator-pairings"]
-        assert not nef.passed
-        assert nef.detail == "delta=0 E1 -> 1"
-
-        # A witness mismatch at the same index still overwrites the detail.
-        self._shift_witness(monkeypatch)
-        (nef,) = [r for r in identity_checks(cfg) if r.name == "nef-generator-pairings"]
-        assert nef.detail == "witness mismatch at delta=0"
-
     def test_a_wrong_residual_is_named_at_its_first_point(self, monkeypatch):
         """The proximity row names the first point whose residual is off, with
-        its value, not the whole chain; the nef row names the same E_i."""
+        its value, not the whole chain; no other row fails."""
         self._corrupt_residual(monkeypatch)
         for cfg in (
             build_configuration([[], [1], [2, 1], [3]]),
             from_maximal_contact((1, 100000)),
         ):
             rows = {r.name: r for r in identity_checks(cfg)}
-            assert not rows["proximity-equalities"].passed
             assert rows["proximity-equalities"].detail == "p_1 residual 1"
-            assert rows["nef-generator-pairings"].detail == "delta=0 E1 -> 1"
+            assert failed_rows(cfg) == {"proximity-equalities"}
 
     def test_remark_dominance_builds_no_bound_report(self, monkeypatch):
         """The row reads the one combinatorial bound, not a full report."""
@@ -248,6 +227,21 @@ class TestIdentityChecks:
             rows = identity_checks(cfg)
             assert all(r.passed for r in rows)
             assert "remark-dominance" in {r.name for r in rows}
+
+    def test_a_bound_below_the_trivial_one_fails_only_remark_dominance(
+        self, monkeypatch
+    ):
+        """A combinatorial bound of -n, below the trivial bound 1 - n, fails
+        the remark's row, with its terms, and no other."""
+        monkeypatch.setattr(checks, "_combinatorial_bound", lambda cfg, contact: -cfg.size)
+        for cfg in (
+            build_configuration([[], [1], [2, 1]]),
+            tono_family(3, 0).bundle.cfg,
+            from_maximal_contact((1, 100000)),
+        ):
+            (row,) = [r for r in identity_checks(cfg) if r.name == "remark-dominance"]
+            assert row.detail.startswith(f"comb={-cfg.size} ")
+            assert failed_rows(cfg) == {"remark-dominance"}
 
     def test_delta0_threshold_takes_logarithmically_many_indices(self, monkeypatch):
         """The witness rises with delta, so the first non-negative index is
@@ -282,8 +276,8 @@ class TestIdentityChecks:
         assert d0 == 11
         monkeypatch.setattr(checks, "valuation_bundle", shifted)
         (threshold,) = [r for r in identity_checks(cfg) if r.name == "delta0-threshold"]
-        assert not threshold.passed
         assert threshold.detail == f"delta0={d0 + shift} first={d0}"
+        assert failed_rows(cfg) == {"delta0-threshold"}
 
 
 @functools.cache
@@ -336,8 +330,8 @@ class TestContactRoundTrip:
             (tono, (*head, (value, count + 1))),
         ):
             (row,) = [r for r in identity_checks(cfg) if r.name == "contact-round-trip"]
-            assert not row.passed
             assert row.detail == f"rebuilt {runs}"
+            assert failed_rows(cfg) == {"contact-round-trip"}
 
 
 class TestLastContactValue:
@@ -387,24 +381,6 @@ class TestLastContactValue:
             assert row.detail == f"direct={square} recorded={square + 1}"
 
 
-def test_identity_checks_list_linearly_many_class_entries(monkeypatch):
-    """The nef-generator check pairs integers read off the record and the
-    runs, so one call builds no class at all: 0 dense class entries."""
-    entries = 0
-    real = surface.HirzebruchClass.__post_init__
-
-    def counted(self):
-        nonlocal entries
-        entries += len(self.mults)
-        real(self)
-
-    cfg = from_maximal_contact((1, 2000))
-    monkeypatch.setattr(surface.HirzebruchClass, "__post_init__", counted)
-    results = identity_checks(cfg)
-    assert all(r.passed for r in results)
-    assert entries == 0
-
-
 def test_identity_checks_list_nothing_on_tono_12_3(monkeypatch):
     """On the 79,226-point tono (12, 3) chain the suite lists no chain (no
     ``expand_runs``, no ``older`` array) and builds no ``HirzebruchClass``."""
@@ -420,7 +396,7 @@ def test_identity_checks_list_nothing_on_tono_12_3(monkeypatch):
                     monkeypatch.setattr(module, attr, refuse)
     monkeypatch.setattr(surface.HirzebruchClass, "__post_init__", refuse)
     results = identity_checks(cfg)
-    assert len(results) == 9
+    assert len(results) == 7
     assert all(r.passed for r in results)
 
 
@@ -460,7 +436,7 @@ class TestFuzz:
     def test_reports_first_counterexample(self, monkeypatch):
         real = checks.identity_checks
 
-        def broken(cfg, deltas=checks.NEF_DELTAS):
+        def broken(cfg):
             results = real(cfg)
             if cfg.size >= 3:
                 results.append(CheckResult("injected", False, "synthetic"))

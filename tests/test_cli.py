@@ -141,7 +141,7 @@ class TestCommands:
     def test_check_exit_two_on_failure(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, THREE_POINT)
 
-        def broken(cfg, deltas=checks.NEF_DELTAS):
+        def broken(cfg):
             return [CheckResult("injected", False, "synthetic failure")]
 
         monkeypatch.setattr(checks, "identity_checks", broken)
@@ -176,7 +176,7 @@ class TestCommands:
         )
         capsys.readouterr()
         vf = parse_path(emitted)
-        assert vf.entries[0].kind == "tono"
+        assert vf.entries[0].prebuilt is not None
         assert main(["invariants", str(emitted)]) == 0
 
     def test_family_table_mentions_certificate(self, capsys):
@@ -195,7 +195,7 @@ class TestCommands:
         assert payload["first_failure"] is None
 
     def test_fuzz_exit_two_on_finding(self, capsys, monkeypatch):
-        def broken(cfg, deltas=checks.NEF_DELTAS):
+        def broken(cfg):
             return [CheckResult("injected", False, "synthetic")]
 
         monkeypatch.setattr(checks, "identity_checks", broken)
@@ -214,7 +214,7 @@ class TestCommands:
     def test_check_of_a_long_chain(self, tmp_path, capsys):
         path = write(tmp_path, '{"valuations": [{"maximal_contact": [1, 10000]}]}')
         assert main(["check", path]) == 0
-        assert capsys.readouterr().out.rstrip().endswith("checks run: 8, failed: 0")
+        assert capsys.readouterr().out.rstrip().endswith("checks run: 6, failed: 0")
 
 
 # 10**12 free points: one multiplicity run, t = 2 and beta_bar = (1, 10**12).
@@ -229,10 +229,10 @@ class TestChainsTooLongToList:
         # satellites proximate to p_1; the paper's tono (40, 3), 10,108,882
         # points.  The last three have a satellite, so first-puiseux-ratio runs.
         cases = [
-            ('{"maximal_contact": [1, 1000000000000]}', 8),
-            ('{"maximal_contact": [2, 2000000000001]}', 9),
-            ('{"maximal_contact": [1000000000000, 1000000000001]}', 9),
-            ('{"tono": {"a": 40, "e": 3}}', 9),
+            ('{"maximal_contact": [1, 1000000000000]}', 6),
+            ('{"maximal_contact": [2, 2000000000001]}', 7),
+            ('{"maximal_contact": [1000000000000, 1000000000001]}', 7),
+            ('{"tono": {"a": 40, "e": 3}}', 7),
         ]
         for entry, rows in cases:
             path = write(tmp_path, f'{{"valuations": [{entry}]}}')
@@ -356,7 +356,7 @@ class TestChainsTooLongToList:
 
     @pytest.mark.parametrize("exc", [MemoryError(), RecursionError("too deep")])
     def test_resource_errors_exit_one(self, tmp_path, capsys, monkeypatch, exc):
-        def exhausted(cfg, deltas=checks.NEF_DELTAS):
+        def exhausted(cfg):
             raise exc
 
         monkeypatch.setattr(checks, "identity_checks", exhausted)

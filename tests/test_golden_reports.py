@@ -47,13 +47,13 @@ GOLDEN = [
     (["bounds", "FILE"], "json", 0,
      "5c0f58b52cee4037693d0b71560af63f4a08e7b962204d883e9655e7ed6e5124"),
     (["check", "FILE"], "table", 0,
-     "02a28c53a7ad1c93353910e8e3ebd1716e92486a4e4ea0988902f045d6f5f207"),
+     "cf062b6b6de1b26f223fa99085003d80d9e75dd238eade54da08ee67c2696859"),
     (["check", "FILE"], "json", 0,
-     "39e13f39d997a06cc1bbb73195111e7d7f6cc175df5ff82e3b4cfafc332d7a6d"),
+     "f27b4a87f7dc956d141cde0689757f2aad1a158b779edea4305c2bfba9f26a0c"),
     (FUZZ, "table", 0,
-     "ce2658ab4e1022b778daca7c1176a539d4a77eb1b6cbcaf2eb0f1ea1b44fe425"),
+     "6e3c2339a214723858ebf7a50eb72b6edeaaf25c4dcf433d8075cd3844793fcd"),
     (FUZZ, "json", 0,
-     "e36ad34c6447b55737c009263ffe716aedc772d0a18ef09bced3f00a629c16ab"),
+     "42290a2770679432f4c345fd00cc81186fdba29048e4ecefcd31cb1e66c2c946"),
 ]
 
 

@@ -34,7 +34,6 @@ RECORDS = {
         "curve_degree",
         "curve_value",
         "mu_hat",
-        "mu_hat_bound",
         "ratio",
         "trailing_free",
     ),
@@ -84,7 +83,6 @@ RECORDS = {
     ),
     ("valfile", "ValuationEntry"): (
         "name",
-        "kind",
         "payload",
         "configuration",
         "prebuilt",
