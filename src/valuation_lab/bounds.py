@@ -8,7 +8,6 @@ configuration before the bundle is returned.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
@@ -25,9 +24,15 @@ from .invariants import (
 )
 
 
-def ceil_plus(x: Fraction | int) -> int:
-    """Ceiling clamped to zero: ceil(x) for x >= 0, else 0."""
-    return max(math.ceil(x), 0)
+def ceil_div(numerator: int, denominator: int) -> int:
+    """ceil(numerator / denominator) for denominator > 0, by floor division."""
+    return -(-numerator // denominator)
+
+
+def ceil_plus(numerator: int | Fraction, denominator: int = 1) -> int:
+    """Ceiling of numerator / denominator clamped to zero: the ceiling when
+    the quotient is >= 0, else 0."""
+    return max(ceil_div(numerator, denominator), 0)
 
 
 class ValuationBundle(NamedTuple):
@@ -105,15 +110,16 @@ class TonoValuation(NamedTuple):
 
 
 def _threshold_term(record: InvariantRecord) -> Fraction:
-    """The pre-ceiling term of delta0."""
+    """The pre-ceiling term of delta0, threshold_numerator / t^2."""
     return Fraction(record.threshold_numerator, record.tangent_value**2)
 
 
 def _threshold_index(record: InvariantRecord) -> int:
-    """delta0 of an already-computed record."""
+    """delta0 of an already-computed record: its threshold term's ceiling,
+    clamped to zero."""
     if record.is_m_adic:
         return -1
-    return ceil_plus(_threshold_term(record))
+    return ceil_plus(record.threshold_numerator, record.tangent_value**2)
 
 
 def valuation_bundle(cfg: Configuration) -> ValuationBundle:
@@ -220,16 +226,15 @@ def combinatorial_lambda_bound(cfg: Configuration) -> int:
 
 def _combinatorial_bound(cfg: Configuration, contact: Sequence[int]) -> int:
     b0, b1, last = contact[0], contact[1], contact[-1]
-    inverse_normalized_volume = Fraction(last, b0 * b0)
-    shrink = Fraction(b0, b1)
     # p_3 is the earliest point that can be a satellite.
     stretches = cfg.structure.stretches
-    p3_satellite = bool(stretches) and stretches[0][0] == 3
-    if p3_satellite:
-        return -1 - ceil_plus(shrink * shrink * inverse_normalized_volume - 2 * shrink)
+    if stretches and stretches[0][0] == 3:
+        # (b0/b1)^2 * last/b0^2 - 2 b0/b1 = (last - 2 b0 b1) / b1^2
+        return -1 - ceil_plus(last - 2 * b0 * b1, b1 * b1)
+    # last/(4 b0^2) - 2 b0/b1 = (last b1 - 8 b0^3) / (4 b0^2 b1)
     return min(
-        1 - math.ceil(Fraction(b1, b0)),
-        -1 - ceil_plus(inverse_normalized_volume / 4 - 2 * shrink),
+        1 - ceil_div(b1, b0),
+        -1 - ceil_plus(last * b1 - 8 * b0**3, 4 * b0 * b0 * b1),
     )
 
 
@@ -349,6 +354,7 @@ __all__ = [
     "TonoValuation",
     "ValuationBundle",
     "bound_report",
+    "ceil_div",
     "ceil_plus",
     "combinatorial_lambda_bound",
     "default_aligned_mu",

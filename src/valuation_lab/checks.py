@@ -2,23 +2,24 @@
 
 The same identity suite backs the ``check`` command (run on parsed files)
 and the ``fuzz`` command (run on random configurations); failures are
-reported as findings, never raised.  One suite reads the record and the
-runs and lists nothing, so it costs O(runs) at any chain length: the
-proximity residual is taken once over the runs, the contact round trip
-compares runs, and delta0 is found by bisection.  Each row checks a fact
-that no other row and no single line of ``invariant_record`` already fixes;
-the nef pairings of lambda with the curve-cone generators are checked point
-by point in the tests, through ``surface.nef_on_generators``.
+reported as findings, never raised.  One suite reads a valuation's bundle
+(the one ``check`` already holds for a file entry) and the runs and lists
+nothing, so it costs O(runs) at any chain length: the proximity residual is
+taken once over the runs, the contact round trip compares runs, and delta0
+is found by bisection.  Every row compares integers and builds no
+``Fraction``: ceilings are floor divisions, and the Puiseux ratio is
+compared as p and q.  Each row checks a fact that no other row and no
+single line of ``invariant_record`` already fixes; the nef pairings of
+lambda with the curve-cone generators are checked point by point in the
+tests, through ``surface.nef_on_generators``.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from fractions import Fraction
 from typing import NamedTuple
 
-from .bounds import _combinatorial_bound, valuation_bundle
+from .bounds import ValuationBundle, _combinatorial_bound, ceil_div, valuation_bundle
 from .configurations import (
     Configuration,
     build_configuration,
@@ -111,16 +112,15 @@ def random_tail_choices(
     return choices
 
 
-def identity_checks(cfg: Configuration) -> list[CheckResult]:
-    """Run every built-in identity on one configuration, reading one invariant
+def identity_checks(bundle: ValuationBundle) -> list[CheckResult]:
+    """Run every built-in identity on one valuation, reading its bundle's
     record and the chain's runs; nothing is listed point by point.  The round
     trip compares the runs rebuilt from the contact values with the chain's:
     ``value_runs`` is canonical and ``from_maximal_contact`` builds realizable
     runs, so equal runs are the same chain."""
     results: list[CheckResult] = []
+    cfg, record = bundle.cfg, bundle.record
     n = cfg.size
-    bundle = valuation_bundle(cfg)
-    record = bundle.record
     runs = cfg.runs
     contact = record.beta_bar
 
@@ -175,21 +175,16 @@ def identity_checks(cfg: Configuration) -> list[CheckResult]:
             CheckResult("tangent-range", ok, "" if ok else f"t={t} contact={contact}")
         )
 
-        inverse_normalized = Fraction(contact[-1], contact[0] ** 2)
+        # The ceiling of the inverse normalized volume, beta_bar_last / beta_bar_0^2.
+        ceiling = ceil_div(contact[-1], contact[0] ** 2)
         comb = _combinatorial_bound(cfg, contact)
-        ok = comb >= 1 - math.ceil(inverse_normalized) >= 1 - n
-        results.append(
-            CheckResult(
-                "remark-dominance",
-                ok,
-                ""
-                if ok
-                else f"comb={comb} ceil={math.ceil(inverse_normalized)} n={n}",
-            )
-        )
+        ok = comb >= 1 - ceiling >= 1 - n
+        detail = "" if ok else f"comb={comb} ceil={ceiling} n={n}"
+        results.append(CheckResult("remark-dominance", ok, detail))
 
     if len(contact) >= 3:  # at least one satellite block
-        ok = record.puiseux.beta_prime[1] * contact[0] == contact[1]
+        p, q = record.puiseux.ratio(0)  # beta'_1 = p/q is b_1 / b_0
+        ok = contact[0] * p == contact[1] * q
         results.append(CheckResult("first-puiseux-ratio", ok))
 
     return results
@@ -210,7 +205,7 @@ def fuzz(max_points: int, trials: int, seed: int) -> FuzzSummary:
     first_failure: FuzzFailure | None = None
     for trial in range(trials):
         cfg = random_configuration(trial_rng(seed, trial), max_points)
-        for result in identity_checks(cfg):
+        for result in identity_checks(valuation_bundle(cfg)):
             if result.passed:
                 passed += 1
                 continue

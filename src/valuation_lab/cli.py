@@ -115,7 +115,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     vf = parse_path(args.file)
     results = [
-        (entry.configuration.name, checks_module.identity_checks(entry.configuration))
+        (entry.configuration.name, checks_module.identity_checks(entry.bundle()))
         for entry in vf.entries
     ]
     payload = {"command": "check", **checks_payload(results)}

@@ -26,8 +26,12 @@ and the stretches, it is derived on first read and kept; every per-point
 view reads it, and the backward recursion runs on it in push form: each
 point, latest first, adds its value to its predecessor and older target.
 The proximity residual lists none: it takes runs and reads the stretches.
-``build_configuration`` validates lists into this array,
-``extend_with_satellite_tail`` extends it, and both push it into runs.
+``build_configuration`` writes this array as it validates the lists,
+comparing each sorted one in place and sending any other form through
+sets; ``extend_with_satellite_tail`` extends it.  Both push it into runs in
+one backward pass (``push_runs``), which ends each run as soon as its value
+is final.  ``run_structure`` reads the stretches back by matching each run
+end with whole runs.
 """
 
 from __future__ import annotations
@@ -105,51 +109,54 @@ class RunStructure(NamedTuple):
 def run_structure(runs: Sequence[tuple[int, int]]) -> RunStructure:
     """Proximity structure of the chain with these multiplicity runs.
 
-    Each run end p_i is matched greedily with the points after it until
-    their multiplicities sum to v_i; any mismatch, or a point left
+    Each run end p_i but p_n is matched with the points after it until their
+    multiplicities sum to v_i: whole runs while they fall short, then the
+    part of one run that completes the match.  Any mismatch, or a point left
     proximate to three others, means no chain realizes the runs.
     """
     ends = tuple(itertools.accumulate(count for _, count in runs))
     if runs[-1][0] != 1:
         raise ReconstructionError(f"the last multiplicity is {runs[-1][0]}, not 1")
+    weights = [value * count for value, count in runs]
     stretches: list[tuple[int, int, int]] = []
-    for s, ((value, _), end) in enumerate(zip(runs, ends)):
-        # Nothing is proximate to p_n, the end of the last run.
-        need = value if s + 1 < len(runs) else 0
-        t, last = s + 1, end
-        while need > 0:
+    # Blocks end where maximal satellite runs end; touching stretches merge.
+    block_ends: list[int] = []
+    last_free: list[int] = []
+    # Nothing is proximate to p_n, the end of the last run.
+    for s in range(len(runs) - 1):
+        value, end = runs[s][0], ends[s]
+        need, t = value, s + 1
+        while need > weights[t]:
+            need -= weights[t]
+            t += 1
             if t == len(runs):
                 raise ReconstructionError(
                     f"multiplicity {value} at position {end} cannot be matched "
                     "by the points that follow"
                 )
-            taken = min(runs[t][1], -(-need // runs[t][0]))
-            need -= taken * runs[t][0]
-            last = ends[t - 1] + taken
-            t += 1
-        if need < 0:
+        taken, short = divmod(need, runs[t][0])
+        if short:
             raise ReconstructionError(
                 f"multiplicities after position {end} overshoot the proximity "
-                f"equality ({value - need} > {value})"
+                f"equality ({value + runs[t][0] - short} > {value})"
             )
+        last = ends[t - 1] + taken
         if last >= end + 2:
             if stretches and stretches[-1][1] >= end + 2:
                 raise ReconstructionError(
                     f"p_{end + 2} would be proximate to three points"
                 )
             stretches.append((end + 2, last, end))
+            if block_ends and block_ends[-1] == end + 1:
+                block_ends[-1] = last
+            else:
+                block_ends.append(last)
+                last_free.append(end + 1)
 
-    # Blocks end where maximal satellite runs end; touching stretches merge.
-    merged: list[list[int]] = []
-    for first, last, _ in stretches:
-        if merged and merged[-1][1] + 1 == first:
-            merged[-1][1] = last
-        else:
-            merged.append([first, last])
     decomposition = BlockDecomposition(
-        boundaries=(1, *(last for _, last in merged), ends[-1]),
-        last_free_indices=tuple(first - 1 for first, _ in merged),
-        genus_count=len(merged),
+        boundaries=(1, *block_ends, ends[-1]),
+        last_free_indices=tuple(last_free),
+        genus_count=len(last_free),
     )
     return RunStructure(
         ends=ends, stretches=tuple(stretches), decomposition=decomposition
@@ -165,6 +172,27 @@ def _older_targets(cfg: Configuration) -> list[int]:
         start = last + 1
     runs.append((0, cfg.size - start + 1))
     return [0, *expand_runs(runs)]
+
+
+def push_runs(older: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The backward recursion from w_n = 1, n the last point, as runs
+    ``((value, count), ...)`` in one pass: ``value_runs(push_values(older, n)[1:])``.
+    A point's value is final once every later point has pushed, so each
+    point, latest first, is added to the current run or ends it."""
+    pushed = [0] * len(older)
+    runs: list[tuple[int, int]] = []
+    value, count = 1, 0
+    for j in range(len(older) - 1, 0, -1):
+        if pushed[j]:
+            runs.append((value, count))
+            value, count = value + pushed[j], 1
+        else:
+            count += 1
+        if older[j]:
+            pushed[older[j]] += value
+    runs.append((value, count))
+    runs.reverse()
+    return tuple(runs)
 
 
 def push_values(older: Sequence[int], k: int) -> list[int]:
@@ -297,11 +325,19 @@ def build_configuration(
     older = [0] * (n + 1)
     for i in range(2, n + 1):
         raw = proximity_lists[i - 1]
-        if raw == [i - 1]:  # a free point, the common case
-            continue
-        if raw in ([i - 2, i - 1], [older[i - 1], i - 1]) and raw[0]:
-            older[i] = int(raw[0])  # a satellite, as sorted lists write it
-            continue
+        # Sorted lists, compared in place: [i - 1] for a free point, the common
+        # case, and [t, i - 1] for a satellite whose t is admissible.
+        if isinstance(raw, list):
+            if len(raw) == 1 and raw[0] == i - 1:
+                continue
+            if (
+                len(raw) == 2
+                and raw[1] == i - 1
+                and raw[0]
+                and (raw[0] == i - 2 or raw[0] == older[i - 1])
+            ):
+                older[i] = int(raw[0])
+                continue
         targets = {int(t) for t in raw}
         if any(t < 1 or t >= i for t in targets):
             raise InvalidConfigurationError(
@@ -327,8 +363,7 @@ def build_configuration(
     k = int(tangent_count)
     first_satellite = next(itertools.compress(range(n + 1), older), n + 1)
     check_tangent_count(k, n, first_satellite)
-    runs = value_runs(push_values(older, n)[1:])
-    return Configuration(runs=runs, tangent_count=k, name=name)
+    return Configuration(runs=push_runs(older), tangent_count=k, name=name)
 
 
 def classify_points(cfg: Configuration) -> list[str]:
@@ -394,8 +429,7 @@ def extend_with_satellite_tail(
                 f"(options: {options})"
             )
         older.append(c)
-    runs = value_runs(push_values(older, len(older) - 1)[1:])
-    return Configuration(runs, cfg.tangent_count, cfg.name)
+    return Configuration(push_runs(older), cfg.tangent_count, cfg.name)
 
 
 def max_tangent_count(cfg: Configuration) -> int:

@@ -1,15 +1,15 @@
 """Numerical invariants of a valuation read off its configuration.
 
 Everything here is exact: multiplicities and contact values are Python
-integers, volumes and Puiseux exponents are ``fractions.Fraction``.  A
-configuration is its multiplicity runs, and the record is read from those
-runs and their run-level proximity structure, so it costs O(runs), not
-O(points): the per-block run tables, read in one walk over the run ends,
-give the Puiseux exponents (each a continued fraction folded in integers,
-one ``Fraction`` per block), and Zariski's recursion turns their integer
-p/q into the contact values, the last one over the last block.  The inverse
-(``from_maximal_contact``) expands each contact value into a block of
-multiplicity runs by the subtractive Euclidean algorithm, the same
+integers, volumes and Puiseux exponents are ``fractions.Fraction``, built
+when they are read.  A configuration is its multiplicity runs, and the
+record is read from those runs and their run-level proximity structure, so
+it costs O(runs), not O(points), and builds no ``Fraction``: the per-block
+run tables, read in one walk over the run ends, are each folded into the
+coprime integers p/q of their continued fraction, and Zariski's recursion
+turns those into the contact values, the last one over the last block.
+The inverse (``from_maximal_contact``) expands each contact value into a
+block of multiplicity runs by the subtractive Euclidean algorithm, the same
 recursion read backwards; its docstring proves that its input checks make
 the record of the chain it builds give the contact values back, and the
 last one the chain's sum of v^2.
@@ -59,10 +59,22 @@ class MaximalContactValues(NamedTuple):
 
 
 class PuiseuxExponents(NamedTuple):
-    """Block-wise continued fractions of multiplicity run lengths."""
+    """Block-wise multiplicity run lengths; each block's Puiseux exponent is
+    their continued fraction."""
 
-    beta_prime: tuple[Fraction, ...]
     run_length_tables: tuple[tuple[int, ...], ...]
+
+    def ratio(self, j: int) -> tuple[int, int]:
+        """beta'_{j+1}, the continued fraction of block j+1, as coprime (p, q)."""
+        return _continued_fraction(self.run_length_tables[j])
+
+    @property
+    def beta_prime(self) -> tuple[Fraction, ...]:
+        """1, then each block's continued fraction, on each read."""
+        return (
+            Fraction(1),
+            *(Fraction(*_continued_fraction(t)) for t in self.run_length_tables),
+        )
 
 
 class InvariantRecord(NamedTuple):
@@ -71,14 +83,22 @@ class InvariantRecord(NamedTuple):
     multiplicities: MultiplicityVector
     contact: MaximalContactValues
     puiseux: PuiseuxExponents
-    volume: Fraction
-    normalized_volume: Fraction
     tangent_value: int
     is_m_adic: bool
 
     @property
     def beta_bar(self) -> tuple[int, ...]:
         return self.contact.beta_bar
+
+    @property
+    def volume(self) -> Fraction:
+        """1 / beta_bar_last, on each read."""
+        return Fraction(1, self.beta_bar[-1])
+
+    @property
+    def normalized_volume(self) -> Fraction:
+        """beta_bar_0^2 / beta_bar_last, on each read."""
+        return Fraction(self.beta_bar[0] ** 2, self.beta_bar[-1])
 
     @property
     def threshold_numerator(self) -> int:
@@ -112,12 +132,13 @@ def noether_pairing(cfg: Configuration, m: Sequence[int], m2: Sequence[int]) -> 
     return sum(map(operator.mul, m, m2))
 
 
-def _continued_fraction(digits: Sequence[int]) -> Fraction:
-    """[d_0; d_1, ..., d_k] as integers p/q from the last digit (d + q/p)."""
+def _continued_fraction(digits: Sequence[int]) -> tuple[int, int]:
+    """[d_0; d_1, ..., d_k] as coprime integers (p, q), folded from the last
+    digit (d + q/p)."""
     p, q = digits[-1], 1
     for d in reversed(digits[:-1]):
         p, q = d * p + q, p
-    return Fraction(p, q)
+    return p, q
 
 
 def invariant_record(cfg: Configuration) -> InvariantRecord:
@@ -130,43 +151,44 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
     shared endpoint of consecutive blocks contributes to the first run of
     the later block.  Contact values follow from them by Zariski's
     recursion, continued over the last block for the last one, which the
-    identity suite holds to the sum of count * value^2.
+    identity suite holds to the sum of count * value^2.  Everything is
+    integer arithmetic: each exponent is folded to its p/q.
     """
     structure = cfg.structure
+    # Zariski's recursion from e_{-1} = e_0 = beta_0, in integers on each
+    # block's p/q; the y step of from_maximal_contact is its inverse.
+    # Continued over the last block, it gives beta_bar_{g+1}.
+    beta = [cfg.runs[0][0]]
+    gcd_prev = gcd_here = beta[0]
     # Run lengths inside each closed block, in one walk over the run ends;
     # a block ending inside run s leaves the rest of run s to the next.
-    ends, runs, s, start = structure.ends, [], 0, 1
+    ends, tables, s, start = structure.ends, [], 0, 1
     for hi in structure.decomposition.boundaries[1:]:
         table = []
         while ends[s] < hi:
             table.append(ends[s] - start + 1)
             start, s = ends[s] + 1, s + 1
-        runs.append((*table, hi - start + 1))
+        table.append(hi - start + 1)
+        tables.append(tuple(table))
         start = hi
-    beta_prime = (Fraction(1), *map(_continued_fraction, runs))
-    # Zariski's recursion from e_{-1} = e_0 = beta_0, in integers on each
-    # exponent's p/q; the y step of from_maximal_contact is its inverse.
-    # Continued over the last block, it gives beta_bar_{g+1}.
-    beta = [cfg.runs[0][0]]
-    gcd_prev = gcd_here = beta[0]
-    for exponent in beta_prime[1:]:
-        y = gcd_here * exponent.numerator // exponent.denominator
+        p, q = _continued_fraction(table)
+        y = gcd_here * p // q
         beta.append(y + gcd_prev // gcd_here * beta[-1] - gcd_here)
         gcd_prev, gcd_here = gcd_here, math.gcd(gcd_here, y)
     # The values of the tangent points p_1..p_k; a single point has no
     # tangent line, and its tangent value is v_1 = 1.
     tangent, left = 0, cfg.tangent_count
     for value, count in cfg.runs:
-        taken = min(count, left)
-        tangent, left = tangent + value * taken, left - taken
+        if count >= left:
+            tangent += value * left
+            break
+        tangent, left = tangent + value * count, left - count
     return InvariantRecord(
         multiplicities=MultiplicityVector(runs=cfg.runs),
         contact=MaximalContactValues(
             beta_bar=tuple(beta), gcd_chain=tuple(itertools.accumulate(beta, math.gcd))
         ),
-        puiseux=PuiseuxExponents(beta_prime=beta_prime, run_length_tables=tuple(runs)),
-        volume=Fraction(1, beta[-1]),
-        normalized_volume=Fraction(beta[0] ** 2, beta[-1]),
+        puiseux=PuiseuxExponents(run_length_tables=tuple(tables)),
         tangent_value=tangent,
         is_m_adic=cfg.size == 1,
     )

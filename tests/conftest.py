@@ -1,5 +1,6 @@
 import pytest
 
+from strategies import all_chains
 from valuation_lab.checks import random_configuration, trial_rng
 
 CORPUS_SEED = 1729
@@ -14,3 +15,11 @@ def fuzz_corpus():
         random_configuration(trial_rng(CORPUS_SEED, trial), CORPUS_MAX_POINTS)
         for trial in range(CORPUS_SIZE)
     ]
+
+
+@pytest.fixture(scope="session")
+def small_chains():
+    """Every chain of at most 10 points, 2,585 of them, as sorted proximity
+    lists, enumerated once for the exhaustive tests, which must not modify
+    them."""
+    return tuple(all_chains(10))

@@ -281,7 +281,7 @@ def test_criterion_10_cli_determinism(tmp_path, capsys, monkeypatch):
     import valuation_lab.checks as checks
     from valuation_lab.checks import CheckResult
 
-    def broken(cfg):
+    def broken(bundle):
         return [CheckResult("injected", False, "synthetic")]
 
     monkeypatch.setattr(checks, "identity_checks", broken)

@@ -8,7 +8,7 @@ The counter wraps ``configurations._older_targets``, which lists it.
 import pytest
 
 from valuation_lab import configurations
-from valuation_lab.bounds import tono_family
+from valuation_lab.bounds import tono_family, valuation_bundle
 from valuation_lab.checks import identity_checks
 from valuation_lab.configurations import (
     Configuration,
@@ -41,7 +41,7 @@ def test_identity_checks_build_the_adjacency_at_most_twice(monkeypatch, make):
         return real(cfg)
 
     monkeypatch.setattr(configurations, "_older_targets", counted)
-    results = identity_checks(cfg)
+    results = identity_checks(valuation_bundle(cfg))
     assert all(r.passed for r in results)
     # Every row reads runs: the suite lists no chain, not even its own.
     assert sizes == []
@@ -69,5 +69,5 @@ def test_the_residual_lists_no_older_array(monkeypatch, make):
     assert [residual.get(i, 0) for i in range(1, cfg.size + 1)] == expected
     strict_transform_plane(0, v, cfg)
     assert sizes == []
-    assert all(r.passed for r in identity_checks(cfg))
+    assert all(r.passed for r in identity_checks(valuation_bundle(cfg)))
     assert sizes == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import all_chains, configurations, proximity_chains
+from strategies import configurations, proximity_chains
 from valuation_lab.bounds import (
     bound_report,
     ceil_plus,
@@ -110,12 +110,12 @@ class TestDegreeLowerBound:
         with pytest.raises(ValueError):
             degree_lower_bound(cfg3(), (1, -1, 0))
 
-    def test_every_small_chain_matches_the_point_pairing(self):
+    def test_every_small_chain_matches_the_point_pairing(self, small_chains):
         """The run walk equals the pairing with the listed multiplicity
         sequence on all 2,585 chains of at most 10 points, at m = v, the
         tangent line and a seeded random vector."""
         rng = random.Random(18)
-        for lists in all_chains(10):
+        for lists in small_chains:
             cfg = build_configuration(lists)
             v = multiplicity_sequence(cfg).values
             bound = valuation_bundle(cfg).mu_hat_bound

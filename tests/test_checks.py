@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import random
 import sys
@@ -7,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import all_chains
 from strategies import configurations as strategy_configurations
 import valuation_lab.bounds as bounds
 import valuation_lab.checks as checks
 import valuation_lab.configurations as configurations
 import valuation_lab.surface as surface
-from valuation_lab.bounds import tono_family
+from valuation_lab.bounds import tono_family, valuation_bundle
 from valuation_lab.checks import (
     CheckResult,
     fuzz,
@@ -135,9 +133,9 @@ class TestRandomTailChoices:
         )
 
 
-def failed_rows(cfg):
-    """The names of the rows of ``identity_checks`` that fail on ``cfg``."""
-    return {r.name for r in identity_checks(cfg) if not r.passed}
+def failed_rows(bundle):
+    """The names of the rows of ``identity_checks`` that fail on ``bundle``."""
+    return {r.name for r in identity_checks(bundle) if not r.passed}
 
 
 class TestIdentityChecks:
@@ -148,7 +146,7 @@ class TestIdentityChecks:
             build_configuration([[], [1], [2, 1]]),
             tono_family(3, 0).bundle.cfg,
         ):
-            results = identity_checks(cfg)
+            results = identity_checks(valuation_bundle(cfg))
             assert all(r.passed for r in results), [r for r in results if not r.passed]
 
     @pytest.mark.parametrize(
@@ -172,14 +170,16 @@ class TestIdentityChecks:
             "remark-dominance",
             "first-puiseux-ratio",
         ]
-        assert [r.name for r in identity_checks(cfg)] == names[:rows]
+        results = identity_checks(valuation_bundle(cfg))
+        assert [r.name for r in results] == names[:rows]
 
     def test_round_trip_failure_keeps_the_exception_type(self, monkeypatch):
         def failing(beta_bar, trailing_free=0, name=None):
             raise ReconstructionError("synthetic")
 
         monkeypatch.setattr(checks, "from_maximal_contact", failing)
-        results = identity_checks(build_configuration([[], [1], [2, 1]]))
+        cfg = build_configuration([[], [1], [2, 1]])
+        results = identity_checks(valuation_bundle(cfg))
         (round_trip,) = [r for r in results if r.name == "contact-round-trip"]
         assert not round_trip.passed
         assert round_trip.detail == "reconstruction failed: ReconstructionError: synthetic"
@@ -204,9 +204,10 @@ class TestIdentityChecks:
             build_configuration([[], [1], [2, 1], [3]]),
             from_maximal_contact((1, 100000)),
         ):
-            rows = {r.name: r for r in identity_checks(cfg)}
+            bundle = valuation_bundle(cfg)
+            rows = {r.name: r for r in identity_checks(bundle)}
             assert rows["proximity-equalities"].detail == "p_1 residual 1"
-            assert failed_rows(cfg) == {"proximity-equalities"}
+            assert failed_rows(bundle) == {"proximity-equalities"}
 
     def test_remark_dominance_builds_no_bound_report(self, monkeypatch):
         """The row reads the one combinatorial bound, not a full report."""
@@ -224,7 +225,7 @@ class TestIdentityChecks:
             build_configuration([[], [1], [2, 1]]),
             tono_family(3, 0).bundle.cfg,
         ):
-            rows = identity_checks(cfg)
+            rows = identity_checks(valuation_bundle(cfg))
             assert all(r.passed for r in rows)
             assert "remark-dominance" in {r.name for r in rows}
 
@@ -239,9 +240,11 @@ class TestIdentityChecks:
             tono_family(3, 0).bundle.cfg,
             from_maximal_contact((1, 100000)),
         ):
-            (row,) = [r for r in identity_checks(cfg) if r.name == "remark-dominance"]
+            bundle = valuation_bundle(cfg)
+            rows = identity_checks(bundle)
+            (row,) = [r for r in rows if r.name == "remark-dominance"]
             assert row.detail.startswith(f"comb={-cfg.size} ")
-            assert failed_rows(cfg) == {"remark-dominance"}
+            assert failed_rows(bundle) == {"remark-dominance"}
 
     def test_delta0_threshold_takes_logarithmically_many_indices(self, monkeypatch):
         """The witness rises with delta, so the first non-negative index is
@@ -257,35 +260,31 @@ class TestIdentityChecks:
 
         cfg = from_maximal_contact((1, 100000))
         monkeypatch.setattr(checks, "npi_from_record", counted)
-        results = identity_checks(cfg)
+        results = identity_checks(valuation_bundle(cfg))
         assert all(r.passed for r in results)
         assert calls <= 64
 
     @pytest.mark.parametrize("shift", [-2, -1, 1, 3])
-    def test_delta0_threshold_names_the_first_index(self, monkeypatch, shift):
+    def test_delta0_threshold_names_the_first_index(self, shift):
         """A recorded delta0 off by ``shift`` fails, and the detail names
         the true first index."""
-        real = checks.valuation_bundle
-
-        def shifted(cfg):
-            bundle = real(cfg)
-            return bundle._replace(delta0=bundle.delta0 + shift)
-
-        cfg = from_maximal_contact((4, 6, 13), trailing_free=400)
-        d0 = real(cfg).delta0
+        bundle = valuation_bundle(from_maximal_contact((4, 6, 13), trailing_free=400))
+        d0 = bundle.delta0
         assert d0 == 11
-        monkeypatch.setattr(checks, "valuation_bundle", shifted)
-        (threshold,) = [r for r in identity_checks(cfg) if r.name == "delta0-threshold"]
+        shifted = bundle._replace(delta0=d0 + shift)
+        (threshold,) = [
+            r for r in identity_checks(shifted) if r.name == "delta0-threshold"
+        ]
         assert threshold.detail == f"delta0={d0 + shift} first={d0}"
-        assert failed_rows(cfg) == {"delta0-threshold"}
+        assert failed_rows(shifted) == {"delta0-threshold"}
 
 
-@functools.cache
-def small_pairs():
+@pytest.fixture(scope="session")
+def small_pairs(small_chains):
     """Every (chain, tangent count) pair of at most 10 points, built once, as
     (configuration, invariant record)."""
     pairs = []
-    for lists in all_chains(10):
+    for lists in small_chains:
         for k in range(1, len(lists) + 1):
             try:
                 cfg = build_configuration(lists, tangent_count=k)
@@ -299,19 +298,18 @@ class TestContactRoundTrip:
     """The round trip compares the runs of the chain rebuilt from the contact
     values with the chain's own, where it once compared listed multiplicities."""
 
-    def test_every_small_chain_comes_back(self):
+    def test_every_small_chain_comes_back(self, small_pairs):
         """On all 2,585 chains of at most 10 points, at every admissible
         tangent count, the contact values and the tangent count give the chain
         back, and comparing runs gives the verdict comparing listed values did."""
-        pairs = small_pairs()
-        for cfg, record in pairs:
+        for cfg, record in small_pairs:
             rebuilt = from_maximal_contact(record.beta_bar)
             assert with_tangent_count(rebuilt, cfg.tangent_count) == cfg
             listed = multiplicity_sequence(rebuilt).values
             assert (rebuilt.runs == cfg.runs) == (
                 listed == record.multiplicities.values
             )
-        assert len(pairs) == 4181
+        assert len(small_pairs) == 4181
 
     def test_a_rebuilt_chain_that_differs_is_named_by_its_runs(self, monkeypatch):
         """A rebuild that appends one free point fails the row, whose detail
@@ -329,9 +327,11 @@ class TestContactRoundTrip:
             (build_configuration([[], [1], [2, 1]]), ((2, 1), (1, 3))),
             (tono, (*head, (value, count + 1))),
         ):
-            (row,) = [r for r in identity_checks(cfg) if r.name == "contact-round-trip"]
+            bundle = valuation_bundle(cfg)
+            rows = identity_checks(bundle)
+            (row,) = [r for r in rows if r.name == "contact-round-trip"]
             assert row.detail == f"rebuilt {runs}"
-            assert failed_rows(cfg) == {"contact-round-trip"}
+            assert failed_rows(bundle) == {"contact-round-trip"}
 
 
 class TestLastContactValue:
@@ -347,36 +347,33 @@ class TestLastContactValue:
         runs = sum(count * value * value for value, count in cfg.runs)
         assert curvette == runs == record.beta_bar[-1]
 
-    def test_every_small_chain(self):
-        pairs = small_pairs()
-        for cfg, record in pairs:
+    def test_every_small_chain(self, small_pairs):
+        for cfg, record in small_pairs:
             self.assert_three_sides_agree(cfg, record)
-        assert len(pairs) == 4181
+        assert len(small_pairs) == 4181
 
     @given(strategy_configurations(max_points=200))
     @settings(max_examples=40, deadline=None)
     def test_long_random_chains(self, cfg):
         self.assert_three_sides_agree(cfg, invariant_record(cfg))
 
-    def test_a_record_off_by_one_is_caught(self, monkeypatch):
+    def test_a_record_off_by_one_is_caught(self):
         """A Zariski step over the last block that is off by one leaves the
         record's last contact value one off the runs' sum of squares."""
-        real = checks.valuation_bundle
 
-        def off_by_one(cfg):
-            bundle = real(cfg)
+        def off_by_one(bundle):
             *head, last = bundle.record.beta_bar
             contact = bundle.record.contact._replace(beta_bar=(*head, last + 1))
             return bundle._replace(record=bundle.record._replace(contact=contact))
 
-        monkeypatch.setattr(checks, "valuation_bundle", off_by_one)
         for cfg in (
             build_configuration([[], [1], [2, 1], [3]]),
             tono_family(3, 0).bundle.cfg,
             from_maximal_contact((1, 10**12)),
         ):
             square = sum(count * value * value for value, count in cfg.runs)
-            (row,) = [r for r in identity_checks(cfg) if r.name == "last-contact-value"]
+            rows = identity_checks(off_by_one(valuation_bundle(cfg)))
+            (row,) = [r for r in rows if r.name == "last-contact-value"]
             assert not row.passed
             assert row.detail == f"direct={square} recorded={square + 1}"
 
@@ -395,7 +392,7 @@ def test_identity_checks_list_nothing_on_tono_12_3(monkeypatch):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     monkeypatch.setattr(surface.HirzebruchClass, "__post_init__", refuse)
-    results = identity_checks(cfg)
+    results = identity_checks(valuation_bundle(cfg))
     assert len(results) == 7
     assert all(r.passed for r in results)
 
@@ -436,9 +433,9 @@ class TestFuzz:
     def test_reports_first_counterexample(self, monkeypatch):
         real = checks.identity_checks
 
-        def broken(cfg):
-            results = real(cfg)
-            if cfg.size >= 3:
+        def broken(bundle):
+            results = real(bundle)
+            if bundle.cfg.size >= 3:
                 results.append(CheckResult("injected", False, "synthetic"))
             return results
 

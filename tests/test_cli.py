@@ -141,7 +141,7 @@ class TestCommands:
     def test_check_exit_two_on_failure(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, THREE_POINT)
 
-        def broken(cfg):
+        def broken(bundle):
             return [CheckResult("injected", False, "synthetic failure")]
 
         monkeypatch.setattr(checks, "identity_checks", broken)
@@ -195,7 +195,7 @@ class TestCommands:
         assert payload["first_failure"] is None
 
     def test_fuzz_exit_two_on_finding(self, capsys, monkeypatch):
-        def broken(cfg):
+        def broken(bundle):
             return [CheckResult("injected", False, "synthetic")]
 
         monkeypatch.setattr(checks, "identity_checks", broken)
@@ -356,7 +356,7 @@ class TestChainsTooLongToList:
 
     @pytest.mark.parametrize("exc", [MemoryError(), RecursionError("too deep")])
     def test_resource_errors_exit_one(self, tmp_path, capsys, monkeypatch, exc):
-        def exhausted(cfg):
+        def exhausted(bundle):
             raise exc
 
         monkeypatch.setattr(checks, "identity_checks", exhausted)

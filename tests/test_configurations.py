@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import all_chains, configurations, proximity_chains
-from valuation_lab.bounds import tono_family
+from valuation_lab.bounds import tono_family, valuation_bundle
 from valuation_lab.checks import identity_checks
 from valuation_lab.configurations import (
     FREE,
@@ -282,10 +282,10 @@ class TestExhaustiveSmallChains:
     per-point views are derived from the runs alone, so this checks the
     derivation, not a stored copy."""
 
-    def test_per_point_views_equal_the_input(self):
+    def test_per_point_views_equal_the_input(self, small_chains):
         sizes = Counter()
         pairs = 0
-        for lists in all_chains(10):
+        for lists in small_chains:
             sizes[len(lists)] += 1
             labels = [SATELLITE if len(targets) == 2 else FREE for targets in lists]
             incoming = [[] for _ in range(len(lists) + 1)]
@@ -310,9 +310,11 @@ class TestExhaustiveSmallChains:
         ]
         assert pairs == 4181
 
-    def test_with_tangent_count_accepts_exactly_the_admissible_counts(self):
+    def test_with_tangent_count_accepts_exactly_the_admissible_counts(
+        self, small_chains
+    ):
         pairs = 0
-        for lists in all_chains(10):
+        for lists in small_chains:
             base = build_configuration(lists, name="chain")
             for k in range(len(lists) + 2):
                 try:
@@ -385,11 +387,11 @@ class TestExhaustiveSmallChains:
                     cases += 1
         assert cases > 1000
 
-    def test_identity_checks_pass_on_every_chain(self):
+    def test_identity_checks_pass_on_every_chain(self, small_chains):
         failures = [
             (lists, result.name, result.detail)
-            for lists in all_chains(10)
-            for result in identity_checks(build_configuration(lists))
+            for lists in small_chains
+            for result in identity_checks(valuation_bundle(build_configuration(lists)))
             if not result.passed
         ]
         assert failures == []

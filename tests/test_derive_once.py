@@ -82,12 +82,12 @@ def test_tono_family_and_report_build_the_full_chain_once(calls):
 def test_identity_checks_build_at_most_two_records(calls, cfg):
     cfg = tono_family(3, 0).bundle.cfg if cfg is None else cfg
     _reset(calls)
-    results = identity_checks(cfg)
+    results = identity_checks(valuation_bundle(cfg))
     assert all(r.passed for r in results)
     assert len(calls["invariant_record"]) <= 2
 
 
-@pytest.mark.parametrize("command", ["invariants", "bounds"])
+@pytest.mark.parametrize("command", ["invariants", "bounds", "check"])
 def test_tono_file_entry_is_built_once(calls, tmp_path, capsys, command):
     path = tmp_path / "tono.json"
     path.write_text('{"valuations": [{"tono": {"a": 5, "e": 1}}]}', encoding="utf-8")
@@ -115,7 +115,7 @@ def test_identity_checks_list_no_multiplicity_sequence(calls, cfg):
     the multiplicities off its one record and pushes no chain for them."""
     cfg = tono_family(3, 0).bundle.cfg if cfg is None else cfg
     _reset(calls)
-    assert all(r.passed for r in identity_checks(cfg))
+    assert all(r.passed for r in identity_checks(valuation_bundle(cfg)))
     assert calls["multiplicity_sequence"] == []
 
 

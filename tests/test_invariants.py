@@ -443,4 +443,6 @@ def fraction_fold(digits):
 
 @given(st.lists(st.integers(1, 10**12), min_size=1, max_size=20))
 def test_continued_fraction_by_integer_convergents(digits):
-    assert _continued_fraction(digits) == fraction_fold(digits)
+    p, q = _continued_fraction(digits)
+    assert math.gcd(p, q) == 1
+    assert Fraction(p, q) == fraction_fold(digits)

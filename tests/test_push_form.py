@@ -17,7 +17,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from strategies import all_chains, configurations
+from strategies import configurations
 from valuation_lab.configurations import (
     build_configuration,
     proximity_residual,
@@ -80,14 +80,12 @@ def assert_push_matches_pull(cfg):
             strict_transform_plane(0, vector, cfg)
 
 
-def test_every_small_chain():
-    chains = 0
-    for lists in all_chains(10):
+def test_every_small_chain(small_chains):
+    for lists in small_chains:
         cfg = build_configuration(lists)
         assert cfg.older() == [0, *(t[0] if len(t) == 2 else 0 for t in lists)]
         assert_push_matches_pull(cfg)
-        chains += 1
-    assert chains == 2585
+    assert len(small_chains) == 2585
 
 
 @given(configurations(max_points=200))

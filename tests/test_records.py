@@ -61,13 +61,11 @@ RECORDS = {
     ("configurations", "RunStructure"): ("ends", "stretches", "decomposition"),
     ("invariants", "MultiplicityVector"): ("runs",),
     ("invariants", "MaximalContactValues"): ("beta_bar", "gcd_chain"),
-    ("invariants", "PuiseuxExponents"): ("beta_prime", "run_length_tables"),
+    ("invariants", "PuiseuxExponents"): ("run_length_tables",),
     ("invariants", "InvariantRecord"): (
         "multiplicities",
         "contact",
         "puiseux",
-        "volume",
-        "normalized_volume",
         "tangent_value",
         "is_m_adic",
     ),

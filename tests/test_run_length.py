@@ -73,26 +73,24 @@ def point_level_record(cfg: Configuration) -> InvariantRecord:
         for lo, hi in decomposition.blocks
     )
 
-    def continued_fraction(digits):
-        value = Fraction(digits[-1])
-        for d in reversed(digits[:-1]):
-            value = d + 1 / value
-        return value
-
     return InvariantRecord(
         multiplicities=multiplicities,
         contact=MaximalContactValues(
             beta_bar=beta, gcd_chain=tuple(itertools.accumulate(beta, math.gcd))
         ),
-        puiseux=PuiseuxExponents(
-            beta_prime=(Fraction(1), *map(continued_fraction, tables)),
-            run_length_tables=tables,
-        ),
-        volume=Fraction(1, beta[-1]),
-        normalized_volume=Fraction(beta[0] ** 2, beta[-1]),
+        puiseux=PuiseuxExponents(run_length_tables=tables),
         tangent_value=1 if cfg.size == 1 else sum(v[: cfg.tangent_count]),
         is_m_adic=cfg.size == 1,
     )
+
+
+def continued_fraction(digits):
+    """[d_0; d_1, ..., d_k] folded in Fraction arithmetic, independent of the
+    record's integer fold."""
+    value = Fraction(digits[-1])
+    for d in reversed(digits[:-1]):
+        value = d + 1 / value
+    return value
 
 
 def assert_run_level_matches_point_level(
@@ -101,7 +99,16 @@ def assert_run_level_matches_point_level(
     # The lists read from the runs alone are the ones that were validated.
     assert cfg.proximity_lists() == lists
     record = invariant_record(cfg)
-    assert record == point_level_record(cfg)
+    reference = point_level_record(cfg)
+    assert record == reference
+    # The exponents and volumes the record computes on read.
+    beta = reference.beta_bar
+    tables = reference.puiseux.run_length_tables
+    assert record.puiseux.beta_prime == (Fraction(1), *map(continued_fraction, tables))
+    for j, table in enumerate(tables):
+        assert Fraction(*record.puiseux.ratio(j)) == continued_fraction(table)
+    assert record.volume == Fraction(1, beta[-1])
+    assert record.normalized_volume == Fraction(beta[0] ** 2, beta[-1])
     assert record.multiplicities.values == multiplicity_sequence(cfg).values
     rebuilt = from_maximal_contact(record.beta_bar)
     assert rebuilt.proximity_lists() == lists
