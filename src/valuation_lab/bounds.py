@@ -70,10 +70,10 @@ class BoundReport(NamedTuple):
     """Every bound for one valuation, tagged with what produced it."""
 
     degree_bound: BoundEntry
-    mu_hat_upper: BoundEntry
+    mu_hat_upper_bound: BoundEntry
     ratio_bound: BoundEntry
     combinatorial_lambda_bound: BoundEntry | None
-    trivial_bound: BoundEntry
+    trivial_lambda_bound: BoundEntry
 
 
 class TailComparison(NamedTuple):
@@ -315,13 +315,6 @@ def tono_family(a: int, e: int) -> TonoValuation:
     )
 
 
-_DEGREE_TAG = "nef pairing on the ruled model"
-_MU_HAT_TAG = "limit of the degree bound"
-_RATIO_TAG = "self-intersection of strict transforms"
-_COMBINATORIAL_TAG = "dual-graph data only"
-_TRIVIAL_TAG = "point count"
-
-
 def bound_report(bundle: ValuationBundle) -> BoundReport:
     """Every bound of one valuation, read off its bundle.
 
@@ -329,20 +322,22 @@ def bound_report(bundle: ValuationBundle) -> BoundReport:
     sequence (a curve through every center with those multiplicities):
     sum v_i^2 over the mu-hat bound, that is beta_bar_last over it.
     """
-    cfg = bundle.cfg
+    cfg, mu_hat_bound = bundle.cfg, bundle.mu_hat_bound
+    beta_bar = bundle.record.beta_bar
     combinatorial = None
     if cfg.size >= 2:
         combinatorial = BoundEntry(
-            _combinatorial_bound(cfg, bundle.record.beta_bar), _COMBINATORIAL_TAG
+            _combinatorial_bound(cfg, beta_bar), "dual-graph data only"
         )
+    degree = Fraction(beta_bar[-1], mu_hat_bound)
     return BoundReport(
-        degree_bound=BoundEntry(
-            Fraction(bundle.record.beta_bar[-1], bundle.mu_hat_bound), _DEGREE_TAG
+        degree_bound=BoundEntry(degree, "nef pairing on the ruled model"),
+        mu_hat_upper_bound=BoundEntry(mu_hat_bound, "limit of the degree bound"),
+        ratio_bound=BoundEntry(
+            bundle.ratio_bound, "self-intersection of strict transforms"
         ),
-        mu_hat_upper=BoundEntry(bundle.mu_hat_bound, _MU_HAT_TAG),
-        ratio_bound=BoundEntry(bundle.ratio_bound, _RATIO_TAG),
         combinatorial_lambda_bound=combinatorial,
-        trivial_bound=BoundEntry(1 - cfg.size, _TRIVIAL_TAG),
+        trivial_lambda_bound=BoundEntry(1 - cfg.size, "point count"),
     )
 
 

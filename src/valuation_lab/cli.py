@@ -17,7 +17,7 @@ from collections.abc import Callable
 from functools import cache
 
 from . import checks as checks_module
-from .bounds import bound_report, multi_valuation, tono_family
+from .bounds import multi_valuation, tono_family
 from .errors import ValuationError
 from .reports import (
     bounds_payload,
@@ -90,10 +90,9 @@ def _emit(
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     vf = parse_path(args.file)
-    bundles = [entry.bundle() for entry in vf.entries]
     payload = {
         "command": "invariants",
-        "valuations": [invariants_payload(b) for b in bundles],
+        "valuations": [invariants_payload(entry.bundle) for entry in vf.entries],
     }
     _emit(payload, render_invariants_table, args)
     return 0
@@ -101,11 +100,11 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     vf = parse_path(args.file)
-    bundles = [entry.bundle() for entry in vf.entries]
+    bundles = [entry.bundle for entry in vf.entries]
     mv = multi_valuation(bundles, vf.aligned_mu)
     payload = {
         "command": "bounds",
-        "valuations": [bounds_payload(bound_report(b), b) for b in bundles],
+        "valuations": [bounds_payload(b) for b in bundles],
         "ensemble": ensemble_payload(mv),
     }
     _emit(payload, render_bounds_table, args)
@@ -115,7 +114,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     vf = parse_path(args.file)
     results = [
-        (entry.configuration.name, checks_module.identity_checks(entry.bundle()))
+        (entry.bundle.cfg.name, checks_module.identity_checks(entry.bundle))
         for entry in vf.entries
     ]
     payload = {"command": "check", **checks_payload(results)}
@@ -130,22 +129,14 @@ def _cmd_family(args: argparse.Namespace) -> int:
         "command": "family",
         "family": family_payload(family),
         "valuations": [invariants_payload(bundle)],
-        "bounds": bounds_payload(bound_report(bundle), bundle),
+        "bounds": bounds_payload(bundle),
     }
     if args.emit:
-        vf = ValuationFile(
-            entries=(
-                ValuationEntry(
-                    name=bundle.cfg.name,
-                    payload={"tono": {"a": args.a, "e": args.e}},
-                    configuration=bundle.cfg,
-                    prebuilt=bundle,
-                ),
-            ),
-            aligned_mu=None,
+        entry = ValuationEntry(
+            {"name": bundle.cfg.name, "tono": {"a": args.a, "e": args.e}}, bundle
         )
         with open(args.emit, "w", encoding="utf-8") as handle:
-            handle.write(serialize(vf))
+            handle.write(serialize(ValuationFile((entry,), None)))
     _emit(payload, render_family_table, args)
     return 0
 

@@ -14,8 +14,8 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from typing import Any
 
-from .bounds import BoundReport, MultiValuation, TonoValuation, ValuationBundle
-from .bounds import lambda_lower_bound, multi_ratio_bound
+from .bounds import MultiValuation, TonoValuation, ValuationBundle
+from .bounds import bound_report, lambda_lower_bound, multi_ratio_bound
 from .checks import CheckResult, FuzzSummary
 
 
@@ -24,10 +24,9 @@ def approx(x: float) -> float:
     return float(f"{x:.6g}")
 
 
-def rational_payload(x: Fraction | int) -> dict[str, Any]:
-    frac = x if isinstance(x, Fraction) else Fraction(x)
-    # int / int rounds as float(frac) does and overflows with the same message.
-    return {"exact": str(frac), "approx": approx(frac.numerator / frac.denominator)}
+def rational_payload(x: Fraction) -> dict[str, Any]:
+    # int / int rounds as float(x) does and overflows with the same message.
+    return {"exact": str(x), "approx": approx(x.numerator / x.denominator)}
 
 
 def compress_runs(runs: Iterable[Sequence[int]]) -> str:
@@ -60,32 +59,22 @@ def invariants_payload(bundle: ValuationBundle) -> dict[str, Any]:
     }
 
 
-def _bound_entry_payload(entry) -> dict[str, Any]:
-    value = entry.value
-    payload: dict[str, Any] = {"source": entry.source}
-    if isinstance(value, Fraction) and value.denominator != 1:
-        payload["value"] = rational_payload(value)
-    else:
-        payload["value"] = int(value)
-    return payload
-
-
-def bounds_payload(
-    report: BoundReport, bundle: ValuationBundle
-) -> dict[str, Any]:
-    payload = {
+def bounds_payload(bundle: ValuationBundle) -> dict[str, Any]:
+    """The bundle's bound report, each bound under its field's name."""
+    payload: dict[str, Any] = {
         "name": bundle.cfg.name,
         "points": bundle.cfg.size,
         "delta0": bundle.delta0,
-        "degree_bound": _bound_entry_payload(report.degree_bound),
-        "mu_hat_upper_bound": _bound_entry_payload(report.mu_hat_upper),
-        "ratio_bound": _bound_entry_payload(report.ratio_bound),
-        "trivial_lambda_bound": _bound_entry_payload(report.trivial_bound),
     }
-    if report.combinatorial_lambda_bound is not None:
-        payload["combinatorial_lambda_bound"] = _bound_entry_payload(
-            report.combinatorial_lambda_bound
-        )
+    for key, entry in bound_report(bundle)._asdict().items():
+        if entry is None:
+            continue
+        value = entry.value
+        exact = isinstance(value, Fraction) and value.denominator != 1
+        payload[key] = {
+            "source": entry.source,
+            "value": rational_payload(value) if exact else int(value),
+        }
     return payload
 
 

@@ -6,6 +6,9 @@ Each entry carries an optional ``name`` and exactly one encoding:
 * ``{"proximity": [[...], ...], "tangent_count": int?}``
 * ``{"maximal_contact": [int, ...], "trailing_free": int?}``
 * ``{"tono": {"a": int, "e": int}}``
+
+``parse`` builds each entry's bundle, which the commands read; a tono entry
+keeps the bundle its family built.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from .bounds import ValuationBundle, tono_family, valuation_bundle
-from .configurations import Configuration, build_configuration
+from .configurations import build_configuration
 from .errors import FileFormatError, ValuationError
 from .invariants import from_maximal_contact
 
@@ -24,14 +27,10 @@ _ENCODINGS = ("proximity", "maximal_contact", "tono")
 
 
 class ValuationEntry(NamedTuple):
-    name: str | None
-    payload: dict[str, Any]
-    configuration: Configuration
-    prebuilt: ValuationBundle | None
+    """An entry as written, its ``name`` included, and the bundle built from it."""
 
-    def bundle(self) -> ValuationBundle:
-        """The entry's bundle; a tono entry keeps the one its family built."""
-        return self.prebuilt or valuation_bundle(self.configuration)
+    payload: dict[str, Any]
+    bundle: ValuationBundle
 
 
 class ValuationFile(NamedTuple):
@@ -120,15 +119,17 @@ def _parse_entry(raw: Any, where: str) -> ValuationEntry:
             bundle = tono_family(a, e).bundle
             if name is not None:
                 bundle = bundle._replace(cfg=replace(bundle.cfg, name=name))
-            cfg = bundle.cfg
             payload = {"tono": {"a": a, "e": e}}
     except FileFormatError:
         raise
     except ValuationError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
 
-    prebuilt = bundle if kind == "tono" else None
-    return ValuationEntry(name, payload, cfg, prebuilt)
+    if kind != "tono":
+        bundle = valuation_bundle(cfg)
+    if name is not None:
+        payload["name"] = name
+    return ValuationEntry(payload, bundle)
 
 
 def parse(text: str) -> ValuationFile:
@@ -162,14 +163,7 @@ def parse_path(path: str | Path) -> ValuationFile:
 
 def serialize(vf: ValuationFile) -> str:
     """Canonical JSON for a valuation file; ``parse`` inverts it exactly."""
-    entries = []
-    for entry in vf.entries:
-        obj: dict[str, Any] = {}
-        if entry.name is not None:
-            obj["name"] = entry.name
-        obj.update(entry.payload)
-        entries.append(obj)
-    data: dict[str, Any] = {"valuations": entries}
+    data: dict[str, Any] = {"valuations": [entry.payload for entry in vf.entries]}
     if vf.aligned_mu is not None:
         data["aligned_mu"] = vf.aligned_mu
     return json.dumps(data, indent=2, sort_keys=True) + "\n"

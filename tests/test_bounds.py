@@ -324,11 +324,11 @@ class TestBoundReport:
     def test_single_valuation(self):
         bundle = tono_family(4, 1).bundle
         report = bound_report(bundle)
-        assert report.mu_hat_upper.value == 44
+        assert report.mu_hat_upper_bound.value == 44
         assert report.ratio_bound.value == -2
         assert lambda_lower_bound(multi_valuation([bundle])) == -2
         assert report.combinatorial_lambda_bound.value == -2
-        assert report.trivial_bound.value == 1 - 362
+        assert report.trivial_lambda_bound.value == 1 - 362
 
     def test_m_adic_has_no_combinatorial_entry(self):
         report = bound_report(valuation_bundle(m_adic()))
@@ -342,5 +342,5 @@ class TestBoundReport:
         if report.combinatorial_lambda_bound is not None:
             assert (
                 report.combinatorial_lambda_bound.value
-                >= report.trivial_bound.value
+                >= report.trivial_lambda_bound.value
             )

@@ -6,6 +6,7 @@ import pytest
 
 import valuation_lab.checks as checks
 import valuation_lab.configurations as configurations
+from valuation_lab.bounds import tono_family
 from valuation_lab.checks import CheckResult
 from valuation_lab.cli import main
 from valuation_lab.errors import FileFormatError
@@ -13,6 +14,20 @@ from valuation_lab.valfile import parse, parse_path, serialize
 
 THREE_POINT = '{"valuations": [{"proximity": [[], [1], [2, 1]]}]}'
 TONO = '{"valuations": [{"tono": {"a": 3, "e": 0}}]}'
+# What `family tono --a 4 --e 1 --emit` writes, byte for byte.
+EMITTED_TONO_4_1 = """\
+{
+  "valuations": [
+    {
+      "name": "tono-a4-e1",
+      "tono": {
+        "a": 4,
+        "e": 1
+      }
+    }
+  ]
+}
+"""
 
 
 def write(tmp_path, text, name="valuations.json"):
@@ -25,12 +40,12 @@ class TestParse:
     def test_proximity_entry(self):
         vf = parse(THREE_POINT)
         assert len(vf.entries) == 1
-        assert vf.entries[0].configuration.size == 3
+        assert vf.entries[0].bundle.cfg.size == 3
         assert vf.aligned_mu is None
 
     def test_tono_entry(self):
         vf = parse(TONO)
-        cfg = vf.entries[0].configuration
+        cfg = vf.entries[0].bundle.cfg
         assert cfg.size == 17
         assert cfg.name == "tono-a3-e0"
 
@@ -38,7 +53,7 @@ class TestParse:
         vf = parse(
             '{"valuations": [{"maximal_contact": [6, 9, 34], "trailing_free": 6}]}'
         )
-        assert vf.entries[0].configuration.size == 17
+        assert vf.entries[0].bundle.cfg.size == 17
 
     def test_aligned_mu(self):
         vf = parse(
@@ -94,13 +109,23 @@ class TestParse:
             '{"valuations": [{"name": "x", "proximity": [[], [1], [2]],'
             ' "tangent_count": 3},'
             ' {"maximal_contact": [2, 3, 6]},'
-            ' {"tono": {"a": 3, "e": 0}}],'
+            ' {"tono": {"a": 3, "e": 0}},'
+            ' {"name": "t", "tono": {"a": 4, "e": 1}},'
+            ' {"maximal_contact": [4, 6, 13], "trailing_free": 3}],'
             ' "aligned_mu": 3}'
         )
         vf = parse(text)
         again = parse(serialize(vf))
         assert again == vf
         assert serialize(again) == serialize(vf)
+        # Each payload is the entry as written, name included; an unnamed
+        # tono entry keeps its family's name in the bundle but writes none.
+        assert [entry.payload for entry in again.entries] == json.loads(text)[
+            "valuations"
+        ]
+        assert [entry.bundle.cfg.name for entry in again.entries] == [
+            "x", None, "tono-a3-e0", "t", None
+        ]
 
 
 class TestCommands:
@@ -176,8 +201,17 @@ class TestCommands:
         )
         capsys.readouterr()
         vf = parse_path(emitted)
-        assert vf.entries[0].prebuilt is not None
+        assert vf.entries[0].bundle == tono_family(3, 0).bundle
         assert main(["invariants", str(emitted)]) == 0
+
+    def test_family_emit_writes_the_pinned_file(self, tmp_path, capsys):
+        emitted = tmp_path / "tono.json"
+        argv = ["family", "tono", "--a", "4", "--e", "1", "--emit", str(emitted)]
+        assert main(argv) == 0
+        text = emitted.read_text(encoding="utf-8")
+        assert text == EMITTED_TONO_4_1
+        assert serialize(parse(text)) == text
+        assert parse(text).entries[0].bundle == tono_family(4, 1).bundle
 
     def test_family_table_mentions_certificate(self, capsys):
         assert main(["family", "tono", "--a", "4", "--e", "1"]) == 0

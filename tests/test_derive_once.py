@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from test_golden_reports import EXAMPLE_FILE
-from valuation_lab import bounds, invariants
+from valuation_lab import bounds, invariants, valfile
 from valuation_lab.bounds import (
     bound_report,
     degree_lower_bound,
@@ -21,7 +21,7 @@ from valuation_lab.bounds import (
 from valuation_lab.checks import identity_checks
 from valuation_lab.cli import main
 from valuation_lab.configurations import build_configuration
-from valuation_lab.reports import invariants_payload
+from valuation_lab.reports import bounds_payload, invariants_payload
 
 COUNTED = ("invariant_record", "multiplicity_sequence")
 
@@ -67,6 +67,7 @@ def test_report_and_payload_read_the_bundle(calls, cfg):
     _reset(calls)
     bound_report(bundle)
     invariants_payload(bundle)
+    bounds_payload(bundle)
     assert calls == {name: [] for name in COUNTED}
 
 
@@ -87,15 +88,39 @@ def test_identity_checks_build_at_most_two_records(calls, cfg):
     assert len(calls["invariant_record"]) <= 2
 
 
-@pytest.mark.parametrize("command", ["invariants", "bounds", "check"])
-def test_tono_file_entry_is_built_once(calls, tmp_path, capsys, command):
-    path = tmp_path / "tono.json"
-    path.write_text('{"valuations": [{"tono": {"a": 5, "e": 1}}]}', encoding="utf-8")
+# (command, file, sizes of its entries): a tono entry, and the example
+# file's proximity (3 points), contact (17) and tono (362) entries.
+VERBS = ["invariants", "bounds", "check"]
+TONO_FILE = '{"valuations": [{"tono": {"a": 5, "e": 1}}]}'
+FILE_RUNS = [(verb, TONO_FILE, [962]) for verb in VERBS] + [
+    (verb, EXAMPLE_FILE, [3, 17, 362]) for verb in VERBS
+]
+
+
+@pytest.mark.parametrize(
+    "command, text, sizes", FILE_RUNS, ids=VERBS + [f"{v}-example" for v in VERBS]
+)
+def test_tono_file_entry_is_built_once(
+    calls, monkeypatch, tmp_path, capsys, command, text, sizes
+):
+    path = tmp_path / "valuations.json"
+    path.write_text(text, encoding="utf-8")
+    at_parse = []
+    original = valfile.parse
+
+    def marked(text):
+        vf = original(text)
+        at_parse.append(list(calls["invariant_record"]))
+        return vf
+
+    _rebind(monkeypatch, original, marked)
     _reset(calls)
     assert main([command, str(path)]) == 0
-    # tono_family records the 962-point chain once; building it from the
-    # contact values records nothing, and the command reuses the entry's bundle.
-    assert calls["invariant_record"] == [962]
+    # Parsing records each entry once (tono_family records a tono chain, and
+    # building it from the contact values records nothing); the command
+    # reads each entry's bundle and records nothing more.
+    assert at_parse == [sizes]
+    assert calls["invariant_record"] == sizes
 
 
 @pytest.mark.parametrize(
@@ -128,7 +153,7 @@ def test_bound_report_builds_no_ensemble(monkeypatch, cfg):
 
     _rebind(monkeypatch, bounds.multi_valuation, refuse)
     report = bound_report(bundle)
-    assert report.mu_hat_upper.value == bundle.mu_hat_bound
+    assert report.mu_hat_upper_bound.value == bundle.mu_hat_bound
 
 
 def test_bounds_builds_one_ensemble_per_file(monkeypatch, tmp_path):

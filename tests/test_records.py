@@ -21,10 +21,10 @@ RECORDS = {
     ("bounds", "BoundEntry"): ("value", "source"),
     ("bounds", "BoundReport"): (
         "degree_bound",
-        "mu_hat_upper",
+        "mu_hat_upper_bound",
         "ratio_bound",
         "combinatorial_lambda_bound",
-        "trivial_bound",
+        "trivial_lambda_bound",
     ),
     ("bounds", "TailComparison"): ("delta0_before", "delta0_after", "difference"),
     ("bounds", "TonoValuation"): (
@@ -79,12 +79,7 @@ RECORDS = {
         "size",
         "delta",
     ),
-    ("valfile", "ValuationEntry"): (
-        "name",
-        "payload",
-        "configuration",
-        "prebuilt",
-    ),
+    ("valfile", "ValuationEntry"): ("payload", "bundle"),
     ("valfile", "ValuationFile"): ("entries", "aligned_mu"),
 }
 
