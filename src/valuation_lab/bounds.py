@@ -61,19 +61,15 @@ class MultiValuation(NamedTuple):
     aligned_mu: int
 
 
-class BoundEntry(NamedTuple):
-    value: int | Fraction
-    source: str
-
-
 class BoundReport(NamedTuple):
-    """Every bound for one valuation, tagged with what produced it."""
+    """Every bound for one valuation; the combinatorial one is None for a
+    single point, which has no tangent line."""
 
-    degree_bound: BoundEntry
-    mu_hat_upper_bound: BoundEntry
-    ratio_bound: BoundEntry
-    combinatorial_lambda_bound: BoundEntry | None
-    trivial_lambda_bound: BoundEntry
+    degree_bound: Fraction
+    mu_hat_upper_bound: int
+    ratio_bound: int
+    combinatorial_lambda_bound: int | None
+    trivial_lambda_bound: int
 
 
 class TailComparison(NamedTuple):
@@ -273,9 +269,7 @@ def tono_family(a: int, e: int) -> TonoValuation:
 
     expected_contact = (a * a - a, a * a, a**3 + 2 * a + 1, (e + 2) * a**4 - 2 * a**3)
     trailing = (e + 1) * a**4 - 2 * a**3 - 2 * a * a - a
-    cfg = from_maximal_contact(
-        expected_contact[:3], trailing_free=trailing, name=f"tono-a{a}-e{e}"
-    )
+    cfg = from_maximal_contact(expected_contact[:3], trailing_free=trailing)
     bundle = valuation_bundle(cfg)
 
     if bundle.record.beta_bar != expected_contact:
@@ -322,27 +316,19 @@ def bound_report(bundle: ValuationBundle) -> BoundReport:
     sequence (a curve through every center with those multiplicities):
     sum v_i^2 over the mu-hat bound, that is beta_bar_last over it.
     """
-    cfg, mu_hat_bound = bundle.cfg, bundle.mu_hat_bound
-    beta_bar = bundle.record.beta_bar
-    combinatorial = None
-    if cfg.size >= 2:
-        combinatorial = BoundEntry(
-            _combinatorial_bound(cfg, beta_bar), "dual-graph data only"
-        )
-    degree = Fraction(beta_bar[-1], mu_hat_bound)
+    cfg, beta_bar = bundle.cfg, bundle.record.beta_bar
     return BoundReport(
-        degree_bound=BoundEntry(degree, "nef pairing on the ruled model"),
-        mu_hat_upper_bound=BoundEntry(mu_hat_bound, "limit of the degree bound"),
-        ratio_bound=BoundEntry(
-            bundle.ratio_bound, "self-intersection of strict transforms"
+        degree_bound=Fraction(beta_bar[-1], bundle.mu_hat_bound),
+        mu_hat_upper_bound=bundle.mu_hat_bound,
+        ratio_bound=bundle.ratio_bound,
+        combinatorial_lambda_bound=(
+            _combinatorial_bound(cfg, beta_bar) if cfg.size >= 2 else None
         ),
-        combinatorial_lambda_bound=combinatorial,
-        trivial_lambda_bound=BoundEntry(1 - cfg.size, "point count"),
+        trivial_lambda_bound=1 - cfg.size,
     )
 
 
 __all__ = [
-    "BoundEntry",
     "BoundReport",
     "MultiValuation",
     "TailComparison",

@@ -43,8 +43,11 @@ class CheckResult(NamedTuple):
 
 
 class FuzzFailure(NamedTuple):
+    """The first failed row of a fuzz run and the chain it failed on, given
+    by its proximity lists."""
+
     trial: int
-    proximity_lists: tuple[tuple[int, ...], ...]
+    proximity: list[list[int]]
     tangent_count: int
     check: str
     detail: str
@@ -213,9 +216,7 @@ def fuzz(max_points: int, trials: int, seed: int) -> FuzzSummary:
             if first_failure is None:
                 first_failure = FuzzFailure(
                     trial=trial,
-                    proximity_lists=tuple(
-                        tuple(ts) for ts in cfg.proximity_lists()
-                    ),
+                    proximity=cfg.proximity_lists(),
                     tangent_count=cfg.tangent_count,
                     check=result.name,
                     detail=result.detail,

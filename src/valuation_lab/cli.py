@@ -92,7 +92,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     vf = parse_path(args.file)
     payload = {
         "command": "invariants",
-        "valuations": [invariants_payload(entry.bundle) for entry in vf.entries],
+        "valuations": [invariants_payload(entry) for entry in vf.entries],
     }
     _emit(payload, render_invariants_table, args)
     return 0
@@ -100,11 +100,10 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     vf = parse_path(args.file)
-    bundles = [entry.bundle for entry in vf.entries]
-    mv = multi_valuation(bundles, vf.aligned_mu)
+    mv = multi_valuation([entry.bundle for entry in vf.entries], vf.aligned_mu)
     payload = {
         "command": "bounds",
-        "valuations": [bounds_payload(b) for b in bundles],
+        "valuations": [bounds_payload(entry) for entry in vf.entries],
         "ensemble": ensemble_payload(mv),
     }
     _emit(payload, render_bounds_table, args)
@@ -114,7 +113,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     vf = parse_path(args.file)
     results = [
-        (entry.bundle.cfg.name, checks_module.identity_checks(entry.bundle))
+        (entry.name, checks_module.identity_checks(entry.bundle))
         for entry in vf.entries
     ]
     payload = {"command": "check", **checks_payload(results)}
@@ -124,19 +123,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_family(args: argparse.Namespace) -> int:
     family = tono_family(args.a, args.e)
-    bundle = family.bundle
+    entry = ValuationEntry({"tono": {"a": args.a, "e": args.e}}, family.bundle)
     payload = {
         "command": "family",
         "family": family_payload(family),
-        "valuations": [invariants_payload(bundle)],
-        "bounds": bounds_payload(bundle),
+        "valuations": [invariants_payload(entry)],
+        "bounds": bounds_payload(entry),
     }
     if args.emit:
-        entry = ValuationEntry(
-            {"name": bundle.cfg.name, "tono": {"a": args.a, "e": args.e}}, bundle
-        )
+        # The emitted entry writes its name, so the file names it as shown.
+        named = ValuationEntry({"name": entry.name, **entry.payload}, entry.bundle)
         with open(args.emit, "w", encoding="utf-8") as handle:
-            handle.write(serialize(ValuationFile((entry,), None)))
+            handle.write(serialize(ValuationFile((named,), None)))
     _emit(payload, render_family_table, args)
     return 0
 

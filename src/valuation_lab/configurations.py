@@ -262,14 +262,14 @@ def value_runs(values: Iterable[int]) -> tuple[tuple[int, int], ...]:
 class Configuration:
     """Immutable, validated chain of infinitely near points.
 
-    Its multiplicity runs, tangent count and name are its whole state, and
-    equality compares them.  ``size``, ``structure`` and the ``older`` array
-    that every per-point view reads are cached properties, derived on first read.
+    Its multiplicity runs and tangent count are its whole state, and equality
+    compares them; a name belongs to the file entry that holds the chain.
+    ``size``, ``structure`` and the ``older`` array that every per-point view
+    reads are cached properties, derived on first read.
     """
 
     runs: tuple[tuple[int, int], ...]
     tangent_count: int
-    name: str | None = None
 
     @cached_property
     def size(self) -> int:
@@ -307,9 +307,7 @@ class Configuration:
 
 
 def build_configuration(
-    proximity_lists: Sequence[Iterable[int]],
-    tangent_count: int | None = None,
-    name: str | None = None,
+    proximity_lists: Sequence[Iterable[int]], tangent_count: int | None = None
 ) -> Configuration:
     """Validate proximity lists and tangent data, returning a Configuration.
 
@@ -363,7 +361,7 @@ def build_configuration(
     k = int(tangent_count)
     first_satellite = next(itertools.compress(range(n + 1), older), n + 1)
     check_tangent_count(k, n, first_satellite)
-    return Configuration(runs=push_runs(older), tangent_count=k, name=name)
+    return Configuration(runs=push_runs(older), tangent_count=k)
 
 
 def classify_points(cfg: Configuration) -> list[str]:
@@ -390,7 +388,6 @@ def append_free_chain(cfg: Configuration, k: int) -> Configuration:
         runs=(*head, (value, count + k)),
         # Appended to a single point, p_2 fixes the tangent direction through p_1.
         tangent_count=max(cfg.tangent_count, 2),
-        name=cfg.name,
     )
 
 
@@ -429,7 +426,7 @@ def extend_with_satellite_tail(
                 f"(options: {options})"
             )
         older.append(c)
-    return Configuration(push_runs(older), cfg.tangent_count, cfg.name)
+    return Configuration(push_runs(older), cfg.tangent_count)
 
 
 def max_tangent_count(cfg: Configuration) -> int:
@@ -443,4 +440,4 @@ def with_tangent_count(cfg: Configuration, tangent_count: int) -> Configuration:
     point, else 2..``max_tangent_count(cfg)``."""
     k = int(tangent_count)
     check_tangent_count(k, cfg.size, max_tangent_count(cfg) + 1)
-    return Configuration(cfg.runs, k, cfg.name)
+    return Configuration(cfg.runs, k)

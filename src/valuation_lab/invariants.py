@@ -243,9 +243,7 @@ def _euclid_block_values(small: int, large: int) -> list[tuple[int, int]]:
 
 
 def from_maximal_contact(
-    beta_bar: Sequence[int],
-    trailing_free: int = 0,
-    name: str | None = None,
+    beta_bar: Sequence[int], trailing_free: int = 0
 ) -> Configuration:
     """Build the configuration whose contact values start with ``beta_bar``.
 
@@ -316,7 +314,7 @@ def from_maximal_contact(
             f"{runs[-1][0]}, not 1"
         )
 
-    cfg = Configuration(tuple(runs), min(2, sum(c for _, c in runs)), name)
+    cfg = Configuration(tuple(runs), min(2, sum(c for _, c in runs)))
     return append_free_chain(cfg, trailing_free)
 
 

@@ -14,9 +14,23 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from typing import Any
 
-from .bounds import MultiValuation, TonoValuation, ValuationBundle
+from .bounds import MultiValuation, TonoValuation
 from .bounds import bound_report, lambda_lower_bound, multi_ratio_bound
 from .checks import CheckResult, FuzzSummary
+from .valfile import ValuationEntry
+
+# Each bound of ``bounds.BoundReport``, in report order: key -> (label, source).
+_BOUNDS = {
+    "degree_bound": (
+        "degree bound (own multiplicities)", "nef pairing on the ruled model"
+    ),
+    "mu_hat_upper_bound": ("mu-hat upper bound", "limit of the degree bound"),
+    "ratio_bound": ("ratio bound", "self-intersection of strict transforms"),
+    "combinatorial_lambda_bound": (
+        "combinatorial lambda bound", "dual-graph data only"
+    ),
+    "trivial_lambda_bound": ("trivial lambda bound", "point count"),
+}
 
 
 def approx(x: float) -> float:
@@ -36,12 +50,12 @@ def compress_runs(runs: Iterable[Sequence[int]]) -> str:
     )
 
 
-def invariants_payload(bundle: ValuationBundle) -> dict[str, Any]:
-    cfg = bundle.cfg
-    record = bundle.record
+def invariants_payload(entry: ValuationEntry) -> dict[str, Any]:
+    bundle = entry.bundle
+    cfg, record = bundle.cfg, bundle.record
     decomposition = cfg.structure.decomposition
     return {
-        "name": cfg.name,
+        "name": entry.name,
         "points": cfg.size,
         "is_m_adic": record.is_m_adic,
         "multiplicity_runs": [list(run) for run in record.multiplicities.runs],
@@ -59,20 +73,21 @@ def invariants_payload(bundle: ValuationBundle) -> dict[str, Any]:
     }
 
 
-def bounds_payload(bundle: ValuationBundle) -> dict[str, Any]:
-    """The bundle's bound report, each bound under its field's name."""
+def bounds_payload(entry: ValuationEntry) -> dict[str, Any]:
+    """The entry's bound report, each bound under its field's name with its
+    source from ``_BOUNDS``."""
+    bundle = entry.bundle
     payload: dict[str, Any] = {
-        "name": bundle.cfg.name,
+        "name": entry.name,
         "points": bundle.cfg.size,
         "delta0": bundle.delta0,
     }
-    for key, entry in bound_report(bundle)._asdict().items():
-        if entry is None:
+    for key, value in bound_report(bundle)._asdict().items():
+        if value is None:
             continue
-        value = entry.value
         exact = isinstance(value, Fraction) and value.denominator != 1
         payload[key] = {
-            "source": entry.source,
+            "source": _BOUNDS[key][1],
             "value": rational_payload(value) if exact else int(value),
         }
     return payload
@@ -112,24 +127,9 @@ def checks_payload(
 
 
 def fuzz_payload(summary: FuzzSummary) -> dict[str, Any]:
-    payload: dict[str, Any] = {
-        "max_points": summary.max_points,
-        "trials": summary.trials,
-        "seed": summary.seed,
-        "checks_passed": summary.checks_passed,
-        "checks_failed": summary.checks_failed,
-        "first_failure": None,
-    }
-    if summary.first_failure is not None:
-        f = summary.first_failure
-        payload["first_failure"] = {
-            "trial": f.trial,
-            "proximity": [list(ts) for ts in f.proximity_lists],
-            "tangent_count": f.tangent_count,
-            "check": f.check,
-            "detail": f.detail,
-        }
-    return payload
+    """The summary under its field names, its first failure's included."""
+    failure = summary.first_failure
+    return {**summary._asdict(), "first_failure": failure and failure._asdict()}
 
 
 def family_payload(family: TonoValuation) -> dict[str, Any]:
@@ -151,9 +151,14 @@ def render_json(payload: dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _label(index: int, name: str | None, points: int) -> str:
-    shown = name if name else f"valuation {index}"
-    return f"{shown} ({points} point{'s' if points != 1 else ''})"
+def _heading(index: int, val: dict[str, Any]) -> str:
+    """A valuation's section heading: its name, or ``valuation {index}`` when
+    it has none, then its point count when the payload gives one."""
+    shown = val["name"] or f"valuation {index}"
+    if "points" in val:
+        points = val["points"]
+        shown += f" ({points} point{'s' if points != 1 else ''})"
+    return f"== {shown} =="
 
 
 def _rational_from_payload(entry: dict[str, Any] | int) -> str:
@@ -177,7 +182,7 @@ def _satellites_row(stretches: list[list[int]]) -> str:
 def render_invariants_table(payload: dict[str, Any]) -> str:
     lines = []
     for idx, val in enumerate(payload["valuations"], start=1):
-        lines.append(f"== {_label(idx, val['name'], val['points'])} ==")
+        lines.append(_heading(idx, val))
         rows = [
             ("multiplicities", compress_runs(val["multiplicity_runs"])),
             ("satellites", _satellites_row(val["satellite_stretches"])),
@@ -201,19 +206,11 @@ def render_invariants_table(payload: dict[str, Any]) -> str:
 def render_bounds_table(payload: dict[str, Any]) -> str:
     lines = []
     for idx, val in enumerate(payload["valuations"], start=1):
-        lines.append(f"== {_label(idx, val['name'], val['points'])} ==")
+        lines.append(_heading(idx, val))
         rows = [("delta0", str(val["delta0"]), "")]
-        for key, label in (
-            ("degree_bound", "degree bound (own multiplicities)"),
-            ("mu_hat_upper_bound", "mu-hat upper bound"),
-            ("ratio_bound", "ratio bound"),
-            ("combinatorial_lambda_bound", "combinatorial lambda bound"),
-            ("trivial_lambda_bound", "trivial lambda bound"),
-        ):
-            if key not in val:
-                continue
-            entry = val[key]
-            rows.append((label, _rational_from_payload(entry["value"]), entry["source"]))
+        for key, (label, source) in _BOUNDS.items():
+            if key in val:
+                rows.append((label, _rational_from_payload(val[key]["value"]), source))
         for label, value, source in rows:
             suffix = f"  [{source}]" if source else ""
             lines.append(f"  {label:<34} {value}{suffix}")
@@ -230,8 +227,7 @@ def render_bounds_table(payload: dict[str, Any]) -> str:
 def render_check_table(payload: dict[str, Any]) -> str:
     lines = []
     for idx, val in enumerate(payload["valuations"], start=1):
-        name = val["name"] if val["name"] else f"valuation {idx}"
-        lines.append(f"== {name} ==")
+        lines.append(_heading(idx, val))
         for check in val["checks"]:
             status = "pass" if check["passed"] else "FAIL"
             detail = f"  ({check['detail']})" if check["detail"] else ""

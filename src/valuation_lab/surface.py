@@ -223,9 +223,7 @@ def hirzebruch_class_of_polynomial(
             raise ValueError("every monomial is divisible by u; divide it out first")
         if min(j for _, j in support) > 0:
             raise ValueError("every monomial is divisible by v; divide it out first")
-    a = max(i - delta * j for i, j in support)
-    b = max(j for _, j in support)
-    return a, b
+    return max(i - delta * j for i, j in support), f.degree_v
 
 
 def strict_transform_plane(

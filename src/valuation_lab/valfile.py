@@ -8,13 +8,14 @@ Each entry carries an optional ``name`` and exactly one encoding:
 * ``{"tono": {"a": int, "e": int}}``
 
 ``parse`` builds each entry's bundle, which the commands read; a tono entry
-keeps the bundle its family built.
+keeps the bundle its family built.  A name is the entry's, not the chain's:
+two entries that write one chain under two names hold equal bundles, and
+the reports read ``ValuationEntry.name``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -31,6 +32,13 @@ class ValuationEntry(NamedTuple):
 
     payload: dict[str, Any]
     bundle: ValuationBundle
+
+    @property
+    def name(self) -> str | None:
+        """The name written with the entry; an unnamed tono entry is named
+        after its family member."""
+        tono = self.payload.get("tono")
+        return self.payload.get("name", tono and f"tono-a{tono['a']}-e{tono['e']}")
 
 
 class ValuationFile(NamedTuple):
@@ -88,7 +96,7 @@ def _parse_entry(raw: Any, where: str) -> ValuationEntry:
             tangent = raw.get("tangent_count")
             if tangent is not None:
                 tangent = _require_int(tangent, f"{where}.tangent_count", minimum=1)
-            cfg = build_configuration(lists, tangent_count=tangent, name=name)
+            cfg = build_configuration(lists, tangent_count=tangent)
             payload: dict[str, Any] = {"proximity": lists}
             if tangent is not None:
                 payload["tangent_count"] = tangent
@@ -104,7 +112,7 @@ def _parse_entry(raw: Any, where: str) -> ValuationEntry:
             ]
             trailing = raw.get("trailing_free", 0)
             trailing = _require_int(trailing, f"{where}.trailing_free", minimum=0)
-            cfg = from_maximal_contact(seq, trailing_free=trailing, name=name)
+            cfg = from_maximal_contact(seq, trailing_free=trailing)
             payload = {"maximal_contact": seq}
             if trailing:
                 payload["trailing_free"] = trailing
@@ -117,8 +125,6 @@ def _parse_entry(raw: Any, where: str) -> ValuationEntry:
             a = _require_int(params["a"], f"{where}.tono.a", minimum=3)
             e = _require_int(params["e"], f"{where}.tono.e", minimum=0)
             bundle = tono_family(a, e).bundle
-            if name is not None:
-                bundle = bundle._replace(cfg=replace(bundle.cfg, name=name))
             payload = {"tono": {"a": a, "e": e}}
     except FileFormatError:
         raise

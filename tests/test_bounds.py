@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import configurations, proximity_chains
+from valuation_lab import reports
 from valuation_lab.bounds import (
+    BoundReport,
     bound_report,
     ceil_plus,
     combinatorial_lambda_bound,
@@ -324,23 +326,21 @@ class TestBoundReport:
     def test_single_valuation(self):
         bundle = tono_family(4, 1).bundle
         report = bound_report(bundle)
-        assert report.mu_hat_upper_bound.value == 44
-        assert report.ratio_bound.value == -2
+        # beta_bar_last = 3 * 4**4 - 2 * 4**3 = 640 over the mu-hat bound 44.
+        assert report == (Fraction(640, 44), 44, -2, -2, 1 - 362)
         assert lambda_lower_bound(multi_valuation([bundle])) == -2
-        assert report.combinatorial_lambda_bound.value == -2
-        assert report.trivial_lambda_bound.value == 1 - 362
+
+    def test_reports_label_every_field_in_order(self):
+        assert list(reports._BOUNDS) == list(BoundReport._fields)
 
     def test_m_adic_has_no_combinatorial_entry(self):
         report = bound_report(valuation_bundle(m_adic()))
         assert report.combinatorial_lambda_bound is None
-        assert report.degree_bound.value == 1
+        assert report.degree_bound == 1
 
     @given(configurations())
     @settings(max_examples=60)
     def test_combinatorial_dominates_trivial(self, cfg):
         report = bound_report(valuation_bundle(cfg))
         if report.combinatorial_lambda_bound is not None:
-            assert (
-                report.combinatorial_lambda_bound.value
-                >= report.trivial_lambda_bound.value
-            )
+            assert report.combinatorial_lambda_bound >= report.trivial_lambda_bound

@@ -174,7 +174,7 @@ class TestIdentityChecks:
         assert [r.name for r in results] == names[:rows]
 
     def test_round_trip_failure_keeps_the_exception_type(self, monkeypatch):
-        def failing(beta_bar, trailing_free=0, name=None):
+        def failing(beta_bar, trailing_free=0):
             raise ReconstructionError("synthetic")
 
         monkeypatch.setattr(checks, "from_maximal_contact", failing)
@@ -444,4 +444,4 @@ class TestFuzz:
         assert not summary.ok
         assert summary.first_failure is not None
         assert summary.first_failure.check == "injected"
-        assert len(summary.first_failure.proximity_lists) >= 3
+        assert len(summary.first_failure.proximity) >= 3

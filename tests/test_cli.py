@@ -44,10 +44,9 @@ class TestParse:
         assert vf.aligned_mu is None
 
     def test_tono_entry(self):
-        vf = parse(TONO)
-        cfg = vf.entries[0].bundle.cfg
-        assert cfg.size == 17
-        assert cfg.name == "tono-a3-e0"
+        (entry,) = parse(TONO).entries
+        assert entry.bundle.cfg.size == 17
+        assert entry.name == "tono-a3-e0"
 
     def test_maximal_contact_entry(self):
         vf = parse(
@@ -119,11 +118,11 @@ class TestParse:
         assert again == vf
         assert serialize(again) == serialize(vf)
         # Each payload is the entry as written, name included; an unnamed
-        # tono entry keeps its family's name in the bundle but writes none.
+        # tono entry is named after its family member but writes no name.
         assert [entry.payload for entry in again.entries] == json.loads(text)[
             "valuations"
         ]
-        assert [entry.bundle.cfg.name for entry in again.entries] == [
+        assert [entry.name for entry in again.entries] == [
             "x", None, "tono-a3-e0", "t", None
         ]
 

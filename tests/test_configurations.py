@@ -315,10 +315,10 @@ class TestExhaustiveSmallChains:
     ):
         pairs = 0
         for lists in small_chains:
-            base = build_configuration(lists, name="chain")
+            base = build_configuration(lists)
             for k in range(len(lists) + 2):
                 try:
-                    expected = build_configuration(lists, k, name="chain")
+                    expected = build_configuration(lists, k)
                 except InvalidConfigurationError:
                     with pytest.raises(InvalidConfigurationError):
                         with_tangent_count(base, k)
@@ -377,12 +377,12 @@ class TestExhaustiveSmallChains:
             n = len(lists)
             if n < 2 or len(lists[-1]) == 2:
                 continue
-            base = build_configuration(lists, name="chain")
+            base = build_configuration(lists)
             for k in sorted({2, max_tangent_count(base)}):
                 cfg = with_tangent_count(base, k)
                 for tail in satellite_tails(n, 3):
                     tail_lists = [[c, n + t] for t, c in enumerate(tail)]
-                    expected = build_configuration(lists + tail_lists, k, name="chain")
+                    expected = build_configuration(lists + tail_lists, k)
                     assert extend_with_satellite_tail(cfg, tail) == expected
                     cases += 1
         assert cases > 1000

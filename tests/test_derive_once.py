@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from test_golden_reports import EXAMPLE_FILE
-from valuation_lab import bounds, invariants, valfile
+from valuation_lab import bounds, configurations, invariants, valfile
 from valuation_lab.bounds import (
     bound_report,
     degree_lower_bound,
@@ -22,6 +22,7 @@ from valuation_lab.checks import identity_checks
 from valuation_lab.cli import main
 from valuation_lab.configurations import build_configuration
 from valuation_lab.reports import bounds_payload, invariants_payload
+from valuation_lab.valfile import ValuationEntry
 
 COUNTED = ("invariant_record", "multiplicity_sequence")
 
@@ -64,10 +65,11 @@ def _reset(log):
 @pytest.mark.parametrize("cfg", SMALL + [None], ids=["1pt", "2pt", "satellite", "tono"])
 def test_report_and_payload_read_the_bundle(calls, cfg):
     bundle = tono_family(3, 0).bundle if cfg is None else valuation_bundle(cfg)
+    entry = ValuationEntry({}, bundle)
     _reset(calls)
     bound_report(bundle)
-    invariants_payload(bundle)
-    bounds_payload(bundle)
+    invariants_payload(entry)
+    bounds_payload(entry)
     assert calls == {name: [] for name in COUNTED}
 
 
@@ -153,7 +155,7 @@ def test_bound_report_builds_no_ensemble(monkeypatch, cfg):
 
     _rebind(monkeypatch, bounds.multi_valuation, refuse)
     report = bound_report(bundle)
-    assert report.mu_hat_upper_bound.value == bundle.mu_hat_bound
+    assert report.mu_hat_upper_bound == bundle.mu_hat_bound
 
 
 def test_bounds_builds_one_ensemble_per_file(monkeypatch, tmp_path):
@@ -180,3 +182,46 @@ def test_degree_bound_checks_the_length_before_any_record(calls, cfg):
         with pytest.raises(ValueError, match=f"expected {cfg.size} multiplicities"):
             degree_lower_bound(cfg, m)
     assert calls == {name: [] for name in COUNTED}
+
+
+# One entry of each encoding, unnamed and named.
+ENCODINGS = {
+    "tono": '{"tono": {"a": 5, "e": 1}}',
+    "proximity": '{"proximity": [[], [1], [2, 1]]}',
+    "contact": '{"maximal_contact": [6, 9, 34], "trailing_free": 6}',
+}
+ENTRIES = [
+    (f"{kind}-{named}", entry if named == "unnamed" else '{"name": "x", ' + entry[1:])
+    for kind, entry in ENCODINGS.items()
+    for named in ("unnamed", "named")
+]
+
+
+@pytest.mark.parametrize("command", VERBS)
+@pytest.mark.parametrize("entry", [e for _, e in ENTRIES], ids=[i for i, _ in ENTRIES])
+def test_each_entry_derives_one_run_structure(monkeypatch, tmp_path, command, entry):
+    """A name is the entry's, not the chain's, so naming an entry rebuilds
+    no configuration and derives its structure no second time."""
+    path = tmp_path / "valuations.json"
+    path.write_text('{"valuations": [%s]}' % entry, encoding="utf-8")
+    structures = []
+    original = configurations.run_structure
+
+    def counted(runs):
+        structures.append(runs)
+        return original(runs)
+
+    monkeypatch.setattr(configurations, "run_structure", counted)
+    assert main([command, str(path)]) == 0
+    assert len(structures) == 1
+
+
+@pytest.mark.parametrize("entry", ENCODINGS.values(), ids=list(ENCODINGS))
+def test_one_chain_under_two_names_is_one_configuration(entry):
+    text = '{"valuations": [%s, %s]}' % (
+        '{"name": "x", ' + entry[1:], '{"name": "y", ' + entry[1:]
+    )
+    first, second = valfile.parse(text).entries
+    assert (first.payload["name"], second.payload["name"]) == ("x", "y")
+    assert first.bundle.cfg == second.bundle.cfg
+    assert first.bundle == second.bundle

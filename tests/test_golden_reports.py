@@ -1,4 +1,5 @@
-"""Golden CLI reports: exit code and stdout sha256 of fixed in-process runs.
+"""Golden CLI reports: exit code and stdout sha256 of fixed in-process runs,
+and the full text of a fuzz failure report, which no passing run shows.
 
 Refactors must leave every report byte-identical; a changed digest here
 means the rendered output changed, not just the code behind it.
@@ -8,6 +9,8 @@ import hashlib
 
 import pytest
 
+import valuation_lab.checks as checks
+from valuation_lab.checks import CheckResult
 from valuation_lab.cli import main
 
 # The example valuation file from the README.
@@ -69,3 +72,43 @@ def test_report_is_byte_identical(tmp_path, capsys, command, fmt, code, digest):
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# A stub suite fails the first row of every chain with a satellite; the
+# report of its first failure, in each format, byte for byte.
+FUZZ_FAILURE = ["fuzz", "--max-points", "6", "--trials", "5", "--seed", "1"]
+FAILURE_PROXIMITY = "[[], [1], [2], [2, 3], [2, 4], [2, 5]]"
+FAILURE_TABLE = f"""\
+trials: 5 (max points 6, seed 1)
+checks passed: 28
+checks failed: 3
+first counterexample: trial 0, check proximity-equalities
+  proximity: {FAILURE_PROXIMITY}
+  tangent_count: 3
+"""
+FAILURE_JSON = (
+    '{"checks_failed": 3, "checks_passed": 28, "command": "fuzz", '
+    '"first_failure": {"check": "proximity-equalities", "detail": "%s", '
+    f'"proximity": {FAILURE_PROXIMITY}, "tangent_count": 3, "trial": 0}}, '
+    '"max_points": 6, "seed": 1, "trials": 5}\n'
+)
+
+
+@pytest.mark.parametrize("detail", ["injected", ""])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_fuzz_failure_report_is_pinned(monkeypatch, capsys, fmt, detail):
+    real = checks.identity_checks
+
+    def failing(bundle):
+        results = real(bundle)
+        if bundle.cfg.structure.stretches:
+            results[0] = CheckResult(results[0].name, False, detail)
+        return results
+
+    monkeypatch.setattr(checks, "identity_checks", failing)
+    assert main(["--format", fmt, *FUZZ_FAILURE]) == 2
+    if fmt == "json":
+        expected = FAILURE_JSON % detail
+    else:
+        expected = FAILURE_TABLE + (f"  detail: {detail}\n" if detail else "")
+    assert capsys.readouterr().out == expected

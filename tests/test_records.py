@@ -18,7 +18,6 @@ import valuation_lab
 RECORDS = {
     ("bounds", "ValuationBundle"): ("cfg", "record", "delta0"),
     ("bounds", "MultiValuation"): ("bundles", "aligned_mu"),
-    ("bounds", "BoundEntry"): ("value", "source"),
     ("bounds", "BoundReport"): (
         "degree_bound",
         "mu_hat_upper_bound",
@@ -40,7 +39,7 @@ RECORDS = {
     ("checks", "CheckResult"): ("name", "passed", "detail"),
     ("checks", "FuzzFailure"): (
         "trial",
-        "proximity_lists",
+        "proximity",
         "tangent_count",
         "check",
         "detail",
