@@ -4,9 +4,8 @@ Classes are written additively against total transforms with the sign
 convention ``class = a*F + b*M - sum(m_i * E_i)`` (ruled model) or
 ``class = d*L - sum(m_i * E_i)`` (plane model).  The pairing table on the
 ruled model of index ``delta`` is F.M = 1, F.F = 0, M.M = delta, with the
-exceptional classes orthonormal of square -1.  The generators of the
-curve cone are held by their nonzero exceptional entries, which do not
-depend on ``delta``, so pairing them costs O(points) per index.
+exceptional classes orthonormal of square -1; ``intersect_hirzebruch``
+is the one place that pairing is written.
 """
 
 from __future__ import annotations
@@ -81,31 +80,11 @@ class NpiResult(NamedTuple):
 
 
 class GeneratorPairing(NamedTuple):
-    """A claimed generator of the curve cone and its pairing with the nef
-    candidate.
-
-    The generator a*F + b*M - sum(m_i * E_i) on the ruled model of index
-    ``delta`` over ``size`` points is held by its nonzero ``(i, m_i)``
-    entries (``support``), so all the generators of a chain together cost
-    O(points); ``divisor`` lists the dense class only when read.
-    """
+    """A claimed generator of the curve cone, by name, and its pairing with
+    the nef candidate."""
 
     name: str
     value: int
-    a: int
-    b: int
-    support: tuple[tuple[int, int], ...]
-    size: int
-    delta: int
-
-    @property
-    def divisor(self) -> HirzebruchClass:
-        mults = [0] * self.size
-        for i, m in self.support:
-            mults[i - 1] = m
-        return HirzebruchClass(
-            a=self.a, b=self.b, mults=tuple(mults), delta=self.delta
-        )
 
 
 def intersect_plane(x: PlaneClass, y: PlaneClass) -> int:
@@ -123,7 +102,10 @@ def intersect_hirzebruch(x: HirzebruchClass, y: HirzebruchClass) -> int:
         raise ValueError(
             f"ambient size mismatch: {len(x.mults)} vs {len(y.mults)}"
         )
-    return pair_with_generator(x, y.a, y.b, sum(map(operator.mul, x.mults, y.mults)))
+    return (
+        x.a * y.b + y.a * x.b + x.delta * x.b * y.b
+        - sum(map(operator.mul, x.mults, y.mults))
+    )
 
 
 def lambda_divisor(cfg: Configuration, delta: int) -> HirzebruchClass:
@@ -161,46 +143,29 @@ def npi_check(cfg: Configuration, delta: int) -> NpiResult:
     return npi_from_record(invariant_record(cfg), delta)
 
 
-def pair_with_generator(lam: HirzebruchClass, a: int, b: int, exceptional: int) -> int:
-    """``intersect_hirzebruch(lam, c)`` for the class c = a*F + b*M - sum(m_i * E_i),
-    given its exceptional part ``sum(m_i * lam.mults[i-1])``."""
-    return lam.a * b + a * lam.b + lam.delta * lam.b * b - exceptional
-
-
 def nef_on_generators(cfg: Configuration, delta: int) -> list[GeneratorPairing]:
     """Pair the configuration's nef candidate with every claimed generator of
-    the curve cone, in O(points), not O(points^2).
+    the curve cone.
 
     Generators: the strict transform of the fiber through the center (it
     passes through exactly the tangent-flagged points), the strict
     transform of the special section (through p_1 only), and the strict
     transforms of the exceptional divisors (E_i minus the E_j of the points
-    proximate to p_i).  Each is a*F + b*S - sum(m_i * E_i) with S = M - delta*F
-    the special section, held by its nonzero ``(i, m_i)`` entries; on the
-    ruled model of index delta the fiber coefficient is ``a - delta * b``.
-    The candidate pairs with E_i, which has no fiber or section part, to
-    entry i of the proximity residual of its multiplicities.
+    proximate to p_i).  The fiber is F - sum of the E_i at the tangent
+    points and the section S = M - delta*F is -delta*F + M - E_1; both are
+    paired with the candidate through ``intersect_hirzebruch``.  E_i has no
+    fiber or section part, so the candidate pairs with it to entry i of the
+    proximity residual of its multiplicities, which is read off the runs.
     """
     lam = lambda_divisor(cfg, delta)
-    n, k, v = cfg.size, cfg.tangent_count, lam.mults
+    n, k = cfg.size, cfg.tangent_count
+    fiber = HirzebruchClass(a=1, b=0, mults=(1,) * k + (0,) * (n - k), delta=delta)
+    section = HirzebruchClass(a=-delta, b=1, mults=(1,) + (0,) * (n - 1), delta=delta)
     residual = proximity_residual(cfg, cfg.runs)
-    incoming = cfg.proximate_points()
     return [
-        GeneratorPairing(
-            "fiber", pair_with_generator(lam, 1, 0, sum(v[:k])), 1, 0,
-            tuple((i, 1) for i in range(1, k + 1)), n, delta,
-        ),
-        GeneratorPairing(
-            "special_section", pair_with_generator(lam, -delta, 1, v[0]),
-            -delta, 1, ((1, 1),), n, delta,
-        ),
-        *(
-            GeneratorPairing(
-                f"E{i}", residual.get(i, 0), 0, 0,
-                ((i, -1), *[(j, 1) for j in incoming[i]]), n, delta,
-            )
-            for i in range(1, n + 1)
-        ),
+        GeneratorPairing("fiber", intersect_hirzebruch(lam, fiber)),
+        GeneratorPairing("special_section", intersect_hirzebruch(lam, section)),
+        *(GeneratorPairing(f"E{i}", residual.get(i, 0)) for i in range(1, n + 1)),
     ]
 
 
@@ -264,6 +229,5 @@ __all__ = [
     "nef_on_generators",
     "npi_check",
     "npi_from_record",
-    "pair_with_generator",
     "strict_transform_plane",
 ]

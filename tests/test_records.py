@@ -69,15 +69,7 @@ RECORDS = {
         "is_m_adic",
     ),
     ("surface", "NpiResult"): ("non_positive_at_infinity", "witness"),
-    ("surface", "GeneratorPairing"): (
-        "name",
-        "value",
-        "a",
-        "b",
-        "support",
-        "size",
-        "delta",
-    ),
+    ("surface", "GeneratorPairing"): ("name", "value"),
     ("valfile", "ValuationEntry"): ("payload", "bundle"),
     ("valfile", "ValuationFile"): ("entries", "aligned_mu"),
 }

@@ -146,17 +146,29 @@ class TestNefOnGenerators:
         assert by_name[f"E{cfg.size}"] == 1
 
     def test_generator_classes(self):
-        pairings = {gp.name: gp.divisor for gp in nef_on_generators(cfg3(), 2)}
-        assert pairings["fiber"].mults == (1, 1, 0)
-        assert pairings["special_section"].a == -2
-        assert pairings["special_section"].mults == (1, 0, 0)
-        assert pairings["E1"].mults == (-1, 1, 1)
-        assert pairings["E3"].mults == (0, 0, -1)
+        classes = dict(dense_generators(cfg3(), 2))
+        assert classes["fiber"] == HirzebruchClass(a=1, b=0, mults=(1, 1, 0), delta=2)
+        assert classes["special_section"] == HirzebruchClass(
+            a=-2, b=1, mults=(1, 0, 0), delta=2
+        )
+        assert classes["E1"].mults == (-1, 1, 1)
+        assert classes["E3"].mults == (0, 0, -1)
+
+    @pytest.mark.parametrize("delta", [0, 3])
+    def test_tono_12_3_pairs_to_zero_but_on_the_last_point(self, delta):
+        cfg = tono_family(12, 3).bundle.cfg
+        pairings = nef_on_generators(cfg, delta)
+        assert len(pairings) == 79_228
+        assert [gp.name for gp in pairings] == [
+            "fiber", "special_section", *(f"E{i}" for i in range(1, 79_227))
+        ]
+        assert [gp.value for gp in pairings] == [0] * 79_227 + [1]
 
 
 def dense_generators(cfg, delta):
-    """The generators as dense classes, one length-n class each: the
-    reference that the support-held pairings are compared with."""
+    """The generators as dense classes, one length-n class each, with each
+    E_i listed from ``proximate_points``: the reference that the pairings
+    of ``nef_on_generators`` are compared with."""
     n = cfg.size
     fiber = HirzebruchClass(
         a=1, b=0, mults=tuple(int(i <= cfg.tangent_count) for i in range(1, n + 1)),
@@ -182,8 +194,7 @@ def assert_matches_dense_generators(cfg, delta):
     reference = dense_generators(cfg, delta)
     assert [gp.name for gp in pairings] == [name for name, _ in reference]
     for gp, (_, divisor) in zip(pairings, reference):
-        assert gp.divisor == divisor
-        assert gp.value == intersect_hirzebruch(lam, gp.divisor)
+        assert gp.value == intersect_hirzebruch(lam, divisor)
 
 
 class TestGeneratorSupports:
@@ -196,13 +207,6 @@ class TestGeneratorSupports:
     @settings(max_examples=60, deadline=None)
     def test_long_chains_match_dense_generators(self, cfg, delta):
         assert_matches_dense_generators(cfg, delta)
-
-    def test_supports_hold_only_nonzero_entries(self):
-        pairings = {gp.name: gp for gp in nef_on_generators(cfg3(), 2)}
-        assert pairings["fiber"].support == ((1, 1), (2, 1))
-        assert pairings["special_section"].support == ((1, 1),)
-        assert pairings["E1"].support == ((1, -1), (2, 1), (3, 1))
-        assert pairings["E3"].support == ((3, -1),)
 
 
 class TestHirzebruchClassOfPolynomial:
