@@ -28,10 +28,11 @@ point, latest first, adds its value to its predecessor and older target.
 The proximity residual lists none: it takes runs and reads the stretches.
 ``build_configuration`` writes this array as it validates the lists,
 comparing each sorted one in place and sending any other form through
-sets; ``extend_with_satellite_tail`` extends it.  Both push it into runs in
-one backward pass (``push_runs``), which ends each run as soon as its value
-is final.  ``run_structure`` reads the stretches back by matching each run
-end with whole runs.
+sets; it rejects a target or tangent count that is not an ``int`` (a bool
+is not one).  ``extend_with_satellite_tail`` extends the array.  Both push
+it into runs in one backward pass (``push_runs``), which ends each run as
+soon as its value is final.  ``run_structure`` reads the stretches back by
+matching each run end with whole runs.
 """
 
 from __future__ import annotations
@@ -218,15 +219,16 @@ def proximity_residual(
     values = [value for value, _ in m]
     ends = list(itertools.accumulate(count for _, count in m))
     sums = [0, *itertools.accumulate(value * count for value, count in m)]
-
-    def prefix(i: int) -> int:  # m_1 + ... + m_i
-        s = bisect.bisect_left(ends, i)
-        return sums[s + 1] - (ends[s] - i) * values[s]
-
     residual = dict(zip(ends, map(operator.sub, values, [*values[1:], 0])))
     for first, last, target in cfg.structure.stretches:
-        residual[target] = residual.get(target, 0) - prefix(last) + prefix(first - 1)
-    return dict(sorted(residual.items()))
+        # m_first + ... + m_last as two prefix sums m_1 + ... + m_i, at p_last
+        # and at p_{first-1}, each read off the run s or r that holds it.
+        s, r = bisect.bisect_left(ends, last), bisect.bisect_left(ends, first - 1)
+        stretch = sums[s + 1] - (ends[s] - last) * values[s]
+        stretch -= sums[r + 1] - (ends[r] - first + 1) * values[r]
+        residual[target] = residual.get(target, 0) - stretch
+    # A stretch target that ends no run of m was added last, out of order.
+    return residual if len(residual) == len(ends) else dict(sorted(residual.items()))
 
 
 def satellite_targets(i: int, prev_older: int) -> list[int]:
@@ -239,7 +241,10 @@ def satellite_targets(i: int, prev_older: int) -> list[int]:
 def check_tangent_count(k: int, n: int, first_satellite: int) -> None:
     """Reject a tangent segment {p_1..p_k} that a chain of n points whose first
     satellite is ``first_satellite`` (n + 1 when it has none) cannot carry:
-    k is 1 for a single point, else 2..n, and stops before a satellite."""
+    k is an int (not a bool), 1 for a single point, else 2..n, and stops
+    before a satellite."""
+    if type(k) is not int:
+        raise InvalidConfigurationError(f"tangent_count must be an integer, got {k!r}")
     if n == 1 and k != 1:
         raise InvalidConfigurationError("tangent_count must be 1 for a single point")
     if n > 1 and not 2 <= k <= n:
@@ -318,25 +323,29 @@ def build_configuration(
     if n < 1:
         raise InvalidConfigurationError("a configuration needs at least one point")
 
-    if {int(t) for t in proximity_lists[0]}:
+    if [*proximity_lists[0]]:
         raise InvalidConfigurationError("p_1 cannot be proximate to anything")
     older = [0] * (n + 1)
     for i in range(2, n + 1):
         raw = proximity_lists[i - 1]
-        # Sorted lists, compared in place: [i - 1] for a free point, the common
-        # case, and [t, i - 1] for a satellite whose t is admissible.
+        # Sorted lists of ints, compared in place: [i - 1] for a free point,
+        # the common case, and [t, i - 1] for a satellite whose t is admissible.
         if isinstance(raw, list):
-            if len(raw) == 1 and raw[0] == i - 1:
+            if len(raw) == 1 and raw[0] == i - 1 and type(raw[0]) is int:
                 continue
             if (
                 len(raw) == 2
                 and raw[1] == i - 1
+                and type(raw[1]) is type(raw[0]) is int
                 and raw[0]
                 and (raw[0] == i - 2 or raw[0] == older[i - 1])
             ):
-                older[i] = int(raw[0])
+                older[i] = raw[0]
                 continue
-        targets = {int(t) for t in raw}
+        listed = [*raw]
+        if any(type(t) is not int for t in listed):
+            raise InvalidConfigurationError(f"p_{i}: targets must be integers")
+        targets = set(listed)
         if any(t < 1 or t >= i for t in targets):
             raise InvalidConfigurationError(
                 f"p_{i}: proximity targets must be earlier points"
@@ -356,9 +365,7 @@ def build_configuration(
                 )
             older[i] = target
 
-    if tangent_count is None:
-        tangent_count = min(2, n)
-    k = int(tangent_count)
+    k = min(2, n) if tangent_count is None else tangent_count
     first_satellite = next(itertools.compress(range(n + 1), older), n + 1)
     check_tangent_count(k, n, first_satellite)
     return Configuration(runs=push_runs(older), tangent_count=k)
@@ -438,6 +445,5 @@ def max_tangent_count(cfg: Configuration) -> int:
 def with_tangent_count(cfg: Configuration, tangent_count: int) -> Configuration:
     """Same proximity structure, different tangent segment: 1 for a single
     point, else 2..``max_tangent_count(cfg)``."""
-    k = int(tangent_count)
-    check_tangent_count(k, cfg.size, max_tangent_count(cfg) + 1)
-    return Configuration(cfg.runs, k)
+    check_tangent_count(tangent_count, cfg.size, max_tangent_count(cfg) + 1)
+    return Configuration(cfg.runs, tangent_count)

@@ -1,13 +1,14 @@
 """Numerical invariants of a valuation read off its configuration.
 
-Everything here is exact: multiplicities and contact values are Python
-integers, volumes and Puiseux exponents are ``fractions.Fraction``, built
-when they are read.  A configuration is its multiplicity runs, and the
-record is read from those runs and their run-level proximity structure, so
-it costs O(runs), not O(points), and builds no ``Fraction``: the per-block
-run tables, read in one walk over the run ends, are each folded into the
-coprime integers p/q of their continued fraction, and Zariski's recursion
-turns those into the contact values, the last one over the last block.
+Everything here is exact and in integers.  A configuration is its
+multiplicity runs, and the record is read from those runs and their
+run-level proximity structure, so it costs O(runs), not O(points), and
+builds no ``Fraction``.  The per-block run tables, read in one walk over
+the run ends, are each folded into the coprime p/q of their continued
+fraction, the Puiseux exponent that the record keeps and the reports
+print; Zariski's recursion turns those into the contact values, the last
+one over the last block.  ``beta_prime`` and the volumes are
+``fractions.Fraction`` values built when they are read.
 The inverse (``from_maximal_contact``) expands each contact value into a
 block of multiplicity runs by the subtractive Euclidean algorithm, the same
 recursion read backwards; its docstring proves that its input checks make
@@ -59,22 +60,17 @@ class MaximalContactValues(NamedTuple):
 
 
 class PuiseuxExponents(NamedTuple):
-    """Block-wise multiplicity run lengths; each block's Puiseux exponent is
-    their continued fraction."""
+    """Block-wise multiplicity run lengths, and the Puiseux exponents as
+    coprime (p, q): ``ratios[j]`` is beta'_j, 1 for j = 0, else the
+    continued fraction of block j's run lengths."""
 
     run_length_tables: tuple[tuple[int, ...], ...]
-
-    def ratio(self, j: int) -> tuple[int, int]:
-        """beta'_{j+1}, the continued fraction of block j+1, as coprime (p, q)."""
-        return _continued_fraction(self.run_length_tables[j])
+    ratios: tuple[tuple[int, int], ...]
 
     @property
     def beta_prime(self) -> tuple[Fraction, ...]:
-        """1, then each block's continued fraction, on each read."""
-        return (
-            Fraction(1),
-            *(Fraction(*_continued_fraction(t)) for t in self.run_length_tables),
-        )
+        """The exponents as Fractions, on each read."""
+        return tuple(Fraction(p, q) for p, q in self.ratios)
 
 
 class InvariantRecord(NamedTuple):
@@ -162,7 +158,7 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
     gcd_prev = gcd_here = beta[0]
     # Run lengths inside each closed block, in one walk over the run ends;
     # a block ending inside run s leaves the rest of run s to the next.
-    ends, tables, s, start = structure.ends, [], 0, 1
+    ends, tables, ratios, s, start = structure.ends, [], [(1, 1)], 0, 1
     for hi in structure.decomposition.boundaries[1:]:
         table = []
         while ends[s] < hi:
@@ -172,6 +168,7 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
         tables.append(tuple(table))
         start = hi
         p, q = _continued_fraction(table)
+        ratios.append((p, q))
         y = gcd_here * p // q
         beta.append(y + gcd_prev // gcd_here * beta[-1] - gcd_here)
         gcd_prev, gcd_here = gcd_here, math.gcd(gcd_here, y)
@@ -188,7 +185,7 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
         contact=MaximalContactValues(
             beta_bar=tuple(beta), gcd_chain=tuple(itertools.accumulate(beta, math.gcd))
         ),
-        puiseux=PuiseuxExponents(run_length_tables=tuple(tables)),
+        puiseux=PuiseuxExponents(tuple(tables), tuple(ratios)),
         tangent_value=tangent,
         is_m_adic=cfg.size == 1,
     )

@@ -2,14 +2,16 @@
 
 Payloads are plain JSON-serializable dicts; the table renderer shows the
 same numbers in a compact human layout.  Exact rationals appear as "p/q"
-strings next to a decimal approximation rounded to six significant digits.
-Output contains no timestamps unless explicitly requested, so reports are
+strings, written from the coprime integers p and q (the invariants build
+no Fraction), next to p / q rounded to six significant digits.  Output
+contains no timestamps unless explicitly requested, so reports are
 byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from typing import Any
@@ -38,9 +40,10 @@ def approx(x: float) -> float:
     return float(f"{x:.6g}")
 
 
-def rational_payload(x: Fraction) -> dict[str, Any]:
-    # int / int rounds as float(x) does and overflows with the same message.
-    return {"exact": str(x), "approx": approx(x.numerator / x.denominator)}
+def rational_payload(p: int, q: int) -> dict[str, Any]:
+    """``str(Fraction(p, q))`` for coprime p and q >= 1, and p / q, which
+    rounds as ``float(Fraction(p, q))`` does and overflows with its message."""
+    return {"exact": f"{p}/{q}" if q != 1 else str(p), "approx": approx(p / q)}
 
 
 def compress_runs(runs: Iterable[Sequence[int]]) -> str:
@@ -51,9 +54,12 @@ def compress_runs(runs: Iterable[Sequence[int]]) -> str:
 
 
 def invariants_payload(entry: ValuationEntry) -> dict[str, Any]:
+    """The record's numbers; its rationals are printed from their integers."""
     bundle = entry.bundle
     cfg, record = bundle.cfg, bundle.record
     decomposition = cfg.structure.decomposition
+    square, last = record.beta_bar[0] ** 2, record.beta_bar[-1]
+    common = math.gcd(square, last)
     return {
         "name": entry.name,
         "points": cfg.size,
@@ -64,10 +70,10 @@ def invariants_payload(entry: ValuationEntry) -> dict[str, Any]:
         "genus": decomposition.genus_count,
         "contact_values": list(record.beta_bar),
         "gcd_chain": list(record.contact.gcd_chain),
-        "puiseux_exponents": [rational_payload(x) for x in record.puiseux.beta_prime],
+        "puiseux_exponents": [rational_payload(*r) for r in record.puiseux.ratios],
         "run_lengths": [list(t) for t in record.puiseux.run_length_tables],
-        "volume": rational_payload(record.volume),
-        "normalized_volume": rational_payload(record.normalized_volume),
+        "volume": rational_payload(1, last),
+        "normalized_volume": rational_payload(square // common, last // common),
         "tangent_value": record.tangent_value,
         "delta0": bundle.delta0,
     }
@@ -86,10 +92,8 @@ def bounds_payload(entry: ValuationEntry) -> dict[str, Any]:
         if value is None:
             continue
         exact = isinstance(value, Fraction) and value.denominator != 1
-        payload[key] = {
-            "source": _BOUNDS[key][1],
-            "value": rational_payload(value) if exact else int(value),
-        }
+        shown = rational_payload(*value.as_integer_ratio()) if exact else int(value)
+        payload[key] = {"source": _BOUNDS[key][1], "value": shown}
     return payload
 
 
@@ -139,16 +143,17 @@ def family_payload(family: TonoValuation) -> dict[str, Any]:
         "trailing_free_points": family.trailing_free,
         "curve_degree": family.curve_degree,
         "curve_value": family.curve_value,
-        "mu_hat": rational_payload(family.mu_hat),
+        "mu_hat": rational_payload(*family.mu_hat.as_integer_ratio()),
         "mu_hat_upper_bound": family.mu_hat_bound,
-        "ratio": rational_payload(family.ratio),
+        "ratio": rational_payload(*family.ratio.as_integer_ratio()),
         "verified": True,
     }
 
 
 def render_json(payload: dict[str, Any]) -> str:
-    """One line of JSON: without ``indent`` the stdlib's C encoder writes it."""
-    return json.dumps(payload, sort_keys=True) + "\n"
+    """One line of JSON: without ``indent`` the stdlib's C encoder writes it,
+    and a tree built fresh for each report needs no cycle check."""
+    return json.dumps(payload, sort_keys=True, check_circular=False) + "\n"
 
 
 def _heading(index: int, val: dict[str, Any]) -> str:

@@ -8,9 +8,11 @@ Each entry carries an optional ``name`` and exactly one encoding:
 * ``{"tono": {"a": int, "e": int}}``
 
 ``parse`` builds each entry's bundle, which the commands read; a tono entry
-keeps the bundle its family built.  A name is the entry's, not the chain's:
-two entries that write one chain under two names hold equal bundles, and
-the reports read ``ValuationEntry.name``.
+keeps the bundle its family built.  A proximity entry is checked by the
+build's one pass over its targets; only a failed build rescans it, to name
+its first malformed target in file order.  A name is the entry's, not the
+chain's: two entries that write one chain under two names hold equal
+bundles, and the reports read ``ValuationEntry.name``.
 """
 
 from __future__ import annotations
@@ -81,22 +83,21 @@ def _parse_entry(raw: Any, where: str) -> ValuationEntry:
 
     try:
         if kind == "proximity":
-            lists = raw["proximity"]
-            if not isinstance(lists, list) or not all(
-                [isinstance(entry, list) for entry in lists]
-            ):
-                raise FileFormatError(
-                    f"{where}.proximity: expected a list of lists of integers"
-                )
-            # One pass over every target; the loop names the first bad one.
-            if not all([type(t) is int and t >= 1 for entry in lists for t in entry]):
+            lists, tangent = raw["proximity"], raw.get("tangent_count")
+            # Any failed build, a non-list's included, rescans in file order.
+            try:
+                cfg = build_configuration(lists, tangent_count=tangent)
+            except (ValuationError, TypeError, LookupError):
+                if type(lists) is not list or any(type(e) is not list for e in lists):
+                    raise FileFormatError(
+                        f"{where}.proximity: expected a list of lists of integers"
+                    )
                 for i, entry in enumerate(lists):
                     for t in entry:
                         _require_int(t, f"{where}.proximity[{i}]", minimum=1)
-            tangent = raw.get("tangent_count")
-            if tangent is not None:
-                tangent = _require_int(tangent, f"{where}.tangent_count", minimum=1)
-            cfg = build_configuration(lists, tangent_count=tangent)
+                if tangent is not None:
+                    _require_int(tangent, f"{where}.tangent_count", minimum=1)
+                raise
             payload: dict[str, Any] = {"proximity": lists}
             if tangent is not None:
                 payload["tangent_count"] = tangent

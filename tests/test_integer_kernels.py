@@ -5,9 +5,15 @@
 ``build_configuration`` compares sorted lists in place and sends every other
 form (tuples, sets, unsorted or repeated targets) through its set-based
 validation, with the same runs or the same message as before.
+``build_configuration`` takes a target or tangent count only if it is an
+``int`` (a bool is not), and ``valfile`` leaves that check to the build,
+rescanning an entry only when the build fails, so a file gets the message
+it got when every target was checked before the build.
 ``run_structure`` consumes whole runs and raises the same three errors.  The
-bounds take their ceilings by floor division, and the file verbs build a
-``Fraction`` only for a number they print.
+bounds take their ceilings by floor division, the file verbs build a
+``Fraction`` only for a number they print, and the invariants report
+prints the exponents and volumes from integers, as ``str`` and ``float``
+of those ``Fraction``s would.
 """
 
 import contextlib
@@ -26,6 +32,7 @@ from valuation_lab.bounds import (
     ceil_div,
     ceil_plus,
 )
+from valuation_lab.bounds import tono_family, valuation_bundle
 from valuation_lab.checks import random_configuration, trial_rng
 from valuation_lab.cli import main
 from valuation_lab.configurations import (
@@ -35,9 +42,16 @@ from valuation_lab.configurations import (
     run_structure,
     satellite_targets,
     value_runs,
+    with_tangent_count,
 )
-from valuation_lab.errors import InvalidConfigurationError, ReconstructionError
+from valuation_lab.errors import (
+    FileFormatError,
+    InvalidConfigurationError,
+    ReconstructionError,
+)
 from valuation_lab.invariants import invariant_record
+from valuation_lab.reports import approx, invariants_payload
+from valuation_lab.valfile import ValuationEntry, parse
 
 
 def listed_runs(older):
@@ -218,12 +232,208 @@ def mixed_file(tmp_path_factory):
 def test_file_verbs_build_only_the_fractions_they_print(
     fractions_built, mixed_file, fmt
 ):
-    """``check`` builds no Fraction for a proximity or contact entry, and
-    ``bounds`` one per entry: the degree bound it prints."""
+    """``check`` and ``invariants`` build no Fraction for a proximity or
+    contact entry, and ``bounds`` one per entry: the degree bound it prints."""
     path, entries = mixed_file
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["--format", fmt, "check", path]) == 0
+        assert main(["--format", fmt, "invariants", path]) == 0
     assert fractions_built == []
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["--format", fmt, "bounds", path]) == 0
     assert len(fractions_built) == entries
+
+
+# Targets and tangent counts that are not ints, which the build once
+# truncated with int(): [[], [1.5]] and [[], [True]] built a 2-point chain,
+# and [[], [1.0], [1, 2.9]] a satellite at p_3.
+NON_INT_TARGETS = {
+    "float": ([[], [1.5]], "p_2"),
+    "integral float": ([[], [1.0]], "p_2"),
+    "string": ([[], ["1"]], "p_2"),
+    "bool": ([[], [True]], "p_2"),
+    "None": ([[], [None]], "p_2"),
+    "float before a satellite": ([[], [1.0], [1, 2.9]], "p_2"),
+    "integral float satellite": ([[], [1], [1, 2.0]], "p_3"),
+    "bool satellite": ([[], [1], [True, 2]], "p_3"),
+    "float in a tuple": ([(), (1,), (1.0, 2)], "p_3"),
+    "bool in a set": ([set(), {1}, {2, True}], "p_3"),
+}
+
+
+@pytest.mark.parametrize(
+    "lists, point", NON_INT_TARGETS.values(), ids=NON_INT_TARGETS
+)
+def test_build_configuration_rejects_targets_that_are_not_ints(lists, point):
+    with pytest.raises(InvalidConfigurationError) as caught:
+        build_configuration(lists)
+    assert str(caught.value) == f"{point}: targets must be integers"
+
+
+@pytest.mark.parametrize("count", [2.0, True, "2"], ids=repr)
+def test_tangent_counts_that_are_not_ints_are_rejected(count):
+    lists = [[], [1], [2]]
+    for make, chain in (
+        (build_configuration, lists),
+        (with_tangent_count, build_configuration(lists)),
+    ):
+        with pytest.raises(InvalidConfigurationError) as caught:
+            make(chain, count)
+        assert str(caught.value) == f"tangent_count must be an integer, got {count!r}"
+
+
+# A proximity entry and the message that parse gives it: the first malformed
+# part in file order (the lists, each target, then the tangent count), even
+# when a structural error comes first.  Pinned from the code that checked
+# every target before the build.
+MALFORMED_PROXIMITY = {
+    "bool": ([[], [True]], None, "proximity[1]: expected an integer, got True"),
+    "bool satellite": (
+        [[], [1], [True, 2]], None, "proximity[2]: expected an integer, got True"
+    ),
+    "float": ([[], [1.5]], None, "proximity[1]: expected an integer, got 1.5"),
+    "integral float": (
+        [[], [1.0], [1, 2.9]], None, "proximity[1]: expected an integer, got 1.0"
+    ),
+    "string": ([[], ["1"]], None, "proximity[1]: expected an integer, got '1'"),
+    "null": ([[], [None]], None, "proximity[1]: expected an integer, got None"),
+    "nested list": ([[], [[1]]], None, "proximity[1]: expected an integer, got [1]"),
+    "float at p_1": ([[1.5]], None, "proximity[0]: expected an integer, got 1.5"),
+    "zero": ([[], [1], [0, 2]], None, "proximity[2]: must be >= 1, got 0"),
+    "non-list entry": (
+        [[], 1], None, "proximity: expected a list of lists of integers"
+    ),
+    "string entry": (
+        [[], "1"], None, "proximity: expected a list of lists of integers"
+    ),
+    "object entry": (
+        [[], {"a": 1}], None, "proximity: expected a list of lists of integers"
+    ),
+    "non-list entry after a structural error": (
+        [[], [5], 3], None, "proximity: expected a list of lists of integers"
+    ),
+    "object proximity": (
+        {"a": 1}, None, "proximity: expected a list of lists of integers"
+    ),
+    "empty object proximity": (
+        {}, None, "proximity: expected a list of lists of integers"
+    ),
+    "string proximity": (
+        "abc", None, "proximity: expected a list of lists of integers"
+    ),
+    "number proximity": (3, None, "proximity: expected a list of lists of integers"),
+    "float after a structural error": (
+        [[], [5], [1.5]], None, "proximity[2]: expected an integer, got 1.5"
+    ),
+    "bool after a structural error": (
+        [[], [1], [3], [2, True]], None, "proximity[3]: expected an integer, got True"
+    ),
+    "string count": (
+        [[], [1], [2]], "2", "tangent_count: expected an integer, got '2'"
+    ),
+    "bool count": (
+        [[], [1], [2]], True, "tangent_count: expected an integer, got True"
+    ),
+    "float count after a structural error": (
+        [[], [5]], 2.0, "tangent_count: expected an integer, got 2.0"
+    ),
+    "list count after a structural error": (
+        [[], [5]], [2], "tangent_count: expected an integer, got [2]"
+    ),
+    "zero count after a structural error": (
+        [[], [5]], 0, "tangent_count: must be >= 1, got 0"
+    ),
+    "structural error": (
+        [[], [5]], None, ": p_2: proximity targets must be earlier points"
+    ),
+    "count too large": (
+        [[], [1], [2]], 4, ": tangent_count must lie in 2..3 for 3 points"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "lists, count, message", MALFORMED_PROXIMITY.values(), ids=MALFORMED_PROXIMITY
+)
+def test_malformed_proximity_entries_keep_their_messages(
+    tmp_path, capsys, lists, count, message
+):
+    """The second entry is malformed; parse and ``check`` name it alike, and
+    ``check`` exits 1 with that one line."""
+    entry = {"proximity": lists}
+    if count is not None:
+        entry["tangent_count"] = count
+    text = json.dumps({"valuations": [{"proximity": [[], [1]]}, entry]})
+    where = "valuations[1]" + ("" if message.startswith(":") else ".")
+    with pytest.raises(FileFormatError) as caught:
+        parse(text)
+    assert str(caught.value) == where + message
+    path = tmp_path / "malformed.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {where}{message}\n")
+
+
+def rational_oracle(x: Fraction) -> dict:
+    return {"exact": str(x), "approx": approx(float(x))}
+
+
+def continued_fraction(digits):
+    """[d_0; d_1, ..., d_k] folded in Fraction arithmetic."""
+    value = Fraction(digits[-1])
+    for d in reversed(digits[:-1]):
+        value = d + 1 / value
+    return value
+
+
+def assert_payload_prints_the_record_fractions(bundle):
+    """The exponents and volumes of the invariants report are ``str`` and
+    ``float`` of the record's Fraction properties; the exponents are folded
+    here from the run tables too, apart from the record's integer pairs."""
+    record = bundle.record
+    payload = invariants_payload(ValuationEntry({}, bundle))
+    tables = record.puiseux.run_length_tables
+    exponents = [Fraction(1), *map(continued_fraction, tables)]
+    assert list(record.puiseux.beta_prime) == exponents
+    assert payload["puiseux_exponents"] == [rational_oracle(x) for x in exponents]
+    assert payload["volume"] == rational_oracle(record.volume)
+    assert payload["normalized_volume"] == rational_oracle(record.normalized_volume)
+
+
+def test_payload_rationals_on_every_small_chain(small_chains):
+    for lists in small_chains:
+        assert_payload_prints_the_record_fractions(
+            valuation_bundle(build_configuration(lists))
+        )
+
+
+def test_payload_rationals_on_the_fuzz_corpus(fuzz_corpus):
+    for cfg in fuzz_corpus:
+        assert_payload_prints_the_record_fractions(valuation_bundle(cfg))
+
+
+@pytest.mark.parametrize("a", [3, 4, 5])
+@pytest.mark.parametrize("e", [0, 1, 2, 3])
+def test_payload_rationals_on_tono(a, e):
+    assert_payload_prints_the_record_fractions(tono_family(a, e).bundle)
+
+
+def test_normalized_volume_is_printed_reduced():
+    """Tono (4, 1) has beta_bar_0^2 / beta_bar_last = 144/640 = 9/40."""
+    bundle = tono_family(4, 1).bundle
+    beta = bundle.record.beta_bar
+    assert (beta[0] ** 2, beta[-1]) == (144, 640)
+    payload = invariants_payload(ValuationEntry({}, bundle))
+    assert payload["normalized_volume"] == {"exact": "9/40", "approx": 0.225}
+    assert payload["volume"] == {"exact": "1/640", "approx": 0.0015625}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_bounds_too_large_for_a_float_exits_1(tmp_path, capsys, fmt):
+    path = tmp_path / "huge.json"
+    contact = [10**310, 10**310 + 1]
+    path.write_text(json.dumps({"valuations": [{"maximal_contact": contact}]}))
+    assert main(["--format", fmt, "bounds", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: integer division result too large for a float\n"
+    )

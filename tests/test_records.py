@@ -60,7 +60,7 @@ RECORDS = {
     ("configurations", "RunStructure"): ("ends", "stretches", "decomposition"),
     ("invariants", "MultiplicityVector"): ("runs",),
     ("invariants", "MaximalContactValues"): ("beta_bar", "gcd_chain"),
-    ("invariants", "PuiseuxExponents"): ("run_length_tables",),
+    ("invariants", "PuiseuxExponents"): ("run_length_tables", "ratios"),
     ("invariants", "InvariantRecord"): (
         "multiplicities",
         "contact",

@@ -78,7 +78,12 @@ def point_level_record(cfg: Configuration) -> InvariantRecord:
         contact=MaximalContactValues(
             beta_bar=beta, gcd_chain=tuple(itertools.accumulate(beta, math.gcd))
         ),
-        puiseux=PuiseuxExponents(run_length_tables=tables),
+        puiseux=PuiseuxExponents(
+            run_length_tables=tables,
+            ratios=tuple(
+                continued_fraction(t).as_integer_ratio() for t in ((1,), *tables)
+            ),
+        ),
         tangent_value=1 if cfg.size == 1 else sum(v[: cfg.tangent_count]),
         is_m_adic=cfg.size == 1,
     )
@@ -105,8 +110,6 @@ def assert_run_level_matches_point_level(
     beta = reference.beta_bar
     tables = reference.puiseux.run_length_tables
     assert record.puiseux.beta_prime == (Fraction(1), *map(continued_fraction, tables))
-    for j, table in enumerate(tables):
-        assert Fraction(*record.puiseux.ratio(j)) == continued_fraction(table)
     assert record.volume == Fraction(1, beta[-1])
     assert record.normalized_volume == Fraction(beta[0] ** 2, beta[-1])
     assert record.multiplicities.values == multiplicity_sequence(cfg).values
