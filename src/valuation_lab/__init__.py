@@ -20,7 +20,6 @@ from .bounds import (
 )
 from .configurations import (
     MAX_LISTED_POINTS,
-    BlockDecomposition,
     Configuration,
     append_free_chain,
     block_decomposition,
@@ -38,9 +37,7 @@ from .errors import (
 )
 from .invariants import (
     InvariantRecord,
-    MaximalContactValues,
     MultiplicityVector,
-    PuiseuxExponents,
     curvette_vector,
     from_maximal_contact,
     invariant_record,

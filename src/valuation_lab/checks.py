@@ -186,7 +186,7 @@ def identity_checks(bundle: ValuationBundle) -> list[CheckResult]:
         results.append(CheckResult("remark-dominance", ok, detail))
 
     if len(contact) >= 3:  # at least one satellite block
-        p, q = record.puiseux.ratios[1]  # beta'_1 = p/q is b_1 / b_0
+        p, q = record.ratios[1]  # beta'_1 = p/q is b_1 / b_0
         ok = contact[0] * p == contact[1] * q
         results.append(CheckResult("first-puiseux-ratio", ok))
 

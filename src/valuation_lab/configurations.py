@@ -32,7 +32,8 @@ sets; it rejects a target or tangent count that is not an ``int`` (a bool
 is not one).  ``extend_with_satellite_tail`` extends the array.  Both push
 it into runs in one backward pass (``push_runs``), which ends each run as
 soon as its value is final.  ``run_structure`` reads the stretches back by
-matching each run end with whole runs.
+matching each run end with whole runs, and the blocks they cut with them;
+``block_decomposition`` returns that structure.
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ def require_listable(count: int, template: str) -> None:
         raise ChainTooLongError(template.format(count=count, limit=MAX_LISTED_POINTS))
 
 
+def require_int(value: object, name: str, error=InvalidConfigurationError) -> None:
+    """Reject a ``value`` that is not an ``int`` (a bool is not one)."""
+    if type(value) is not int:
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 def expand_runs(runs: Sequence[tuple[int, int]]) -> list[int]:
     """List run-length data point by point: the one place a chain is listed."""
     require_listable(
@@ -76,35 +83,31 @@ def expand_runs(runs: Sequence[tuple[int, int]]) -> list[int]:
     return out
 
 
-class BlockDecomposition(NamedTuple):
-    """Overlapping blocks C_1..C_{g+1} cut at the ends of satellite runs.
-
-    ``boundaries`` holds (l_0, ..., l_{g+1}) with l_0 = 1 and l_{g+1} = n;
-    block C_j is the closed index range [l_{j-1}, l_j].  ``last_free_indices``
-    holds r_1..r_g, the last free point of each satellite-terminated block.
-    """
-
-    boundaries: tuple[int, ...]
-    last_free_indices: tuple[int, ...]
-    genus_count: int
-
-    @property
-    def blocks(self) -> tuple[tuple[int, int], ...]:
-        b = self.boundaries
-        return tuple((b[j], b[j + 1]) for j in range(len(b) - 1))
-
-
 class RunStructure(NamedTuple):
     """The proximity structure of a chain, read at the ends of its runs.
 
     ``ends[s]`` is the last point of run s.  ``stretches`` holds
     ``(first, last, target)``: the satellites p_first..p_last, each
-    proximate to its predecessor and to the run end p_target.
+    proximate to its predecessor and to the run end p_target.  Blocks
+    C_1..C_{g+1} overlap and are cut at the ends of maximal satellite runs:
+    ``boundaries`` holds (l_0, ..., l_{g+1}) with l_0 = 1 and l_{g+1} = n,
+    block C_j is the closed index range [l_{j-1}, l_j], and
+    ``last_free_indices`` holds r_1..r_g, the last free point of each
+    satellite-terminated block.
     """
 
     ends: tuple[int, ...]
     stretches: tuple[tuple[int, int, int], ...]
-    decomposition: BlockDecomposition
+    boundaries: tuple[int, ...]
+    last_free_indices: tuple[int, ...]
+
+    @property
+    def genus_count(self) -> int:
+        return len(self.last_free_indices)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.boundaries, self.boundaries[1:]))
 
 
 def run_structure(runs: Sequence[tuple[int, int]]) -> RunStructure:
@@ -154,13 +157,8 @@ def run_structure(runs: Sequence[tuple[int, int]]) -> RunStructure:
                 block_ends.append(last)
                 last_free.append(end + 1)
 
-    decomposition = BlockDecomposition(
-        boundaries=(1, *block_ends, ends[-1]),
-        last_free_indices=tuple(last_free),
-        genus_count=len(last_free),
-    )
     return RunStructure(
-        ends=ends, stretches=tuple(stretches), decomposition=decomposition
+        ends, tuple(stretches), (1, *block_ends, ends[-1]), tuple(last_free)
     )
 
 
@@ -243,8 +241,7 @@ def check_tangent_count(k: int, n: int, first_satellite: int) -> None:
     satellite is ``first_satellite`` (n + 1 when it has none) cannot carry:
     k is an int (not a bool), 1 for a single point, else 2..n, and stops
     before a satellite."""
-    if type(k) is not int:
-        raise InvalidConfigurationError(f"tangent_count must be an integer, got {k!r}")
+    require_int(k, "tangent_count")
     if n == 1 and k != 1:
         raise InvalidConfigurationError("tangent_count must be 1 for a single point")
     if n > 1 and not 2 <= k <= n:
@@ -376,9 +373,10 @@ def classify_points(cfg: Configuration) -> list[str]:
     return [SATELLITE if older else FREE for older in cfg.older()[1:]]
 
 
-def block_decomposition(cfg: Configuration) -> BlockDecomposition:
-    """Cut the chain into blocks at the ends of maximal satellite runs."""
-    return cfg.structure.decomposition
+def block_decomposition(cfg: Configuration) -> RunStructure:
+    """The run structure, whose blocks are cut at the ends of maximal
+    satellite runs."""
+    return cfg.structure
 
 
 def append_free_chain(cfg: Configuration, k: int) -> Configuration:
@@ -386,6 +384,7 @@ def append_free_chain(cfg: Configuration, k: int) -> Configuration:
 
     Every chain ends in a run of 1s, which the new points lengthen.
     """
+    require_int(k, "k")
     if k < 0:
         raise InvalidConfigurationError("cannot append a negative number of points")
     if k == 0:
@@ -424,8 +423,8 @@ def extend_with_satellite_tail(
         return cfg
 
     older = [*cfg.older()]
-    for offset, choice in enumerate(choices):
-        c = int(choice)
+    for offset, c in enumerate(choices):
+        require_int(c, f"choices[{offset}]")
         options = satellite_targets(len(older), older[-1])
         if c not in options:
             raise InvalidConfigurationError(

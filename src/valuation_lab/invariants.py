@@ -7,8 +7,10 @@ builds no ``Fraction``.  The per-block run tables, read in one walk over
 the run ends, are each folded into the coprime p/q of their continued
 fraction, the Puiseux exponent that the record keeps and the reports
 print; Zariski's recursion turns those into the contact values, the last
-one over the last block.  ``beta_prime`` and the volumes are
-``fractions.Fraction`` values built when they are read.
+one over the last block.  The record holds all of these side by side,
+and ``maximal_contact_values`` and ``puiseux_exponents`` return it whole.
+``beta_prime`` and the volumes are ``fractions.Fraction`` values built
+when they are read.
 The inverse (``from_maximal_contact``) expands each contact value into a
 block of multiplicity runs by the subtractive Euclidean algorithm, the same
 recursion read backwards; its docstring proves that its input checks make
@@ -35,6 +37,7 @@ from .configurations import (
     append_free_chain,
     expand_runs,
     push_values,
+    require_int,
     value_runs,
 )
 from .errors import ReconstructionError
@@ -52,39 +55,25 @@ class MultiplicityVector(NamedTuple):
         return tuple(expand_runs(self.runs))
 
 
-class MaximalContactValues(NamedTuple):
-    """Generators of the value semigroup together with their gcd chain."""
+class InvariantRecord(NamedTuple):
+    """The full derived-invariant bundle of one configuration: the contact
+    values, generators of the value semigroup, with their gcd chain; the
+    block-wise multiplicity run lengths; and the Puiseux exponents as coprime
+    (p, q): ``ratios[j]`` is beta'_j, 1 for j = 0, else the continued
+    fraction of block j's run lengths."""
 
+    multiplicities: MultiplicityVector
     beta_bar: tuple[int, ...]
     gcd_chain: tuple[int, ...]
-
-
-class PuiseuxExponents(NamedTuple):
-    """Block-wise multiplicity run lengths, and the Puiseux exponents as
-    coprime (p, q): ``ratios[j]`` is beta'_j, 1 for j = 0, else the
-    continued fraction of block j's run lengths."""
-
     run_length_tables: tuple[tuple[int, ...], ...]
     ratios: tuple[tuple[int, int], ...]
+    tangent_value: int
+    is_m_adic: bool
 
     @property
     def beta_prime(self) -> tuple[Fraction, ...]:
         """The exponents as Fractions, on each read."""
         return tuple(Fraction(p, q) for p, q in self.ratios)
-
-
-class InvariantRecord(NamedTuple):
-    """The full derived-invariant bundle of one configuration."""
-
-    multiplicities: MultiplicityVector
-    contact: MaximalContactValues
-    puiseux: PuiseuxExponents
-    tangent_value: int
-    is_m_adic: bool
-
-    @property
-    def beta_bar(self) -> tuple[int, ...]:
-        return self.contact.beta_bar
 
     @property
     def volume(self) -> Fraction:
@@ -159,7 +148,7 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
     # Run lengths inside each closed block, in one walk over the run ends;
     # a block ending inside run s leaves the rest of run s to the next.
     ends, tables, ratios, s, start = structure.ends, [], [(1, 1)], 0, 1
-    for hi in structure.decomposition.boundaries[1:]:
+    for hi in structure.boundaries[1:]:
         table = []
         while ends[s] < hi:
             table.append(ends[s] - start + 1)
@@ -182,24 +171,25 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
         tangent, left = tangent + value * count, left - count
     return InvariantRecord(
         multiplicities=MultiplicityVector(runs=cfg.runs),
-        contact=MaximalContactValues(
-            beta_bar=tuple(beta), gcd_chain=tuple(itertools.accumulate(beta, math.gcd))
-        ),
-        puiseux=PuiseuxExponents(tuple(tables), tuple(ratios)),
+        beta_bar=tuple(beta),
+        gcd_chain=tuple(itertools.accumulate(beta, math.gcd)),
+        run_length_tables=tuple(tables),
+        ratios=tuple(ratios),
         tangent_value=tangent,
         is_m_adic=cfg.size == 1,
     )
 
 
-def maximal_contact_values(cfg: Configuration) -> MaximalContactValues:
-    """Contact values by Zariski's recursion from the Puiseux run tables, the
-    last one over the last block."""
-    return invariant_record(cfg).contact
+def maximal_contact_values(cfg: Configuration) -> InvariantRecord:
+    """The record, whose contact values come by Zariski's recursion from the
+    Puiseux run tables, the last one over the last block."""
+    return invariant_record(cfg)
 
 
-def puiseux_exponents(cfg: Configuration) -> PuiseuxExponents:
-    """Per block, the continued fraction of the multiplicity run lengths."""
-    return invariant_record(cfg).puiseux
+def puiseux_exponents(cfg: Configuration) -> InvariantRecord:
+    """The record, whose exponents are per block the continued fraction of
+    the multiplicity run lengths."""
+    return invariant_record(cfg)
 
 
 def normalized_volume(cfg: Configuration) -> Fraction:
@@ -269,7 +259,10 @@ def from_maximal_contact(
     g = m - 1, else P_m alone, of exponent 1, whose step is e_{m-1} b_m.  A
     free point appended adds 1 to both, so the sum-of-squares row passes.
     """
-    b = [int(x) for x in beta_bar]
+    b = [*beta_bar]
+    for i, x in enumerate(b):
+        require_int(x, f"beta_bar[{i}]", ReconstructionError)
+    require_int(trailing_free, "trailing_free", ReconstructionError)
     if len(b) < 2:
         raise ReconstructionError(
             "need at least two contact values (the one-point chain has (1, 1))"
@@ -317,9 +310,7 @@ def from_maximal_contact(
 
 __all__ = [
     "InvariantRecord",
-    "MaximalContactValues",
     "MultiplicityVector",
-    "PuiseuxExponents",
     "curvette_vector",
     "from_maximal_contact",
     "invariant_record",

@@ -57,7 +57,7 @@ def invariants_payload(entry: ValuationEntry) -> dict[str, Any]:
     """The record's numbers; its rationals are printed from their integers."""
     bundle = entry.bundle
     cfg, record = bundle.cfg, bundle.record
-    decomposition = cfg.structure.decomposition
+    structure = cfg.structure
     square, last = record.beta_bar[0] ** 2, record.beta_bar[-1]
     common = math.gcd(square, last)
     return {
@@ -65,13 +65,13 @@ def invariants_payload(entry: ValuationEntry) -> dict[str, Any]:
         "points": cfg.size,
         "is_m_adic": record.is_m_adic,
         "multiplicity_runs": [list(run) for run in record.multiplicities.runs],
-        "satellite_stretches": [list(s) for s in cfg.structure.stretches],
-        "blocks": [list(block) for block in decomposition.blocks],
-        "genus": decomposition.genus_count,
+        "satellite_stretches": [list(s) for s in structure.stretches],
+        "blocks": [list(block) for block in structure.blocks],
+        "genus": structure.genus_count,
         "contact_values": list(record.beta_bar),
-        "gcd_chain": list(record.contact.gcd_chain),
-        "puiseux_exponents": [rational_payload(*r) for r in record.puiseux.ratios],
-        "run_lengths": [list(t) for t in record.puiseux.run_length_tables],
+        "gcd_chain": list(record.gcd_chain),
+        "puiseux_exponents": [rational_payload(*r) for r in record.ratios],
+        "run_lengths": [list(t) for t in record.run_length_tables],
         "volume": rational_payload(1, last),
         "normalized_volume": rational_payload(square // common, last // common),
         "tangent_value": record.tangent_value,

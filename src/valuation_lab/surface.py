@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .configurations import Configuration, proximity_residual, value_runs
+from .configurations import Configuration, proximity_residual, require_int, value_runs
 from .invariants import InvariantRecord, invariant_record
 
 
@@ -199,9 +199,12 @@ def strict_transform_plane(
     With a configuration, enforce one multiplicity per point and the
     proximity inequalities m_i >= sum of m_j over the points proximate to p_i.
     """
+    require_int(degree, "degree", ValueError)
     if degree < 0:
         raise ValueError("a curve has non-negative degree")
-    mults = tuple(int(m) for m in mults)
+    mults = tuple(mults)
+    for i, m in enumerate(mults):
+        require_int(m, f"mults[{i}]", ValueError)
     if cfg is not None:
         if len(mults) != cfg.size:
             raise ValueError(

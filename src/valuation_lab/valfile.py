@@ -98,25 +98,17 @@ def _parse_entry(raw: Any, where: str) -> ValuationEntry:
                 if tangent is not None:
                     _require_int(tangent, f"{where}.tangent_count", minimum=1)
                 raise
-            payload: dict[str, Any] = {"proximity": lists}
-            if tangent is not None:
-                payload["tangent_count"] = tangent
         elif kind == "maximal_contact":
             seq = raw["maximal_contact"]
             if not isinstance(seq, list):
                 raise FileFormatError(
                     f"{where}.maximal_contact: expected a list of integers"
                 )
-            seq = [
+            for i, x in enumerate(seq):
                 _require_int(x, f"{where}.maximal_contact[{i}]", minimum=1)
-                for i, x in enumerate(seq)
-            ]
             trailing = raw.get("trailing_free", 0)
             trailing = _require_int(trailing, f"{where}.trailing_free", minimum=0)
             cfg = from_maximal_contact(seq, trailing_free=trailing)
-            payload = {"maximal_contact": seq}
-            if trailing:
-                payload["trailing_free"] = trailing
         else:
             params = raw["tono"]
             if not isinstance(params, dict) or set(params) != {"a", "e"}:
@@ -126,7 +118,6 @@ def _parse_entry(raw: Any, where: str) -> ValuationEntry:
             a = _require_int(params["a"], f"{where}.tono.a", minimum=3)
             e = _require_int(params["e"], f"{where}.tono.e", minimum=0)
             bundle = tono_family(a, e).bundle
-            payload = {"tono": {"a": a, "e": e}}
     except FileFormatError:
         raise
     except ValuationError as exc:
@@ -134,8 +125,10 @@ def _parse_entry(raw: Any, where: str) -> ValuationEntry:
 
     if kind != "tono":
         bundle = valuation_bundle(cfg)
-    if name is not None:
-        payload["name"] = name
+    # The entry as written, less its null values and a trailing_free of 0.
+    payload = {
+        k: v for k, v in raw.items() if v is not None and (k, v) != ("trailing_free", 0)
+    }
     return ValuationEntry(payload, bundle)
 
 

@@ -363,8 +363,8 @@ class TestLastContactValue:
 
         def off_by_one(bundle):
             *head, last = bundle.record.beta_bar
-            contact = bundle.record.contact._replace(beta_bar=(*head, last + 1))
-            return bundle._replace(record=bundle.record._replace(contact=contact))
+            record = bundle.record._replace(beta_bar=(*head, last + 1))
+            return bundle._replace(record=record)
 
         for cfg in (
             build_configuration([[], [1], [2, 1], [3]]),

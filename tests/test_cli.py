@@ -125,6 +125,32 @@ class TestParse:
         assert [entry.name for entry in again.entries] == [
             "x", None, "tono-a3-e0", "t", None
         ]
+        # Null values and a trailing_free of 0 are dropped from the payload,
+        # so they are not written back.
+        text = (
+            '{"valuations": [{"name": null, "proximity": [[], [1], [2, 1]],'
+            ' "tangent_count": null},'
+            ' {"maximal_contact": [2, 3], "trailing_free": 0},'
+            ' {"name": null, "tono": {"e": 0, "a": 3}}]}'
+        )
+        vf = parse(text)
+        assert [entry.payload for entry in vf.entries] == [
+            {"proximity": [[], [1], [2, 1]]},
+            {"maximal_contact": [2, 3]},
+            {"tono": {"a": 3, "e": 0}},
+        ]
+        assert [entry.name for entry in vf.entries] == [None, None, "tono-a3-e0"]
+        assert serialize(vf) == (
+            '{\n  "valuations": [\n'
+            '    {\n      "proximity": [\n        [],\n        [\n          1\n'
+            '        ],\n        [\n          2,\n          1\n        ]\n'
+            '      ]\n    },\n'
+            '    {\n      "maximal_contact": [\n        2,\n        3\n      ]\n'
+            '    },\n'
+            '    {\n      "tono": {\n        "a": 3,\n        "e": 0\n      }\n'
+            '    }\n  ]\n}\n'
+        )
+        assert parse(serialize(vf)) == vf
 
 
 class TestCommands:

@@ -6,9 +6,11 @@
 form (tuples, sets, unsorted or repeated targets) through its set-based
 validation, with the same runs or the same message as before.
 ``build_configuration`` takes a target or tangent count only if it is an
-``int`` (a bool is not), and ``valfile`` leaves that check to the build,
-rescanning an entry only when the build fails, so a file gets the message
-it got when every target was checked before the build.
+``int`` (a bool is not), as do the library entry points that extend or
+rebuild a chain or take a curve's multiplicities, and ``valfile`` leaves
+that check to the build, rescanning an entry only when the build fails, so
+a file gets the message it got when every target was checked before the
+build.
 ``run_structure`` consumes whole runs and raises the same three errors.  The
 bounds take their ceilings by floor division, the file verbs build a
 ``Fraction`` only for a number they print, and the invariants report
@@ -36,7 +38,9 @@ from valuation_lab.bounds import tono_family, valuation_bundle
 from valuation_lab.checks import random_configuration, trial_rng
 from valuation_lab.cli import main
 from valuation_lab.configurations import (
+    append_free_chain,
     build_configuration,
+    extend_with_satellite_tail,
     push_runs,
     push_values,
     run_structure,
@@ -49,8 +53,9 @@ from valuation_lab.errors import (
     InvalidConfigurationError,
     ReconstructionError,
 )
-from valuation_lab.invariants import invariant_record
+from valuation_lab.invariants import from_maximal_contact, invariant_record
 from valuation_lab.reports import approx, invariants_payload
+from valuation_lab.surface import strict_transform_plane
 from valuation_lab.valfile import ValuationEntry, parse
 
 
@@ -162,8 +167,7 @@ def test_threshold_index_equals_the_ceiling_of_its_term():
     for _ in range(3000):
         b0, t = rng.randint(1, 500), rng.randint(1, 500)
         last = rng.randint(1, 4 * b0 * t)
-        contact = record.contact._replace(beta_bar=(b0, b0 + t, last))
-        other = record._replace(contact=contact, tangent_value=t)
+        other = record._replace(beta_bar=(b0, b0 + t, last), tangent_value=t)
         assert _threshold_index(other) == max(math.ceil(_threshold_term(other)), 0)
 
 
@@ -282,6 +286,55 @@ def test_tangent_counts_that_are_not_ints_are_rejected(count):
         assert str(caught.value) == f"tangent_count must be an integer, got {count!r}"
 
 
+# Library entry points that once truncated non-integers with int() or took
+# them as counts: [2.7] extended a chain as [2] did, (2.9, 3.2) built the
+# chain of (2, 3), trailing_free=1.5 gave runs ((2, 1), (1, 3.5)), k=2.5 a run
+# of 5.5 points, and mults (1.5, 1.2, 1.9) the class of (1, 1, 1).
+NON_INT_ARGUMENTS = {
+    "satellite choice": (
+        lambda cfg: extend_with_satellite_tail(cfg, [2.7]),
+        InvalidConfigurationError, "choices[0] must be an integer, got 2.7",
+    ),
+    "bool satellite choice": (
+        lambda cfg: extend_with_satellite_tail(cfg, [True]),
+        InvalidConfigurationError, "choices[0] must be an integer, got True",
+    ),
+    "contact value": (
+        lambda cfg: from_maximal_contact([2.9, 3.2]),
+        ReconstructionError, "beta_bar[0] must be an integer, got 2.9",
+    ),
+    "trailing_free": (
+        lambda cfg: from_maximal_contact([2, 3], trailing_free=1.5),
+        ReconstructionError, "trailing_free must be an integer, got 1.5",
+    ),
+    "free points": (
+        lambda cfg: append_free_chain(cfg, 2.5),
+        InvalidConfigurationError, "k must be an integer, got 2.5",
+    ),
+    "bool free points": (
+        lambda cfg: append_free_chain(cfg, True),
+        InvalidConfigurationError, "k must be an integer, got True",
+    ),
+    "multiplicity": (
+        lambda cfg: strict_transform_plane(1, [1.5, 1.2, 1.9], cfg),
+        ValueError, "mults[0] must be an integer, got 1.5",
+    ),
+    "degree": (
+        lambda cfg: strict_transform_plane(1.0, [1, 1, 1], cfg),
+        ValueError, "degree must be an integer, got 1.0",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, error, message", NON_INT_ARGUMENTS.values(), ids=NON_INT_ARGUMENTS
+)
+def test_library_entry_points_reject_arguments_that_are_not_ints(call, error, message):
+    with pytest.raises(error) as caught:
+        call(build_configuration([[], [1], [2]]))
+    assert str(caught.value) == message
+
+
 # A proximity entry and the message that parse gives it: the first malformed
 # part in file order (the lists, each target, then the tangent count), even
 # when a structural error comes first.  Pinned from the code that checked
@@ -392,9 +445,9 @@ def assert_payload_prints_the_record_fractions(bundle):
     here from the run tables too, apart from the record's integer pairs."""
     record = bundle.record
     payload = invariants_payload(ValuationEntry({}, bundle))
-    tables = record.puiseux.run_length_tables
+    tables = record.run_length_tables
     exponents = [Fraction(1), *map(continued_fraction, tables)]
-    assert list(record.puiseux.beta_prime) == exponents
+    assert list(record.beta_prime) == exponents
     assert payload["puiseux_exponents"] == [rational_oracle(x) for x in exponents]
     assert payload["volume"] == rational_oracle(record.volume)
     assert payload["normalized_volume"] == rational_oracle(record.normalized_volume)

@@ -429,7 +429,7 @@ class TestInvariantRecord:
         for b in beta:
             g = math.gcd(g, b)
             expected.append(g)
-        assert record.contact.gcd_chain == tuple(expected)
+        assert record.gcd_chain == tuple(expected)
 
 
 def fraction_fold(digits):

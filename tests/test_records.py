@@ -52,19 +52,19 @@ RECORDS = {
         "checks_failed",
         "first_failure",
     ),
-    ("configurations", "BlockDecomposition"): (
+    ("configurations", "RunStructure"): (
+        "ends",
+        "stretches",
         "boundaries",
         "last_free_indices",
-        "genus_count",
     ),
-    ("configurations", "RunStructure"): ("ends", "stretches", "decomposition"),
     ("invariants", "MultiplicityVector"): ("runs",),
-    ("invariants", "MaximalContactValues"): ("beta_bar", "gcd_chain"),
-    ("invariants", "PuiseuxExponents"): ("run_length_tables", "ratios"),
     ("invariants", "InvariantRecord"): (
         "multiplicities",
-        "contact",
-        "puiseux",
+        "beta_bar",
+        "gcd_chain",
+        "run_length_tables",
+        "ratios",
         "tangent_value",
         "is_m_adic",
     ),

@@ -24,7 +24,6 @@ from strategies import proximity_chains
 from valuation_lab.bounds import bound_report, valuation_bundle
 from valuation_lab.cli import main
 from valuation_lab.configurations import (
-    BlockDecomposition,
     Configuration,
     build_configuration,
     expand_runs,
@@ -33,8 +32,6 @@ from valuation_lab.configurations import (
 from valuation_lab.errors import ChainTooLongError, ReconstructionError
 from valuation_lab.invariants import (
     InvariantRecord,
-    MaximalContactValues,
-    PuiseuxExponents,
     curvette_vector,
     from_maximal_contact,
     invariant_record,
@@ -56,13 +53,11 @@ def point_level_record(cfg: Configuration) -> InvariantRecord:
             last_free.append(indices[0] - 1)
             boundaries.append(indices[-1])
     boundaries.append(cfg.size)
-    decomposition = BlockDecomposition(
-        boundaries=tuple(boundaries),
-        last_free_indices=tuple(last_free),
-        genus_count=len(last_free),
-    )
-    # The record reads the configuration's own decomposition.
-    assert decomposition == cfg.structure.decomposition
+    # The record reads the configuration's own blocks.
+    structure = cfg.structure
+    assert structure.boundaries == tuple(boundaries)
+    assert structure.last_free_indices == tuple(last_free)
+    assert structure.genus_count == len(last_free)
     beta = (
         v[0],
         *(noether_pairing(cfg, v, curvette_vector(cfg, r)) for r in last_free),
@@ -70,19 +65,16 @@ def point_level_record(cfg: Configuration) -> InvariantRecord:
     )
     tables = tuple(
         tuple(len(list(run)) for _, run in itertools.groupby(v[lo - 1 : hi]))
-        for lo, hi in decomposition.blocks
+        for lo, hi in zip(boundaries, boundaries[1:])
     )
 
     return InvariantRecord(
         multiplicities=multiplicities,
-        contact=MaximalContactValues(
-            beta_bar=beta, gcd_chain=tuple(itertools.accumulate(beta, math.gcd))
-        ),
-        puiseux=PuiseuxExponents(
-            run_length_tables=tables,
-            ratios=tuple(
-                continued_fraction(t).as_integer_ratio() for t in ((1,), *tables)
-            ),
+        beta_bar=beta,
+        gcd_chain=tuple(itertools.accumulate(beta, math.gcd)),
+        run_length_tables=tables,
+        ratios=tuple(
+            continued_fraction(t).as_integer_ratio() for t in ((1,), *tables)
         ),
         tangent_value=1 if cfg.size == 1 else sum(v[: cfg.tangent_count]),
         is_m_adic=cfg.size == 1,
@@ -108,8 +100,8 @@ def assert_run_level_matches_point_level(
     assert record == reference
     # The exponents and volumes the record computes on read.
     beta = reference.beta_bar
-    tables = reference.puiseux.run_length_tables
-    assert record.puiseux.beta_prime == (Fraction(1), *map(continued_fraction, tables))
+    tables = reference.run_length_tables
+    assert record.beta_prime == (Fraction(1), *map(continued_fraction, tables))
     assert record.volume == Fraction(1, beta[-1])
     assert record.normalized_volume == Fraction(beta[0] ** 2, beta[-1])
     assert record.multiplicities.values == multiplicity_sequence(cfg).values
@@ -174,7 +166,7 @@ def test_multi_block_chain_too_long_to_list():
     record = invariant_record(cfg)
     # beta_bar_3 = 4**2 + 500000001 * 2**2 + 2 * 1**2.
     assert record.beta_bar == (4, 6, 1000000011, 2000000022)
-    assert record.puiseux.run_length_tables == ((1, 2), (500000000, 2), (1,))
+    assert record.run_length_tables == ((1, 2), (500000000, 2), (1,))
     with pytest.raises(ChainTooLongError):
         cfg.proximity_lists()
 
