@@ -70,6 +70,14 @@ def require_int(value: object, name: str, error=InvalidConfigurationError) -> No
         raise error(f"{name} must be an integer, got {value!r}")
 
 
+def require_ints(values: Iterable[object], name: str, error=InvalidConfigurationError):
+    """``values`` as a tuple, each entry checked by ``require_int`` as ``name[i]``."""
+    values = tuple(values)
+    for i, x in enumerate(values):
+        require_int(x, f"{name}[{i}]", error)
+    return values
+
+
 def expand_runs(runs: Sequence[tuple[int, int]]) -> list[int]:
     """List run-length data point by point: the one place a chain is listed."""
     require_listable(
@@ -328,10 +336,11 @@ def build_configuration(
         # Sorted lists of ints, compared in place: [i - 1] for a free point,
         # the common case, and [t, i - 1] for a satellite whose t is admissible.
         if isinstance(raw, list):
-            if len(raw) == 1 and raw[0] == i - 1 and type(raw[0]) is int:
+            size = len(raw)
+            if size == 1 and raw[0] == i - 1 and type(raw[0]) is int:
                 continue
             if (
-                len(raw) == 2
+                size == 2
                 and raw[1] == i - 1
                 and type(raw[1]) is type(raw[0]) is int
                 and raw[0]

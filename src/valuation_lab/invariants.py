@@ -32,14 +32,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
-from .configurations import (
-    Configuration,
-    append_free_chain,
-    expand_runs,
-    push_values,
-    require_int,
-    value_runs,
-)
+from .configurations import Configuration, expand_runs, push_values, value_runs
+from .configurations import require_int, require_ints
 from .errors import ReconstructionError
 
 
@@ -117,15 +111,6 @@ def noether_pairing(cfg: Configuration, m: Sequence[int], m2: Sequence[int]) -> 
     return sum(map(operator.mul, m, m2))
 
 
-def _continued_fraction(digits: Sequence[int]) -> tuple[int, int]:
-    """[d_0; d_1, ..., d_k] as coprime integers (p, q), folded from the last
-    digit (d + q/p)."""
-    p, q = digits[-1], 1
-    for d in reversed(digits[:-1]):
-        p, q = d * p + q, p
-    return p, q
-
-
 def invariant_record(cfg: Configuration) -> InvariantRecord:
     """Every derived invariant, read from the multiplicity runs and the
     run-level proximity structure; the single-invariant functions below
@@ -156,7 +141,10 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
         table.append(hi - start + 1)
         tables.append(tuple(table))
         start = hi
-        p, q = _continued_fraction(table)
+        # The block's continued fraction, folded from its last digit: d + q/p.
+        p, q = 1, 0
+        for d in reversed(table):
+            p, q = d * p + q, p
         ratios.append((p, q))
         y = gcd_here * p // q
         beta.append(y + gcd_prev // gcd_here * beta[-1] - gcd_here)
@@ -213,12 +201,9 @@ def semigroup_values(cfg: Configuration, limit: int) -> list[int]:
 
 
 def _euclid_block_values(small: int, large: int) -> list[tuple[int, int]]:
-    """Minima of the subtractive gcd process on (small, large), as runs.
-
-    These are exactly the multiplicities contributed by one block, as
-    (value, count); the counts are the continued-fraction digits of
-    large/small.
-    """
+    """Minima of the subtractive gcd process on (small, large), as runs
+    (value, count): one block's multiplicities, whose counts are the
+    continued-fraction digits of large/small."""
     out: list[tuple[int, int]] = []
     s, big = small, large
     while True:
@@ -259,9 +244,7 @@ def from_maximal_contact(
     g = m - 1, else P_m alone, of exponent 1, whose step is e_{m-1} b_m.  A
     free point appended adds 1 to both, so the sum-of-squares row passes.
     """
-    b = [*beta_bar]
-    for i, x in enumerate(b):
-        require_int(x, f"beta_bar[{i}]", ReconstructionError)
+    b = require_ints(beta_bar, "beta_bar", ReconstructionError)
     require_int(trailing_free, "trailing_free", ReconstructionError)
     if len(b) < 2:
         raise ReconstructionError(
@@ -276,26 +259,25 @@ def from_maximal_contact(
         raise ReconstructionError("trailing_free must be non-negative")
 
     runs = _euclid_block_values(b[0], b[1])
-    gcd_prev = b[0]
-    gcd_here = math.gcd(b[0], b[1])
+    gcd_prev, gcd_here = b[0], math.gcd(b[0], b[1])
     for j in range(2, len(b)):
         if gcd_here >= gcd_prev:
             raise ReconstructionError(
                 f"gcd chain must strictly decrease before entry {j} "
                 f"(stuck at {gcd_here})"
             )
-        multiplier = gcd_prev // gcd_here
         # Inverse of Zariski's recursion in invariant_record.
-        y = b[j] - multiplier * b[j - 1] + gcd_here
+        y = b[j] - gcd_prev // gcd_here * b[j - 1] + gcd_here
         if y < gcd_here:
             raise ReconstructionError(
                 f"contact value {b[j]} at position {j} is too small to open "
                 "a new block"
             )
-        (_, first_count), *rest = _euclid_block_values(gcd_here, y)
         # The block opens on the previous block's last point, a run of e_{j-1}.
+        first_count, rest = divmod(y, gcd_here)
         runs[-1] = (gcd_here, runs[-1][1] + first_count - 1)
-        runs += rest
+        if rest:
+            runs += _euclid_block_values(rest, gcd_here)
         gcd_prev, gcd_here = gcd_here, math.gcd(gcd_here, y)
 
     if runs[-1][0] != 1:
@@ -303,9 +285,9 @@ def from_maximal_contact(
             "sequence does not terminate: the final multiplicity would be "
             f"{runs[-1][0]}, not 1"
         )
-
-    cfg = Configuration(tuple(runs), min(2, sum(c for _, c in runs)))
-    return append_free_chain(cfg, trailing_free)
+    # Free points lengthen the final run of 1s; a lone point has tangent count 1.
+    runs[-1] = (1, runs[-1][1] + trailing_free)
+    return Configuration(tuple(runs), 2 if len(runs) > 1 or runs[0][1] > 1 else 1)
 
 
 __all__ = [

@@ -1,11 +1,12 @@
 """Report assembly and rendering for the command-line interface.
 
 Payloads are plain JSON-serializable dicts; the table renderer shows the
-same numbers in a compact human layout.  Exact rationals appear as "p/q"
-strings, written from the coprime integers p and q (the invariants build
-no Fraction), next to p / q rounded to six significant digits.  Output
-contains no timestamps unless explicitly requested, so reports are
-byte-identical across runs.
+same numbers in a compact human layout.  The invariants payload shares the
+record's immutable tuples, which ``json.dumps`` writes as arrays.  Exact
+rationals appear as "p/q" strings, written from the coprime p and q that
+``invariant_record`` folds in its block loop, next to p / q rounded to six
+significant digits.  Output contains no timestamps unless explicitly
+requested, so reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -64,14 +65,14 @@ def invariants_payload(entry: ValuationEntry) -> dict[str, Any]:
         "name": entry.name,
         "points": cfg.size,
         "is_m_adic": record.is_m_adic,
-        "multiplicity_runs": [list(run) for run in record.multiplicities.runs],
-        "satellite_stretches": [list(s) for s in structure.stretches],
-        "blocks": [list(block) for block in structure.blocks],
+        "multiplicity_runs": record.multiplicities.runs,
+        "satellite_stretches": structure.stretches,
+        "blocks": structure.blocks,
         "genus": structure.genus_count,
-        "contact_values": list(record.beta_bar),
-        "gcd_chain": list(record.gcd_chain),
+        "contact_values": record.beta_bar,
+        "gcd_chain": record.gcd_chain,
         "puiseux_exponents": [rational_payload(*r) for r in record.ratios],
-        "run_lengths": [list(t) for t in record.run_length_tables],
+        "run_lengths": record.run_length_tables,
         "volume": rational_payload(1, last),
         "normalized_volume": rational_payload(square // common, last // common),
         "tangent_value": record.tangent_value,
@@ -175,7 +176,7 @@ def _rational_from_payload(entry: dict[str, Any] | int) -> str:
     return f"{entry['exact']} (~{entry['approx']})"
 
 
-def _satellites_row(stretches: list[list[int]]) -> str:
+def _satellites_row(stretches: Sequence[Sequence[int]]) -> str:
     """Each satellite stretch (first, last, target) as ``first-last``, or as
     ``first`` when it has one point."""
     return " ".join(

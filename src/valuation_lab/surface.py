@@ -15,7 +15,8 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .configurations import Configuration, proximity_residual, require_int, value_runs
+from .configurations import Configuration, proximity_residual, value_runs
+from .configurations import require_int, require_ints
 from .invariants import InvariantRecord, invariant_record
 
 
@@ -27,7 +28,8 @@ class PlaneClass:
     mults: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mults", tuple(map(int, self.mults)))
+        require_int(self.degree, "degree", ValueError)
+        object.__setattr__(self, "mults", require_ints(self.mults, "mults", ValueError))
 
 
 @dataclass(frozen=True)
@@ -40,9 +42,11 @@ class HirzebruchClass:
     delta: int
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "delta"):
+            require_int(getattr(self, name), name, ValueError)
         if self.delta < 0:
             raise ValueError("ruled surface index must be non-negative")
-        object.__setattr__(self, "mults", tuple(map(int, self.mults)))
+        object.__setattr__(self, "mults", require_ints(self.mults, "mults", ValueError))
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,9 @@ class AffinePolynomial:
     support: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        pairs = frozenset((int(i), int(j)) for i, j in self.support)
+        pairs = frozenset(
+            require_ints((i, j), "exponents", ValueError) for i, j in self.support
+        )
         if not pairs:
             raise ValueError("polynomial support must be non-empty")
         if any(i < 0 or j < 0 for i, j in pairs):
@@ -202,9 +208,7 @@ def strict_transform_plane(
     require_int(degree, "degree", ValueError)
     if degree < 0:
         raise ValueError("a curve has non-negative degree")
-    mults = tuple(mults)
-    for i, m in enumerate(mults):
-        require_int(m, f"mults[{i}]", ValueError)
+    mults = require_ints(mults, "mults", ValueError)
     if cfg is not None:
         if len(mults) != cfg.size:
             raise ValueError(

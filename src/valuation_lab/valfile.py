@@ -27,6 +27,13 @@ from .errors import FileFormatError, ValuationError
 from .invariants import from_maximal_contact
 
 _ENCODINGS = ("proximity", "maximal_contact", "tono")
+# The keys an entry of each encoding may carry, and those any entry may.
+_ALLOWED = {
+    "proximity": frozenset({"name", "proximity", "tangent_count"}),
+    "maximal_contact": frozenset({"name", "maximal_contact", "trailing_free"}),
+    "tono": frozenset({"name", "tono"}),
+}
+_KEYS = frozenset().union(*_ALLOWED.values())
 
 
 class ValuationEntry(NamedTuple):
@@ -59,9 +66,8 @@ def _require_int(value: Any, where: str, minimum: int | None = None) -> int:
 def _parse_entry(raw: Any, where: str) -> ValuationEntry:
     if not isinstance(raw, dict):
         raise FileFormatError(f"{where}: expected an object")
-    unknown = set(raw) - {"name", "tangent_count", "trailing_free", *_ENCODINGS}
-    if unknown:
-        raise FileFormatError(f"{where}: unknown keys {sorted(unknown)}")
+    if not raw.keys() <= _KEYS:
+        raise FileFormatError(f"{where}: unknown keys {sorted(raw.keys() - _KEYS)}")
 
     name = raw.get("name")
     if name is not None and not isinstance(name, str):
@@ -73,12 +79,10 @@ def _parse_entry(raw: Any, where: str) -> ValuationEntry:
             f"{where}: exactly one of {_ENCODINGS} is required, found {present}"
         )
     kind = present[0]
-    extras = {"proximity": {"tangent_count"}, "maximal_contact": {"trailing_free"}}
-    allowed = {"name", kind} | extras.get(kind, set())
-    misplaced = set(raw) - allowed
-    if misplaced:
+    if not raw.keys() <= _ALLOWED[kind]:
         raise FileFormatError(
-            f"{where}: keys {sorted(misplaced)} do not apply to a {kind} entry"
+            f"{where}: keys {sorted(raw.keys() - _ALLOWED[kind])} do not apply "
+            f"to a {kind} entry"
         )
 
     try:

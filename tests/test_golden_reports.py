@@ -6,11 +6,12 @@ means the rendered output changed, not just the code behind it.
 """
 
 import hashlib
+import json
 
 import pytest
 
 import valuation_lab.checks as checks
-from valuation_lab.checks import CheckResult
+from valuation_lab.checks import CheckResult, random_configuration, trial_rng
 from valuation_lab.cli import main
 
 # The example valuation file from the README.
@@ -70,6 +71,60 @@ def test_report_is_byte_identical(tmp_path, capsys, command, fmt, code, digest):
     path.write_text(EXAMPLE_FILE, encoding="utf-8")
     argv = ["--format", fmt] + [str(path) if x == "FILE" else x for x in command]
     assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# A file of many blocks and long contact values: twelve seeded chains of up
+# to 200 points (genus up to 40), a Fibonacci pair of 30 digits, whose
+# Euclid expansion gives 144 runs, and a chain of genus 4 with 30- to
+# 32-digit contact values over about 10**28 points.
+HIGH_GENUS_CONTACT = [
+    {"name": "fibonacci", "maximal_contact": [
+        898923707008479989274290850145, 1454489111232772683678306641953,
+    ], "trailing_free": 3},
+    {"maximal_contact": [
+        633825300114114700748351602688, 950737950171172051122527404032,
+        2297616712913665790212774559744, 9279598534483210540643835183104,
+        74246691796179967367349874458625,
+    ], "trailing_free": 5},
+]
+
+
+def high_genus_file() -> str:
+    entries = []
+    for i in range(12):
+        cfg = random_configuration(trial_rng(7, i), 200)
+        entry = {"proximity": cfg.proximity_lists(), "tangent_count": cfg.tangent_count}
+        entries.append({"name": f"chain-{i}", **entry} if i % 3 == 0 else entry)
+    return json.dumps({"valuations": entries + HIGH_GENUS_CONTACT})
+
+
+HIGH_GENUS_GOLDEN = [
+    ("invariants", "table",
+     "5fde9b581031cbc7c7226e4d98a09c423e59d6c685a5e4255a6dfc919e21ede1"),
+    ("invariants", "json",
+     "d89b7ff6f80417460cd48400a82327b981cf0de8e4bf31158ad1e25b29fd5f75"),
+    ("bounds", "table",
+     "fd6a297f4e46d5b973c6645f11e54cb8ec055cea11af7e8782726e19ae08daa2"),
+    ("bounds", "json",
+     "4fa4f0007ff318e21dca5578cf86f21e4670bd3d8902019ae29e771f56abe4b7"),
+    ("check", "table",
+     "e3234029f79a287890aa3c79705aeb60f81d8b680ea58162acf8be47435214a7"),
+    ("check", "json",
+     "187a12e3f10a3e5724fb764f6b88fdfa353a3b9fc0e46a2e14e2f0b59482f389"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, fmt, digest",
+    HIGH_GENUS_GOLDEN,
+    ids=[f"{c} {f}" for c, f, _ in HIGH_GENUS_GOLDEN],
+)
+def test_high_genus_report_is_byte_identical(tmp_path, capsys, command, fmt, digest):
+    path = tmp_path / "high-genus.json"
+    path.write_text(high_genus_file(), encoding="utf-8")
+    assert main(["--format", fmt, command, str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

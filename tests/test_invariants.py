@@ -10,7 +10,6 @@ from valuation_lab.bounds import tono_family
 from valuation_lab.configurations import build_configuration, classify_points
 from valuation_lab.errors import ReconstructionError
 from valuation_lab.invariants import (
-    _continued_fraction,
     curvette_vector,
     from_maximal_contact,
     invariant_record,
@@ -443,6 +442,11 @@ def fraction_fold(digits):
 
 @given(st.lists(st.integers(1, 10**12), min_size=1, max_size=20))
 def test_continued_fraction_by_integer_convergents(digits):
-    p, q = _continued_fraction(digits)
+    """The first block of the chain with contact values (q, p) has the run
+    lengths of p/q's continued fraction, which ``invariant_record`` folds
+    to its exponent as it reads them."""
+    value = fraction_fold(digits)
+    cfg = from_maximal_contact([value.denominator, value.numerator])
+    p, q = invariant_record(cfg).ratios[1]
     assert math.gcd(p, q) == 1
-    assert Fraction(p, q) == fraction_fold(digits)
+    assert Fraction(p, q) == value

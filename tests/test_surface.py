@@ -276,3 +276,56 @@ class TestStrictTransformPlane:
         with pytest.raises(ValueError, match=r"p_1: 1 < 2"):
             strict_transform_plane(2, (1, 1, 1), cfg3())
         strict_transform_plane(2, (2, 1, 1), cfg3())
+
+
+class TestClassFieldsAreInts:
+    """Each class rejects a field that is not an ``int``, a bool included,
+    naming the field; each used to truncate with ``int()`` or keep it."""
+
+    @pytest.mark.parametrize(
+        "degree, mults, message",
+        [
+            (True, (1,), "degree must be an integer, got True"),
+            (1.5, (1,), "degree must be an integer, got 1.5"),
+            (1, (1.5,), "mults[0] must be an integer, got 1.5"),
+            (1, (1, 2.7), "mults[1] must be an integer, got 2.7"),
+            (1, [0, False], "mults[1] must be an integer, got False"),
+        ],
+    )
+    def test_plane_class(self, degree, mults, message):
+        with pytest.raises(ValueError) as caught:
+            PlaneClass(degree, mults)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "a, b, mults, delta, message",
+        [
+            (1.5, 1, (1,), 0, "a must be an integer, got 1.5"),
+            (1, True, (1,), 0, "b must be an integer, got True"),
+            (1, 1, (1,), 0.0, "delta must be an integer, got 0.0"),
+            (1, 1, (True,), 0, "mults[0] must be an integer, got True"),
+            (1, 1, (1, 0.5), 2, "mults[1] must be an integer, got 0.5"),
+        ],
+    )
+    def test_hirzebruch_class(self, a, b, mults, delta, message):
+        with pytest.raises(ValueError) as caught:
+            HirzebruchClass(a, b, mults, delta)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "support, message",
+        [
+            ({(1.5, 0)}, "exponents[0] must be an integer, got 1.5"),
+            ({(0, True)}, "exponents[1] must be an integer, got True"),
+            ({(1, 0), (0, 2.0)}, "exponents[1] must be an integer, got 2.0"),
+        ],
+    )
+    def test_affine_polynomial(self, support, message):
+        with pytest.raises(ValueError) as caught:
+            AffinePolynomial(support)
+        assert str(caught.value) == message
+
+    def test_int_fields_are_kept(self):
+        assert PlaneClass(1, [1, 0]).mults == (1, 0)
+        assert HirzebruchClass(-2, 1, [1], 2).mults == (1,)
+        assert AffinePolynomial({(1, 0)}).support == frozenset({(1, 0)})
