@@ -11,7 +11,9 @@ is found by bisection.  Every row compares integers and builds no
 compared as p and q.  Each row checks a fact that no other row and no
 single line of ``invariant_record`` already fixes; the nef pairings of
 lambda with the curve-cone generators are checked point by point in the
-tests, through ``surface.nef_on_generators``.
+tests, through ``surface.nef_on_generators``.  ``proximity-equalities``
+compares the runs with the satellite stretches that the proximity lists
+state, or, for a chain given as runs, that ``run_structure`` matches.
 """
 
 from __future__ import annotations

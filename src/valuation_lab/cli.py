@@ -90,9 +90,10 @@ def _emit(
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     vf = parse_path(args.file)
+    formatted: dict = {}  # each distinct Puiseux exponent's payload, this report only
     payload = {
         "command": "invariants",
-        "valuations": [invariants_payload(entry) for entry in vf.entries],
+        "valuations": [invariants_payload(entry, formatted) for entry in vf.entries],
     }
     _emit(payload, render_invariants_table, args)
     return 0

@@ -31,9 +31,11 @@ comparing each sorted one in place and sending any other form through
 sets; it rejects a target or tangent count that is not an ``int`` (a bool
 is not one).  ``extend_with_satellite_tail`` extends the array.  Both push
 it into runs in one backward pass (``push_runs``), which ends each run as
-soon as its value is final.  ``run_structure`` reads the stretches back by
-matching each run end with whole runs, and the blocks they cut with them;
-``block_decomposition`` returns that structure.
+soon as its value is final.  The build keeps each satellite stretch it
+validates and seeds the configuration's size and structure with them;
+``run_structure`` matches each run end with whole runs for a chain given
+as runs.  ``_cut_blocks`` cuts the blocks for both, and
+``block_decomposition`` returns the structure.
 """
 
 from __future__ import annotations
@@ -131,9 +133,6 @@ def run_structure(runs: Sequence[tuple[int, int]]) -> RunStructure:
         raise ReconstructionError(f"the last multiplicity is {runs[-1][0]}, not 1")
     weights = [value * count for value, count in runs]
     stretches: list[tuple[int, int, int]] = []
-    # Blocks end where maximal satellite runs end; touching stretches merge.
-    block_ends: list[int] = []
-    last_free: list[int] = []
     # Nothing is proximate to p_n, the end of the last run.
     for s in range(len(runs) - 1):
         value, end = runs[s][0], ends[s]
@@ -159,15 +158,20 @@ def run_structure(runs: Sequence[tuple[int, int]]) -> RunStructure:
                     f"p_{end + 2} would be proximate to three points"
                 )
             stretches.append((end + 2, last, end))
-            if block_ends and block_ends[-1] == end + 1:
-                block_ends[-1] = last
-            else:
-                block_ends.append(last)
-                last_free.append(end + 1)
+    return _cut_blocks(ends, tuple(stretches))
 
-    return RunStructure(
-        ends, tuple(stretches), (1, *block_ends, ends[-1]), tuple(last_free)
-    )
+
+def _cut_blocks(ends: tuple[int, ...], stretches: tuple) -> RunStructure:
+    """Blocks end where maximal satellite runs end; touching stretches merge."""
+    block_ends: list[int] = []
+    last_free: list[int] = []
+    for first, last, _ in stretches:
+        if block_ends and block_ends[-1] == first - 1:
+            block_ends[-1] = last
+        else:
+            block_ends.append(last)
+            last_free.append(first - 1)
+    return RunStructure(ends, stretches, (1, *block_ends, ends[-1]), tuple(last_free))
 
 
 def _older_targets(cfg: Configuration) -> list[int]:
@@ -275,7 +279,7 @@ class Configuration:
     Its multiplicity runs and tangent count are its whole state, and equality
     compares them; a name belongs to the file entry that holds the chain.
     ``size``, ``structure`` and the ``older`` array that every per-point view
-    reads are cached properties, derived on first read.
+    reads are cached properties, derived on first read or seeded by the build.
     """
 
     runs: tuple[tuple[int, int], ...]
@@ -331,6 +335,9 @@ def build_configuration(
     if [*proximity_lists[0]]:
         raise InvalidConfigurationError("p_1 cannot be proximate to anything")
     older = [0] * (n + 1)
+    # Each satellite stretch (first, last, target): a satellite whose older
+    # target is p_{i-2} starts one, one that shares p_{i-1}'s target extends it.
+    stretches: list[tuple[int, int, int]] = []
     for i in range(2, n + 1):
         raw = proximity_lists[i - 1]
         # Sorted lists of ints, compared in place: [i - 1] for a free point,
@@ -344,10 +351,15 @@ def build_configuration(
                 and raw[1] == i - 1
                 and type(raw[1]) is type(raw[0]) is int
                 and raw[0]
-                and (raw[0] == i - 2 or raw[0] == older[i - 1])
             ):
-                older[i] = raw[0]
-                continue
+                if raw[0] == i - 2:
+                    older[i] = raw[0]
+                    stretches.append((i, i, i - 2))
+                    continue
+                if raw[0] == older[i - 1]:
+                    older[i] = raw[0]
+                    stretches[-1] = (stretches[-1][0], i, raw[0])
+                    continue
         listed = [*raw]
         if any(type(t) is not int for t in listed):
             raise InvalidConfigurationError(f"p_{i}: targets must be integers")
@@ -370,11 +382,18 @@ def build_configuration(
                     f"proximate to p_{target} (its divisor no longer meets E_{i - 1})"
                 )
             older[i] = target
+            if target == i - 2:
+                stretches.append((i, i, i - 2))
+            else:
+                stretches[-1] = (stretches[-1][0], i, target)
 
     k = min(2, n) if tangent_count is None else tangent_count
-    first_satellite = next(itertools.compress(range(n + 1), older), n + 1)
-    check_tangent_count(k, n, first_satellite)
-    return Configuration(runs=push_runs(older), tangent_count=k)
+    check_tangent_count(k, n, stretches[0][0] if stretches else n + 1)
+    cfg = Configuration(push_runs(older), k)
+    # The stretches just validated seed the cached properties: nothing is matched.
+    ends = tuple(itertools.accumulate(count for _, count in cfg.runs))
+    vars(cfg).update(size=n, structure=_cut_blocks(ends, tuple(stretches)))
+    return cfg
 
 
 def classify_points(cfg: Configuration) -> list[str]:

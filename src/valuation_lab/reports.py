@@ -54,8 +54,9 @@ def compress_runs(runs: Iterable[Sequence[int]]) -> str:
     )
 
 
-def invariants_payload(entry: ValuationEntry) -> dict[str, Any]:
-    """The record's numbers; its rationals are printed from their integers."""
+def invariants_payload(entry: ValuationEntry, formatted=None) -> dict[str, Any]:
+    """The record's numbers; its rationals are printed from their integers.
+    Given ``formatted``, one report's dict, equal exponents share one payload."""
     bundle = entry.bundle
     cfg, record = bundle.cfg, bundle.record
     structure = cfg.structure
@@ -71,7 +72,11 @@ def invariants_payload(entry: ValuationEntry) -> dict[str, Any]:
         "genus": structure.genus_count,
         "contact_values": record.beta_bar,
         "gcd_chain": record.gcd_chain,
-        "puiseux_exponents": [rational_payload(*r) for r in record.ratios],
+        "puiseux_exponents": [
+            rational_payload(*r) if formatted is None
+            else formatted.get(r) or formatted.setdefault(r, rational_payload(*r))
+            for r in record.ratios
+        ],
         "run_lengths": record.run_length_tables,
         "volume": rational_payload(1, last),
         "normalized_volume": rational_payload(square // common, last // common),

@@ -35,6 +35,9 @@ _ALLOWED = {
 }
 _KEYS = frozenset().union(*_ALLOWED.values())
 
+# Largest file that is read, in bytes: about 16 bytes of memory per file byte.
+MAX_FILE_BYTES = 20 * 10**6
+
 
 class ValuationEntry(NamedTuple):
     """An entry as written, its ``name`` included, and the bundle built from it."""
@@ -162,6 +165,11 @@ def parse(text: str) -> ValuationFile:
 
 
 def parse_path(path: str | Path) -> ValuationFile:
+    """Parse the file at ``path``; one above MAX_FILE_BYTES is never read."""
+    if (size := Path(path).stat().st_size) > MAX_FILE_BYTES:
+        raise FileFormatError(
+            f"{path}: {size} bytes is above the limit of {MAX_FILE_BYTES} bytes"
+        )
     return parse(Path(path).read_text(encoding="utf-8"))
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import valuation_lab.checks as checks
 import valuation_lab.configurations as configurations
+import valuation_lab.valfile as valfile
 from valuation_lab.bounds import tono_family
 from valuation_lab.checks import CheckResult
 from valuation_lab.cli import main
@@ -211,6 +212,30 @@ class TestCommands:
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["invariants", "/does/not/exist.json"]) == 1
+
+    def test_file_above_the_size_limit_exits_one_undecoded(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = write(tmp_path, THREE_POINT)
+        size = len(THREE_POINT.encode("utf-8"))
+        decoded = []
+        real_parse = valfile.parse
+
+        def counted(text):
+            decoded.append(text)
+            return real_parse(text)
+
+        monkeypatch.setattr(valfile, "parse", counted)
+        monkeypatch.setattr(valfile, "MAX_FILE_BYTES", size - 1)
+        assert main(["invariants", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: {size} bytes is above the limit of {size - 1} bytes\n"
+        )
+        assert decoded == []
+        # A file of exactly the limit is read.
+        monkeypatch.setattr(valfile, "MAX_FILE_BYTES", size)
+        assert main(["invariants", path]) == 0
+        assert decoded == [THREE_POINT]
 
     def test_usage_error_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
