@@ -31,11 +31,10 @@ comparing each sorted one in place and sending any other form through
 sets; it rejects a target or tangent count that is not an ``int`` (a bool
 is not one).  ``extend_with_satellite_tail`` extends the array.  Both push
 it into runs in one backward pass (``push_runs``), which ends each run as
-soon as its value is final.  The build keeps each satellite stretch it
-validates and seeds the configuration's size and structure with them;
-``run_structure`` matches each run end with whole runs for a chain given
-as runs.  ``_cut_blocks`` cuts the blocks for both, and
-``block_decomposition`` returns the structure.
+soon as its value is final.  The build seeds the size and structure with
+the satellite stretches of the validated array; ``run_structure`` matches
+run ends with whole runs for a chain given as runs.  ``_cut_blocks`` cuts
+the blocks for both; ``block_decomposition`` returns the structure.
 """
 
 from __future__ import annotations
@@ -335,9 +334,6 @@ def build_configuration(
     if [*proximity_lists[0]]:
         raise InvalidConfigurationError("p_1 cannot be proximate to anything")
     older = [0] * (n + 1)
-    # Each satellite stretch (first, last, target): a satellite whose older
-    # target is p_{i-2} starts one, one that shares p_{i-1}'s target extends it.
-    stretches: list[tuple[int, int, int]] = []
     for i in range(2, n + 1):
         raw = proximity_lists[i - 1]
         # Sorted lists of ints, compared in place: [i - 1] for a free point,
@@ -351,15 +347,10 @@ def build_configuration(
                 and raw[1] == i - 1
                 and type(raw[1]) is type(raw[0]) is int
                 and raw[0]
+                and (raw[0] == i - 2 or raw[0] == older[i - 1])
             ):
-                if raw[0] == i - 2:
-                    older[i] = raw[0]
-                    stretches.append((i, i, i - 2))
-                    continue
-                if raw[0] == older[i - 1]:
-                    older[i] = raw[0]
-                    stretches[-1] = (stretches[-1][0], i, raw[0])
-                    continue
+                older[i] = raw[0]
+                continue
         listed = [*raw]
         if any(type(t) is not int for t in listed):
             raise InvalidConfigurationError(f"p_{i}: targets must be integers")
@@ -382,15 +373,16 @@ def build_configuration(
                     f"proximate to p_{target} (its divisor no longer meets E_{i - 1})"
                 )
             older[i] = target
-            if target == i - 2:
-                stretches.append((i, i, i - 2))
-            else:
-                stretches[-1] = (stretches[-1][0], i, target)
 
+    # The validated targets' stretches (first, last, target) seed the cache:
+    # p_{i-2} starts one, any other target extends it; no run is matched.
+    stretches: list[tuple[int, int, int]] = []
+    for i in itertools.compress(range(n + 1), older):
+        first = i if older[i] == i - 2 else stretches.pop()[0]
+        stretches.append((first, i, first - 2))
     k = min(2, n) if tangent_count is None else tangent_count
     check_tangent_count(k, n, stretches[0][0] if stretches else n + 1)
     cfg = Configuration(push_runs(older), k)
-    # The stretches just validated seed the cached properties: nothing is matched.
     ends = tuple(itertools.accumulate(count for _, count in cfg.runs))
     vars(cfg).update(size=n, structure=_cut_blocks(ends, tuple(stretches)))
     return cfg

@@ -56,7 +56,8 @@ def compress_runs(runs: Iterable[Sequence[int]]) -> str:
 
 def invariants_payload(entry: ValuationEntry, formatted=None) -> dict[str, Any]:
     """The record's numbers; its rationals are printed from their integers.
-    Given ``formatted``, one report's dict, equal exponents share one payload."""
+    ``formatted``, one report's dict, lets equal exponents share one payload."""
+    formatted = {} if formatted is None else formatted
     bundle = entry.bundle
     cfg, record = bundle.cfg, bundle.record
     structure = cfg.structure
@@ -73,8 +74,7 @@ def invariants_payload(entry: ValuationEntry, formatted=None) -> dict[str, Any]:
         "contact_values": record.beta_bar,
         "gcd_chain": record.gcd_chain,
         "puiseux_exponents": [
-            rational_payload(*r) if formatted is None
-            else formatted.get(r) or formatted.setdefault(r, rational_payload(*r))
+            formatted.get(r) or formatted.setdefault(r, rational_payload(*r))
             for r in record.ratios
         ],
         "run_lengths": record.run_length_tables,

@@ -17,6 +17,7 @@ bundles, and the reports read ``ValuationEntry.name``.
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -165,12 +166,18 @@ def parse(text: str) -> ValuationFile:
 
 
 def parse_path(path: str | Path) -> ValuationFile:
-    """Parse the file at ``path``; one above MAX_FILE_BYTES is never read."""
-    if (size := Path(path).stat().st_size) > MAX_FILE_BYTES:
+    """Parse the file at ``path``, reading at most MAX_FILE_BYTES + 1 bytes."""
+    with open(path, "rb") as file:
+        data = file.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        size = Path(path).stat().st_size  # 0 for a pipe or a device
+        shown = size if size > MAX_FILE_BYTES else f"more than {MAX_FILE_BYTES}"
         raise FileFormatError(
-            f"{path}: {size} bytes is above the limit of {MAX_FILE_BYTES} bytes"
+            f"{path}: {shown} bytes is above the limit of {MAX_FILE_BYTES} bytes"
         )
-    return parse(Path(path).read_text(encoding="utf-8"))
+    # Decoded as Path.read_text decodes; the bytes are dropped before parsing.
+    data = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    return parse(data)
 
 
 def serialize(vf: ValuationFile) -> str:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -35,6 +37,35 @@ def write(tmp_path, text, name="valuations.json"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def feed_fifo(path, data):
+    """Write ``data`` into the named pipe at ``path`` from a daemon thread."""
+
+    def run():
+        try:
+            with open(path, "wb") as pipe:
+                pipe.write(data)
+        except BrokenPipeError:
+            pass  # the reader closed its end once it had what it reads
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """Every text that ``valfile.parse`` decodes, in call order."""
+    texts = []
+    real_parse = valfile.parse
+
+    def counted(text):
+        texts.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(valfile, "parse", counted)
+    return texts
 
 
 class TestParse:
@@ -214,18 +245,10 @@ class TestCommands:
         assert main(["invariants", "/does/not/exist.json"]) == 1
 
     def test_file_above_the_size_limit_exits_one_undecoded(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, decoded
     ):
         path = write(tmp_path, THREE_POINT)
         size = len(THREE_POINT.encode("utf-8"))
-        decoded = []
-        real_parse = valfile.parse
-
-        def counted(text):
-            decoded.append(text)
-            return real_parse(text)
-
-        monkeypatch.setattr(valfile, "parse", counted)
         monkeypatch.setattr(valfile, "MAX_FILE_BYTES", size - 1)
         assert main(["invariants", path]) == 1
         assert capsys.readouterr().err == (
@@ -235,6 +258,30 @@ class TestCommands:
         # A file of exactly the limit is read.
         monkeypatch.setattr(valfile, "MAX_FILE_BYTES", size)
         assert main(["invariants", path]) == 0
+        assert decoded == [THREE_POINT]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_above_the_size_limit_exits_one_undecoded(
+        self, tmp_path, monkeypatch, capsys, decoded
+    ):
+        """A pipe states no size, so the limit bounds the bytes read."""
+        fifo = tmp_path / "valuations.fifo"
+        os.mkfifo(fifo)
+        size = len(THREE_POINT.encode("utf-8"))
+        monkeypatch.setattr(valfile, "MAX_FILE_BYTES", size - 10)
+        feeder = feed_fifo(fifo, THREE_POINT.encode("utf-8"))
+        assert main(["invariants", str(fifo)]) == 1
+        feeder.join(timeout=10)
+        assert capsys.readouterr().err == (
+            f"error: {fifo}: more than {size - 10} bytes is above the limit of "
+            f"{size - 10} bytes\n"
+        )
+        assert decoded == []
+        # A pipe of exactly the limit is read.
+        monkeypatch.setattr(valfile, "MAX_FILE_BYTES", size)
+        feeder = feed_fifo(fifo, THREE_POINT.encode("utf-8"))
+        assert main(["invariants", str(fifo)]) == 0
+        feeder.join(timeout=10)
         assert decoded == [THREE_POINT]
 
     def test_usage_error_exits_one(self, capsys):
