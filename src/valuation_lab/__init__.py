@@ -21,7 +21,6 @@ from .bounds import (
 from .configurations import (
     MAX_LISTED_POINTS,
     Configuration,
-    append_free_chain,
     block_decomposition,
     build_configuration,
     classify_points,
@@ -46,20 +45,16 @@ from .invariants import (
     noether_pairing,
     normalized_volume,
     puiseux_exponents,
-    semigroup_values,
 )
 from .surface import (
     AffinePolynomial,
     HirzebruchClass,
     NpiResult,
-    PlaneClass,
     hirzebruch_class_of_polynomial,
     intersect_hirzebruch,
-    intersect_plane,
     lambda_divisor,
     nef_on_generators,
     npi_check,
-    strict_transform_plane,
 )
 
 __version__ = "0.1.0"

@@ -15,6 +15,8 @@ from typing import NamedTuple
 from .configurations import (
     Configuration,
     extend_with_satellite_tail,
+    require_int,
+    require_ints,
 )
 from .errors import VerificationError
 from .invariants import (
@@ -132,6 +134,7 @@ def delta0(cfg: Configuration) -> int:
 def degree_lower_bound(cfg: Configuration, m: Sequence[int]) -> Fraction:
     """Lower bound on the degree of a plane curve with multiplicities >= m:
     sum v_i m_i over the mu-hat bound, with v walked run by run."""
+    m = require_ints(m, "m", ValueError)
     if len(m) != cfg.size:
         raise ValueError(f"expected {cfg.size} multiplicities, got {len(m)}")
     if any(x < 0 for x in m):
@@ -161,6 +164,8 @@ def supraminimal_certificate(
     inverse volume strictly; the caller asserts the curve is integral and
     has the stated value and degree.
     """
+    require_int(curve_value, "curve_value", ValueError)
+    require_int(curve_degree, "curve_degree", ValueError)
     if curve_value < 1 or curve_degree < 1:
         raise ValueError("curve value and degree must be positive")
     return _certificate(invariant_record(cfg).beta_bar[-1], curve_value, curve_degree)
@@ -185,7 +190,9 @@ def multi_valuation(
 ) -> MultiValuation:
     if not bundles:
         raise ValueError("need at least one valuation")
-    mu = default_aligned_mu(bundles) if aligned_mu is None else int(aligned_mu)
+    if aligned_mu is not None:
+        require_int(aligned_mu, "aligned_mu", ValueError)
+    mu = default_aligned_mu(bundles) if aligned_mu is None else aligned_mu
     if mu < max(b.cfg.tangent_count for b in bundles):
         raise ValueError(
             "aligned_mu cannot be smaller than a tangent segment of one "

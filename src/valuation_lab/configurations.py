@@ -29,12 +29,13 @@ The proximity residual lists none: it takes runs and reads the stretches.
 ``build_configuration`` writes this array as it validates the lists,
 comparing each sorted one in place and sending any other form through
 sets; it rejects a target or tangent count that is not an ``int`` (a bool
-is not one).  ``extend_with_satellite_tail`` extends the array.  Both push
-it into runs in one backward pass (``push_runs``), which ends each run as
-soon as its value is final.  The build seeds the size and structure with
-the satellite stretches of the validated array; ``run_structure`` matches
-run ends with whole runs for a chain given as runs.  ``_cut_blocks`` cuts
-the blocks for both; ``block_decomposition`` returns the structure.
+is not one).  ``extend_with_satellite_tail`` extends the array.  Both hand
+it to ``_from_older``, which pushes it into runs in one backward pass
+(``push_runs``), ending each run as soon as its value is final, and seeds
+the size and structure with the satellite stretches of the validated
+array; ``run_structure`` matches run ends with whole runs only for a chain
+given as runs.  ``_cut_blocks`` cuts the blocks for both;
+``block_decomposition`` returns the structure.
 """
 
 from __future__ import annotations
@@ -307,17 +308,6 @@ class Configuration:
         older = self.older()
         return [[t for t in (older[i], i - 1) if t] for i in range(1, len(older))]
 
-    def proximate_points(self) -> list[list[int]]:
-        """Entry i lists the points proximate to p_i, ascending: p_{i+1}, then
-        the satellites whose older target is p_i; 1-based, entry 0 unused.
-        Listed from ``older`` on each call."""
-        older = self.older()
-        incoming = [[], *[[i + 1] for i in range(1, len(older) - 1)], []]
-        for j, target in enumerate(older):
-            if target:
-                incoming[target].append(j)
-        return incoming
-
 
 def build_configuration(
     proximity_lists: Sequence[Iterable[int]], tangent_count: int | None = None
@@ -374,17 +364,25 @@ def build_configuration(
                 )
             older[i] = target
 
-    # The validated targets' stretches (first, last, target) seed the cache:
-    # p_{i-2} starts one, any other target extends it; no run is matched.
+    k = min(2, n) if tangent_count is None else tangent_count
+    cfg = _from_older(older, k)
+    check_tangent_count(k, n, max_tangent_count(cfg) + 1)
+    return cfg
+
+
+def _from_older(older: list[int], tangent_count: int) -> Configuration:
+    """The configuration of a validated ``older`` array, pushed into runs.
+
+    Its stretches (first, last, target) seed the cached size and structure:
+    a target p_{i-2} starts one, any other target extends it; no run is
+    matched."""
     stretches: list[tuple[int, int, int]] = []
-    for i in itertools.compress(range(n + 1), older):
+    for i in itertools.compress(range(len(older)), older):
         first = i if older[i] == i - 2 else stretches.pop()[0]
         stretches.append((first, i, first - 2))
-    k = min(2, n) if tangent_count is None else tangent_count
-    check_tangent_count(k, n, stretches[0][0] if stretches else n + 1)
-    cfg = Configuration(push_runs(older), k)
+    cfg = Configuration(push_runs(older), tangent_count)
     ends = tuple(itertools.accumulate(count for _, count in cfg.runs))
-    vars(cfg).update(size=n, structure=_cut_blocks(ends, tuple(stretches)))
+    vars(cfg).update(size=ends[-1], structure=_cut_blocks(ends, tuple(stretches)))
     return cfg
 
 
@@ -397,24 +395,6 @@ def block_decomposition(cfg: Configuration) -> RunStructure:
     """The run structure, whose blocks are cut at the ends of maximal
     satellite runs."""
     return cfg.structure
-
-
-def append_free_chain(cfg: Configuration, k: int) -> Configuration:
-    """Extend by k free points, each proximate only to its predecessor.
-
-    Every chain ends in a run of 1s, which the new points lengthen.
-    """
-    require_int(k, "k")
-    if k < 0:
-        raise InvalidConfigurationError("cannot append a negative number of points")
-    if k == 0:
-        return cfg
-    *head, (value, count) = cfg.runs
-    return Configuration(
-        runs=(*head, (value, count + k)),
-        # Appended to a single point, p_2 fixes the tangent direction through p_1.
-        tangent_count=max(cfg.tangent_count, 2),
-    )
 
 
 def require_free_end(cfg: Configuration) -> None:
@@ -452,17 +432,10 @@ def extend_with_satellite_tail(
                 f"(options: {options})"
             )
         older.append(c)
-    return Configuration(push_runs(older), cfg.tangent_count)
+    return _from_older(older, cfg.tangent_count)
 
 
 def max_tangent_count(cfg: Configuration) -> int:
     """Largest admissible tangent segment length for this proximity structure."""
     stretches = cfg.structure.stretches
     return stretches[0][0] - 1 if stretches else cfg.size
-
-
-def with_tangent_count(cfg: Configuration, tangent_count: int) -> Configuration:
-    """Same proximity structure, different tangent segment: 1 for a single
-    point, else 2..``max_tangent_count(cfg)``."""
-    check_tangent_count(tangent_count, cfg.size, max_tangent_count(cfg) + 1)
-    return Configuration(cfg.runs, tangent_count)

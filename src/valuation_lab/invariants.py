@@ -9,8 +9,7 @@ fraction, the Puiseux exponent that the record keeps and the reports
 print; Zariski's recursion turns those into the contact values, the last
 one over the last block.  The record holds all of these side by side,
 and ``maximal_contact_values`` and ``puiseux_exponents`` return it whole.
-``beta_prime`` and the volumes are ``fractions.Fraction`` values built
-when they are read.
+The normalized volume is a ``fractions.Fraction`` built when it is read.
 The inverse (``from_maximal_contact``) expands each contact value into a
 block of multiplicity runs by the subtractive Euclidean algorithm, the same
 recursion read backwards; its docstring proves that its input checks make
@@ -65,16 +64,6 @@ class InvariantRecord(NamedTuple):
     is_m_adic: bool
 
     @property
-    def beta_prime(self) -> tuple[Fraction, ...]:
-        """The exponents as Fractions, on each read."""
-        return tuple(Fraction(p, q) for p, q in self.ratios)
-
-    @property
-    def volume(self) -> Fraction:
-        """1 / beta_bar_last, on each read."""
-        return Fraction(1, self.beta_bar[-1])
-
-    @property
     def normalized_volume(self) -> Fraction:
         """beta_bar_0^2 / beta_bar_last, on each read."""
         return Fraction(self.beta_bar[0] ** 2, self.beta_bar[-1])
@@ -95,6 +84,7 @@ def multiplicity_sequence(cfg: Configuration) -> MultiplicityVector:
 
 def curvette_vector(cfg: Configuration, k: int) -> tuple[int, ...]:
     """Multiplicities of a smooth germ through p_1..p_k, transversal at stage k."""
+    require_int(k, "k", ValueError)
     n = cfg.size
     if not 1 <= k <= n:
         raise ValueError(f"curvette index must lie in 1..{n}, got {k}")
@@ -182,22 +172,6 @@ def puiseux_exponents(cfg: Configuration) -> InvariantRecord:
 
 def normalized_volume(cfg: Configuration) -> Fraction:
     return invariant_record(cfg).normalized_volume
-
-
-def semigroup_values(cfg: Configuration, limit: int) -> list[int]:
-    """Values up to ``limit`` of the semigroup generated by the contact values."""
-    if limit < 0:
-        raise ValueError("limit must be non-negative")
-    generators = invariant_record(cfg).beta_bar
-    reachable = [False] * (limit + 1)
-    reachable[0] = True
-    for g in generators:
-        if g == 0 or g > limit:
-            continue
-        for x in range(g, limit + 1):
-            if reachable[x - g]:
-                reachable[x] = True
-    return [x for x, ok in enumerate(reachable) if ok]
 
 
 def _euclid_block_values(small: int, large: int) -> list[tuple[int, int]]:
@@ -301,5 +275,4 @@ __all__ = [
     "noether_pairing",
     "normalized_volume",
     "puiseux_exponents",
-    "semigroup_values",
 ]

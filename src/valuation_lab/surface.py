@@ -1,35 +1,22 @@
-"""Exact intersection theory on the blown-up plane and ruled surfaces.
+"""Exact intersection theory on blown-up ruled surfaces.
 
 Classes are written additively against total transforms with the sign
-convention ``class = a*F + b*M - sum(m_i * E_i)`` (ruled model) or
-``class = d*L - sum(m_i * E_i)`` (plane model).  The pairing table on the
-ruled model of index ``delta`` is F.M = 1, F.F = 0, M.M = delta, with the
-exceptional classes orthonormal of square -1; ``intersect_hirzebruch``
+convention ``class = a*F + b*M - sum(m_i * E_i)``.  The pairing table on
+the ruled model of index ``delta`` is F.M = 1, F.F = 0, M.M = delta, with
+the exceptional classes orthonormal of square -1; ``intersect_hirzebruch``
 is the one place that pairing is written.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .configurations import Configuration, proximity_residual, value_runs
+from .configurations import Configuration, proximity_residual
 from .configurations import require_int, require_ints
 from .invariants import InvariantRecord, invariant_record
-
-
-@dataclass(frozen=True)
-class PlaneClass:
-    """Divisor class d*L - sum(m_i * E_i) on a blown-up plane."""
-
-    degree: int
-    mults: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        require_int(self.degree, "degree", ValueError)
-        object.__setattr__(self, "mults", require_ints(self.mults, "mults", ValueError))
 
 
 @dataclass(frozen=True)
@@ -91,14 +78,6 @@ class GeneratorPairing(NamedTuple):
 
     name: str
     value: int
-
-
-def intersect_plane(x: PlaneClass, y: PlaneClass) -> int:
-    if len(x.mults) != len(y.mults):
-        raise ValueError(
-            f"ambient size mismatch: {len(x.mults)} vs {len(y.mults)}"
-        )
-    return x.degree * y.degree - sum(map(operator.mul, x.mults, y.mults))
 
 
 def intersect_hirzebruch(x: HirzebruchClass, y: HirzebruchClass) -> int:
@@ -186,6 +165,7 @@ def hirzebruch_class_of_polynomial(
     v-factor are rejected, since the closure would then contain the fiber
     through the center or the special section as a component.
     """
+    require_int(delta, "delta", ValueError)
     if delta < 0:
         raise ValueError("ruled surface index must be non-negative")
     support = f.support
@@ -197,44 +177,15 @@ def hirzebruch_class_of_polynomial(
     return max(i - delta * j for i, j in support), f.degree_v
 
 
-def strict_transform_plane(
-    degree: int, mults: Sequence[int], cfg: Configuration | None = None
-) -> PlaneClass:
-    """Class of a plane curve of the given degree and point multiplicities.
-
-    With a configuration, enforce one multiplicity per point and the
-    proximity inequalities m_i >= sum of m_j over the points proximate to p_i.
-    """
-    require_int(degree, "degree", ValueError)
-    if degree < 0:
-        raise ValueError("a curve has non-negative degree")
-    mults = require_ints(mults, "mults", ValueError)
-    if cfg is not None:
-        if len(mults) != cfg.size:
-            raise ValueError(
-                f"expected {cfg.size} multiplicities, got {len(mults)}"
-            )
-        for i, r in proximity_residual(cfg, value_runs(mults)).items():
-            if r < 0:
-                raise ValueError(
-                    f"proximity inequality fails at p_{i}: "
-                    f"{mults[i - 1]} < {mults[i - 1] - r}"
-                )
-    return PlaneClass(degree=degree, mults=mults)
-
-
 __all__ = [
     "AffinePolynomial",
     "GeneratorPairing",
     "HirzebruchClass",
     "NpiResult",
-    "PlaneClass",
     "hirzebruch_class_of_polynomial",
     "intersect_hirzebruch",
-    "intersect_plane",
     "lambda_divisor",
     "nef_on_generators",
     "npi_check",
     "npi_from_record",
-    "strict_transform_plane",
 ]

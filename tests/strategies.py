@@ -1,4 +1,5 @@
-"""Hypothesis strategies and chain enumerations shared across the test modules."""
+"""Hypothesis strategies, chain enumerations and point-level references
+shared across the test modules."""
 
 from hypothesis import strategies as st
 
@@ -45,3 +46,15 @@ def all_chains(max_points):
                 yield from grow([*lists, [older, i - 1]])
 
     return grow([[]])
+
+
+def proximate_points(cfg):
+    """Entry i lists the points proximate to p_i, ascending: p_{i+1}, then
+    the satellites whose older target is p_i; 1-based, entry 0 unused.
+    The pull-form reference, listed from ``cfg.older()`` on each call."""
+    older = cfg.older()
+    incoming = [[], *[[i + 1] for i in range(1, len(older) - 1)], []]
+    for j, target in enumerate(older):
+        if target:
+            incoming[target].append(j)
+    return incoming

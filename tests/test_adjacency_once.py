@@ -17,7 +17,6 @@ from valuation_lab.configurations import (
     value_runs,
 )
 from valuation_lab.invariants import from_maximal_contact, multiplicity_sequence
-from valuation_lab.surface import strict_transform_plane
 
 CHAINS = {
     "satellite": lambda: build_configuration(
@@ -49,9 +48,8 @@ def test_identity_checks_build_the_adjacency_at_most_twice(monkeypatch, make):
 
 @pytest.mark.parametrize("make", CHAINS.values(), ids=CHAINS.keys())
 def test_the_residual_lists_no_older_array(monkeypatch, make):
-    """The proximity residual reads the satellite stretches, so neither it,
-    the inequality check of ``strict_transform_plane`` nor ``identity_checks``
-    lists ``older``."""
+    """The proximity residual reads the satellite stretches, so neither it
+    nor ``identity_checks`` lists ``older``."""
     built = make()
     v = multiplicity_sequence(built).values
     sizes = []
@@ -67,7 +65,6 @@ def test_the_residual_lists_no_older_array(monkeypatch, make):
     residual = proximity_residual(cfg, value_runs(v))
     expected = [0] * (cfg.size - 1) + [1]
     assert [residual.get(i, 0) for i in range(1, cfg.size + 1)] == expected
-    strict_transform_plane(0, v, cfg)
     assert sizes == []
     assert all(r.passed for r in identity_checks(valuation_bundle(cfg)))
     assert sizes == []

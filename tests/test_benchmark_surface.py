@@ -9,7 +9,6 @@ tests.  These tests import the tracer as the benchmark does, with
 
 import importlib
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -67,4 +66,3 @@ def test_the_kept_accessors_expose_their_old_attributes():
     exponents = puiseux_exponents(cfg)
     assert exponents.run_length_tables == ((1, 2), (6, 3), (7,))
     assert exponents.ratios == ((1, 1), (3, 2), (19, 3), (7, 1))
-    assert exponents.beta_prime == (1, Fraction(3, 2), Fraction(19, 3), 7)

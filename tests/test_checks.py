@@ -21,12 +21,11 @@ from valuation_lab.checks import (
     trial_rng,
 )
 from valuation_lab.configurations import (
+    Configuration,
     SATELLITE,
-    append_free_chain,
     build_configuration,
     classify_points,
     extend_with_satellite_tail,
-    with_tangent_count,
 )
 from valuation_lab.errors import (
     ChainTooLongError,
@@ -305,7 +304,7 @@ class TestContactRoundTrip:
         back, and comparing runs gives the verdict comparing listed values did."""
         for cfg, record in small_pairs:
             rebuilt = from_maximal_contact(record.beta_bar)
-            assert with_tangent_count(rebuilt, cfg.tangent_count) == cfg
+            assert Configuration(rebuilt.runs, cfg.tangent_count) == cfg
             listed = multiplicity_sequence(rebuilt).values
             assert (rebuilt.runs == cfg.runs) == (
                 listed == record.multiplicities.values
@@ -318,7 +317,7 @@ class TestContactRoundTrip:
         real = checks.from_maximal_contact
 
         def one_more_point(contact):
-            return append_free_chain(real(contact), 1)
+            return real(contact, trailing_free=1)
 
         monkeypatch.setattr(checks, "from_maximal_contact", one_more_point)
         tono = tono_family(3, 0).bundle.cfg

@@ -5,21 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import all_chains, configurations, proximity_chains
+from strategies import all_chains, configurations, proximate_points, proximity_chains
 from valuation_lab.bounds import tono_family, valuation_bundle
 from valuation_lab.checks import identity_checks
 from valuation_lab.configurations import (
     FREE,
     Configuration,
     SATELLITE,
-    append_free_chain,
     block_decomposition,
     build_configuration,
     classify_points,
     extend_with_satellite_tail,
     max_tangent_count,
     satellite_targets,
-    with_tangent_count,
 )
 from valuation_lab.errors import InvalidConfigurationError, ReconstructionError
 from valuation_lab.invariants import from_maximal_contact
@@ -149,34 +147,6 @@ class TestBlockDecomposition:
         )
 
 
-class TestAppendFreeChain:
-    def test_zero_is_identity(self):
-        cfg = cfg3()
-        assert append_free_chain(cfg, 0) is cfg
-
-    def test_one_point_plus_one(self):
-        cfg = append_free_chain(build_configuration([[]]), 1)
-        assert cfg.proximity_lists() == [[], [1]]
-        assert cfg.tangent_count == 2
-
-    def test_appended_points_are_free_and_off_tangent(self):
-        cfg = append_free_chain(cfg3(), 3)
-        assert cfg.size == 6
-        assert classify_points(cfg)[3:] == [FREE, FREE, FREE]
-        assert cfg.tangent_count == 2
-
-    def test_rejects_negative(self):
-        with pytest.raises(InvalidConfigurationError):
-            append_free_chain(cfg3(), -1)
-
-    def test_completes_the_example_family_member(self):
-        resolution = from_maximal_contact((6, 9, 34))
-        assert resolution.size == 11
-        extended = append_free_chain(resolution, 6)
-        expected = tono_family(3, 0).bundle.cfg
-        assert extended.proximity_lists() == expected.proximity_lists()
-
-
 class TestSatelliteTail:
     def test_forced_first_point(self):
         cfg = extend_with_satellite_tail(build_configuration([[], [1]]), [1])
@@ -249,17 +219,18 @@ class TestTangentHandling:
     def test_classification_ignores_tangent_flags(self, cfg):
         if cfg.size == 1:
             return
-        other = with_tangent_count(cfg, 2)
+        other = build_configuration(cfg.proximity_lists(), 2)
         assert classify_points(other) == classify_points(cfg)
         assert block_decomposition(other) == block_decomposition(cfg)
 
     @given(configurations())
     def test_max_tangent_count_is_admissible_and_maximal(self, cfg):
         k = max_tangent_count(cfg)
-        with_tangent_count(cfg, k)
+        lists = cfg.proximity_lists()
+        build_configuration(lists, k)
         if k < cfg.size:
             with pytest.raises(InvalidConfigurationError):
-                with_tangent_count(cfg, k + 1)
+                build_configuration(lists, k + 1)
 
 
 def satellite_tails(n, max_length):
@@ -300,7 +271,7 @@ class TestExhaustiveSmallChains:
                     continue
                 admissible.append(k)
                 assert cfg.proximity_lists() == lists
-                assert cfg.proximate_points() == incoming
+                assert proximate_points(cfg) == incoming
                 assert classify_points(cfg) == labels
             pairs += len(admissible)
             assert max_tangent_count(build_configuration(lists)) == admissible[-1]
@@ -308,23 +279,6 @@ class TestExhaustiveSmallChains:
         assert [sizes[n] for n in range(1, 11)] == [
             1, 1, 2, 5, 13, 34, 89, 233, 610, 1597
         ]
-        assert pairs == 4181
-
-    def test_with_tangent_count_accepts_exactly_the_admissible_counts(
-        self, small_chains
-    ):
-        pairs = 0
-        for lists in small_chains:
-            base = build_configuration(lists)
-            for k in range(len(lists) + 2):
-                try:
-                    expected = build_configuration(lists, k)
-                except InvalidConfigurationError:
-                    with pytest.raises(InvalidConfigurationError):
-                        with_tangent_count(base, k)
-                    continue
-                assert with_tangent_count(base, k) == expected
-                pairs += 1
         assert pairs == 4181
 
     def test_satellite_targets_decide_every_older_target(self):
@@ -355,20 +309,6 @@ class TestExhaustiveSmallChains:
                     checked += 1
         assert checked > 10_000
 
-    def test_with_tangent_count_raises_what_build_configuration_raises(self):
-        def outcome(make, *args):
-            try:
-                return make(*args)
-            except InvalidConfigurationError as exc:
-                return str(exc)
-
-        for lists in all_chains(8):
-            base = build_configuration(lists)
-            for k in range(len(lists) + 2):
-                assert outcome(build_configuration, lists, k) == outcome(
-                    with_tangent_count, base, k
-                )
-
     def test_satellite_tails_equal_the_chains_built_from_lists(self):
         """``extend_with_satellite_tail`` pushes the extended ``older`` array
         into runs; building the extended lists must give the same chain."""
@@ -377,9 +317,8 @@ class TestExhaustiveSmallChains:
             n = len(lists)
             if n < 2 or len(lists[-1]) == 2:
                 continue
-            base = build_configuration(lists)
-            for k in sorted({2, max_tangent_count(base)}):
-                cfg = with_tangent_count(base, k)
+            for k in sorted({2, max_tangent_count(build_configuration(lists))}):
+                cfg = build_configuration(lists, k)
                 for tail in satellite_tails(n, 3):
                     tail_lists = [[c, n + t] for t, c in enumerate(tail)]
                     expected = build_configuration(lists + tail_lists, k)

@@ -7,7 +7,8 @@ form (tuples, sets, unsorted or repeated targets) through its set-based
 validation, with the same runs or the same message as before.
 ``build_configuration`` takes a target or tangent count only if it is an
 ``int`` (a bool is not), as do the library entry points that extend or
-rebuild a chain or take a curve's multiplicities, and ``valfile`` leaves
+rebuild a chain or take a multiplicity, a curve's value or degree, an index
+or an aligned-point count, and ``valfile`` leaves
 that check to the build, rescanning an entry only when the build fails, so
 a file gets the message it got when every target was checked before the
 build.
@@ -34,11 +35,16 @@ from valuation_lab.bounds import (
     ceil_div,
     ceil_plus,
 )
-from valuation_lab.bounds import tono_family, valuation_bundle
+from valuation_lab.bounds import (
+    degree_lower_bound,
+    multi_valuation,
+    supraminimal_certificate,
+    tono_family,
+    valuation_bundle,
+)
 from valuation_lab.checks import random_configuration, trial_rng
 from valuation_lab.cli import main
 from valuation_lab.configurations import (
-    append_free_chain,
     build_configuration,
     extend_with_satellite_tail,
     push_runs,
@@ -46,16 +52,19 @@ from valuation_lab.configurations import (
     run_structure,
     satellite_targets,
     value_runs,
-    with_tangent_count,
 )
 from valuation_lab.errors import (
     FileFormatError,
     InvalidConfigurationError,
     ReconstructionError,
 )
-from valuation_lab.invariants import from_maximal_contact, invariant_record
+from valuation_lab.invariants import (
+    curvette_vector,
+    from_maximal_contact,
+    invariant_record,
+)
 from valuation_lab.reports import approx, invariants_payload
-from valuation_lab.surface import strict_transform_plane
+from valuation_lab.surface import AffinePolynomial, hirzebruch_class_of_polynomial
 from valuation_lab.valfile import ValuationEntry, parse
 
 
@@ -276,20 +285,16 @@ def test_build_configuration_rejects_targets_that_are_not_ints(lists, point):
 
 @pytest.mark.parametrize("count", [2.0, True, "2"], ids=repr)
 def test_tangent_counts_that_are_not_ints_are_rejected(count):
-    lists = [[], [1], [2]]
-    for make, chain in (
-        (build_configuration, lists),
-        (with_tangent_count, build_configuration(lists)),
-    ):
-        with pytest.raises(InvalidConfigurationError) as caught:
-            make(chain, count)
-        assert str(caught.value) == f"tangent_count must be an integer, got {count!r}"
+    with pytest.raises(InvalidConfigurationError) as caught:
+        build_configuration([[], [1], [2]], count)
+    assert str(caught.value) == f"tangent_count must be an integer, got {count!r}"
 
 
-# Library entry points that once truncated non-integers with int() or took
-# them as counts: [2.7] extended a chain as [2] did, (2.9, 3.2) built the
-# chain of (2, 3), trailing_free=1.5 gave runs ((2, 1), (1, 3.5)), k=2.5 a run
-# of 5.5 points, and mults (1.5, 1.2, 1.9) the class of (1, 1, 1).
+# Library entry points that once truncated non-integers with int(), took them
+# as counts or failed on them with a bare TypeError: [2.7] extended a chain as
+# [2] did, (2.9, 3.2) built the chain of (2, 3), trailing_free=1.5 gave runs
+# ((2, 1), (1, 3.5)), aligned_mu 2.9 was 2, a ruled surface index of 1.5 gave
+# the bidegree (2.0, 1), and True was taken as 1 by all of them.
 NON_INT_ARGUMENTS = {
     "satellite choice": (
         lambda cfg: extend_with_satellite_tail(cfg, [2.7]),
@@ -307,21 +312,47 @@ NON_INT_ARGUMENTS = {
         lambda cfg: from_maximal_contact([2, 3], trailing_free=1.5),
         ReconstructionError, "trailing_free must be an integer, got 1.5",
     ),
-    "free points": (
-        lambda cfg: append_free_chain(cfg, 2.5),
-        InvalidConfigurationError, "k must be an integer, got 2.5",
-    ),
-    "bool free points": (
-        lambda cfg: append_free_chain(cfg, True),
-        InvalidConfigurationError, "k must be an integer, got True",
-    ),
     "multiplicity": (
-        lambda cfg: strict_transform_plane(1, [1.5, 1.2, 1.9], cfg),
-        ValueError, "mults[0] must be an integer, got 1.5",
+        lambda cfg: degree_lower_bound(cfg, [1.5, 1, 1]),
+        ValueError, "m[0] must be an integer, got 1.5",
+    ),
+    "bool multiplicity": (
+        lambda cfg: degree_lower_bound(cfg, [1, True, 1]),
+        ValueError, "m[1] must be an integer, got True",
+    ),
+    "curve value": (
+        lambda cfg: supraminimal_certificate(cfg, 5.5, 2),
+        ValueError, "curve_value must be an integer, got 5.5",
     ),
     "degree": (
-        lambda cfg: strict_transform_plane(1.0, [1, 1, 1], cfg),
-        ValueError, "degree must be an integer, got 1.0",
+        lambda cfg: supraminimal_certificate(cfg, 5, 2.0),
+        ValueError, "curve_degree must be an integer, got 2.0",
+    ),
+    "bool degree": (
+        lambda cfg: supraminimal_certificate(cfg, 5, True),
+        ValueError, "curve_degree must be an integer, got True",
+    ),
+    "curvette index": (
+        lambda cfg: curvette_vector(cfg, 2.0),
+        ValueError, "k must be an integer, got 2.0",
+    ),
+    "bool curvette index": (
+        lambda cfg: curvette_vector(cfg, True),
+        ValueError, "k must be an integer, got True",
+    ),
+    "aligned_mu": (
+        lambda cfg: multi_valuation([valuation_bundle(cfg)], 2.9),
+        ValueError, "aligned_mu must be an integer, got 2.9",
+    ),
+    "bool aligned_mu": (
+        lambda cfg: multi_valuation([valuation_bundle(cfg)], True),
+        ValueError, "aligned_mu must be an integer, got True",
+    ),
+    "ruled surface index": (
+        lambda cfg: hirzebruch_class_of_polynomial(
+            AffinePolynomial.from_pairs([(2, 0), (0, 1)]), 1.5
+        ),
+        ValueError, "delta must be an integer, got 1.5",
     ),
 }
 
@@ -441,15 +472,16 @@ def continued_fraction(digits):
 
 def assert_payload_prints_the_record_fractions(bundle):
     """The exponents and volumes of the invariants report are ``str`` and
-    ``float`` of the record's Fraction properties; the exponents are folded
-    here from the run tables too, apart from the record's integer pairs."""
+    ``float`` of the ``Fraction``s of the record's integers; the exponents are
+    folded here from the run tables too, apart from the record's integer
+    pairs."""
     record = bundle.record
     payload = invariants_payload(ValuationEntry({}, bundle))
     tables = record.run_length_tables
     exponents = [Fraction(1), *map(continued_fraction, tables)]
-    assert list(record.beta_prime) == exponents
+    assert [Fraction(p, q) for p, q in record.ratios] == exponents
     assert payload["puiseux_exponents"] == [rational_oracle(x) for x in exponents]
-    assert payload["volume"] == rational_oracle(record.volume)
+    assert payload["volume"] == rational_oracle(Fraction(1, record.beta_bar[-1]))
     assert payload["normalized_volume"] == rational_oracle(record.normalized_volume)
 
 

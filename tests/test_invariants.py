@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from strategies import configurations, proximity_chains
 from valuation_lab.bounds import tono_family
-from valuation_lab.configurations import build_configuration, classify_points
+from valuation_lab.configurations import (
+    Configuration,
+    build_configuration,
+    classify_points,
+)
 from valuation_lab.errors import ReconstructionError
 from valuation_lab.invariants import (
     curvette_vector,
@@ -18,7 +22,6 @@ from valuation_lab.invariants import (
     noether_pairing,
     normalized_volume,
     puiseux_exponents,
-    semigroup_values,
 )
 
 TONO30_MULTIPLICITIES = (6,) + (3,) * 7 + (1,) * 9
@@ -152,55 +155,57 @@ class TestMaximalContactValues:
 class TestPuiseuxExponents:
     def test_three_points(self):
         exps = puiseux_exponents(cfg3())
-        assert exps.beta_prime == (1, Fraction(3, 2), 1)
+        assert exps.ratios == ((1, 1), (3, 2), (1, 1))
         assert exps.run_length_tables == ((1, 2), (1,))
 
     def test_two_free_points(self):
         exps = puiseux_exponents(build_configuration([[], [1]]))
-        assert exps.beta_prime == (1, 2)
+        assert exps.ratios == ((1, 1), (2, 1))
         assert exps.run_length_tables == ((2,),)
 
     def test_tono_blocks(self):
         exps = puiseux_exponents(tono_family(3, 0).bundle.cfg)
-        assert exps.beta_prime == (1, Fraction(3, 2), Fraction(19, 3), 7)
+        assert exps.ratios == ((1, 1), (3, 2), (19, 3), (7, 1))
         assert exps.run_length_tables == ((1, 2), (6, 3), (7,))
 
     @given(configurations())
     def test_first_exponent_matches_contact_ratio(self, cfg):
         contact = maximal_contact_values(cfg).beta_bar
-        exps = puiseux_exponents(cfg).beta_prime
+        p, q = puiseux_exponents(cfg).ratios[1]
         if len(contact) >= 3:
-            assert exps[1] == Fraction(contact[1], contact[0])
+            assert Fraction(p, q) == Fraction(contact[1], contact[0])
 
     @given(configurations())
     def test_middle_exponents_non_integral(self, cfg):
-        exps = puiseux_exponents(cfg).beta_prime
-        assert exps[0] == 1
-        assert exps[-1].denominator == 1
-        for middle in exps[1:-1]:
-            assert middle > 1
-            assert middle.denominator > 1
+        exps = puiseux_exponents(cfg).ratios
+        assert exps[0] == (1, 1)
+        assert exps[-1][1] == 1
+        for p, q in exps[1:-1]:
+            assert p > q > 1
 
 
 class TestVolumes:
+    """The volume is 1 / beta_bar_last, so the record's last contact value is
+    the inverse volume."""
+
     def test_single_point(self):
         cfg = build_configuration([[]])
-        assert invariant_record(cfg).volume == 1
+        assert invariant_record(cfg).beta_bar[-1] == 1
         assert normalized_volume(cfg) == 1
 
     def test_three_points(self):
-        assert invariant_record(cfg3()).volume == Fraction(1, 6)
+        assert invariant_record(cfg3()).beta_bar[-1] == 6
         assert normalized_volume(cfg3()) == Fraction(2, 3)
 
     def test_tono(self):
         cfg = tono_family(4, 1).bundle.cfg
-        assert invariant_record(cfg).volume == Fraction(1, 640)
+        assert invariant_record(cfg).beta_bar[-1] == 640
         assert normalized_volume(cfg) == Fraction(9, 40)
 
     @given(configurations())
     def test_normalization(self, cfg):
         contact = maximal_contact_values(cfg).beta_bar
-        volume = invariant_record(cfg).volume
+        volume = Fraction(1, invariant_record(cfg).beta_bar[-1])
         assert normalized_volume(cfg) == contact[0] ** 2 * volume
 
 
@@ -232,12 +237,13 @@ class TestTangentValue:
 
     @given(configurations())
     def test_invariant_under_free_extension(self, cfg):
-        from valuation_lab.configurations import append_free_chain
-
-        extended = append_free_chain(cfg, 3)
-        if cfg.size >= 2:
-            before = invariant_record(cfg).tangent_value
-            assert invariant_record(extended).tangent_value == before
+        if cfg.size < 2:
+            return
+        # Three free points lengthen the final run of 1s.
+        *head, (value, count) = cfg.runs
+        extended = Configuration((*head, (value, count + 3)), cfg.tangent_count)
+        before = invariant_record(cfg).tangent_value
+        assert invariant_record(extended).tangent_value == before
 
 
 class TestFromMaximalContact:
@@ -385,34 +391,12 @@ class TestContactValuesComeBack:
         )
 
 
-class TestSemigroupValues:
-    def test_single_point(self):
-        assert semigroup_values(build_configuration([[]]), 3) == [0, 1, 2, 3]
-
-    def test_three_points(self):
-        assert semigroup_values(cfg3(), 7) == [0, 2, 3, 4, 5, 6, 7]
-
-    def test_limit_zero(self):
-        assert semigroup_values(cfg3(), 0) == [0]
-
-    def test_rejects_negative_limit(self):
-        with pytest.raises(ValueError):
-            semigroup_values(cfg3(), -1)
-
-    @given(configurations(max_points=8))
-    @settings(max_examples=50)
-    def test_generators_are_members(self, cfg):
-        contact = maximal_contact_values(cfg).beta_bar
-        members = set(semigroup_values(cfg, max(contact)))
-        assert set(contact) <= members
-
-
 class TestInvariantRecord:
     def test_bundles_everything(self):
         record = invariant_record(cfg3())
         assert record.multiplicities.values == (2, 1, 1)
         assert record.beta_bar == (2, 3, 6)
-        assert record.volume == Fraction(1, 6)
+        assert record.beta_bar[-1] == 6
         assert record.tangent_value == 3
         assert not record.is_m_adic
 

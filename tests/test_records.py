@@ -1,4 +1,4 @@
-"""The plain value records are NamedTuples; four types stay dataclasses.
+"""The plain value records are NamedTuples; three types stay dataclasses.
 
 Each record keeps the field order it had as a frozen dataclass, so
 positional construction is unchanged, and it stays immutable, hashable
@@ -74,26 +74,30 @@ RECORDS = {
     ("valfile", "ValuationFile"): ("entries", "aligned_mu"),
 }
 
-# The four each need what a NamedTuple lacks: a __dict__ for cached_property
-# (Configuration) or __post_init__ coercion and checks (PlaneClass,
-# HirzebruchClass, AffinePolynomial).
+# The three each need what a NamedTuple lacks: a __dict__ for cached_property
+# (Configuration) or __post_init__ coercion and checks (HirzebruchClass,
+# AffinePolynomial).
 DATACLASSES = {
     ("configurations", "Configuration"),
-    ("surface", "PlaneClass"),
     ("surface", "HirzebruchClass"),
     ("surface", "AffinePolynomial"),
 }
 
 
-def _classes():
-    """Every class defined in a module of the package, as (module, name, cls)."""
+def _modules():
+    """Every module of the package, as (name, module)."""
     for info in pkgutil.iter_modules(valuation_lab.__path__):
         if info.name == "__main__":  # importing it runs the command line
             continue
-        module = importlib.import_module(f"valuation_lab.{info.name}")
+        yield info.name, importlib.import_module(f"valuation_lab.{info.name}")
+
+
+def _classes():
+    """Every class defined in a module of the package, as (module, name, cls)."""
+    for module_name, module in _modules():
         for name, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ == module.__name__:
-                yield info.name, name, cls
+                yield module_name, name, cls
 
 
 def _record(key):
@@ -165,7 +169,7 @@ def test_replace_returns_a_new_instance(key):
     assert changed[:-1] == record[:-1]
 
 
-def test_the_kept_dataclasses_are_exactly_the_four():
+def test_the_kept_dataclasses_are_exactly_the_three():
     classes = list(_classes())
     assert {
         (module, name) for module, name, cls in classes
@@ -176,3 +180,14 @@ def test_the_kept_dataclasses_are_exactly_the_four():
         if issubclass(cls, tuple) and hasattr(cls, "_fields")
     }
     assert named_tuples == set(RECORDS)
+
+
+def test_every_exported_name_resolves():
+    """A name left in ``__all__`` by a deletion fails only on ``import *``."""
+    stale = [
+        f"{module_name}.{name}"
+        for module_name, module in _modules()
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert stale == []

@@ -98,11 +98,12 @@ def assert_run_level_matches_point_level(
     record = invariant_record(cfg)
     reference = point_level_record(cfg)
     assert record == reference
-    # The exponents and volumes the record computes on read.
+    # The exponents the record folds in integers, and the normalized volume
+    # it computes on read.
     beta = reference.beta_bar
     tables = reference.run_length_tables
-    assert record.beta_prime == (Fraction(1), *map(continued_fraction, tables))
-    assert record.volume == Fraction(1, beta[-1])
+    exponents = tuple(Fraction(p, q) for p, q in record.ratios)
+    assert exponents == (Fraction(1), *map(continued_fraction, tables))
     assert record.normalized_volume == Fraction(beta[0] ** 2, beta[-1])
     assert record.multiplicities.values == multiplicity_sequence(cfg).values
     rebuilt = from_maximal_contact(record.beta_bar)
@@ -179,7 +180,6 @@ def no_point_records(monkeypatch):
         raise AssertionError("a per-point proximity view was listed")
 
     monkeypatch.setattr(Configuration, "proximity_lists", refuse)
-    monkeypatch.setattr(Configuration, "proximate_points", refuse)
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])

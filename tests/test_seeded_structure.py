@@ -3,7 +3,8 @@
 ``build_configuration`` records each satellite stretch as it validates the
 lists and seeds the configuration's ``size`` and ``structure`` with them; the
 seeded values must be what ``run_structure`` matches from the runs, whichever
-path (sorted lists in place, or sets) the build took.  ``invariants_payload``
+path (sorted lists in place, or sets) the build took.  A satellite tail is
+seeded the same way from the ``older`` array it validated.  ``invariants_payload``
 formats each distinct Puiseux exponent once per report, through a dict that
 one ``main()`` call creates.
 """
@@ -15,10 +16,12 @@ import pytest
 
 from test_golden_reports import EXAMPLE_FILE
 from valuation_lab import configurations, reports
+from valuation_lab.bounds import satellite_tail_comparison, tono_family
 from valuation_lab.cli import main
 from valuation_lab.configurations import (
     Configuration,
     build_configuration,
+    extend_with_satellite_tail,
     run_structure,
 )
 from valuation_lab.reports import invariants_payload
@@ -47,6 +50,30 @@ def test_small_chains_seed_the_matched_structure(small_chains, form):
 def test_fuzz_corpus_seeds_the_matched_structure(fuzz_corpus):
     for cfg in fuzz_corpus:
         assert_seeded(cfg)
+
+
+def test_a_satellite_tail_matches_no_run(monkeypatch):
+    """The tail is validated target by target, so its stretches seed the
+    extended chain as a build's do, and ``satellite_tail_comparison`` reads
+    the extension's structure without matching runs."""
+    tono = tono_family(3, 0).bundle.cfg
+    cases = [(build_configuration([[], [1], [2], [3]]), [3, 3, 5]), (tono, [16])]
+    for cfg, _ in cases:
+        cfg.structure  # a chain given as runs matches its own once, here
+    calls = []
+
+    def counted(runs):
+        calls.append(runs)
+        return run_structure(runs)
+
+    monkeypatch.setattr(configurations, "run_structure", counted)
+    extended = [extend_with_satellite_tail(cfg, tail) for cfg, tail in cases]
+    comparisons = [satellite_tail_comparison(cfg, tail) for cfg, tail in cases]
+    assert [ext.structure.genus_count for ext in extended] == [1, 3]
+    assert calls == []
+    for ext in extended:
+        assert_seeded(ext)
+    assert comparisons[1].delta0_non_increasing
 
 
 def test_replace_derives_the_new_runs_structure():

@@ -4,21 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import configurations
+from strategies import configurations, proximate_points
 from valuation_lab.bounds import delta0, tono_family
 from valuation_lab.configurations import build_configuration
 from valuation_lab.invariants import multiplicity_sequence
 from valuation_lab.surface import (
     AffinePolynomial,
     HirzebruchClass,
-    PlaneClass,
     hirzebruch_class_of_polynomial,
     intersect_hirzebruch,
-    intersect_plane,
     lambda_divisor,
     nef_on_generators,
     npi_check,
-    strict_transform_plane,
 )
 
 
@@ -27,25 +24,13 @@ def cfg3():
 
 
 class TestPlanePairing:
-    def test_line_self_intersection(self):
-        line = PlaneClass(degree=1, mults=(0, 0, 0))
-        assert intersect_plane(line, line) == 1
-
-    def test_exceptional_self_intersection(self):
-        e1 = PlaneClass(degree=0, mults=(1, 0, 0))
-        assert intersect_plane(e1, e1) == -1
-
     def test_tono_curve_squared(self):
+        # The family curve of degree 10 passes through every centre with the
+        # valuation's multiplicities: its strict transform has square
+        # d^2 - sum of v_i^2.
         cfg = tono_family(3, 0).bundle.cfg
         v = multiplicity_sequence(cfg).values
-        curve = strict_transform_plane(10, v, cfg)
-        assert intersect_plane(curve, curve) == -8
-
-    def test_rejects_size_mismatch(self):
-        with pytest.raises(ValueError):
-            intersect_plane(
-                PlaneClass(degree=1, mults=(0,)), PlaneClass(degree=1, mults=(0, 0))
-            )
+        assert 10**2 - sum(x * x for x in v) == -8
 
 
 class TestHirzebruchPairing:
@@ -176,7 +161,7 @@ def dense_generators(cfg, delta):
     )
     section = HirzebruchClass(a=-delta, b=1, mults=(1,) + (0,) * (n - 1), delta=delta)
     generators = [("fiber", fiber), ("special_section", section)]
-    incoming = cfg.proximate_points()
+    incoming = proximate_points(cfg)
     for i in range(1, n + 1):
         mults = [0] * n
         mults[i - 1] = -1
@@ -255,47 +240,9 @@ class TestHirzebruchClassOfPolynomial:
                 assert b <= f.degree_v
 
 
-class TestStrictTransformPlane:
-    def test_tangent_line_class(self):
-        cls = strict_transform_plane(1, (1, 1, 0), cfg3())
-        assert cls == PlaneClass(degree=1, mults=(1, 1, 0))
-
-    def test_zero_class(self):
-        assert strict_transform_plane(0, (0, 0, 0)).degree == 0
-
-    def test_rejects_negative_degree(self):
-        with pytest.raises(ValueError):
-            strict_transform_plane(-1, (0,))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            strict_transform_plane(1, (1, 1), cfg3())
-
-    def test_proximity_validation(self):
-        # mult 1 at p_1 cannot support mult 1 at both p_2 and p_3.
-        with pytest.raises(ValueError, match=r"p_1: 1 < 2"):
-            strict_transform_plane(2, (1, 1, 1), cfg3())
-        strict_transform_plane(2, (2, 1, 1), cfg3())
-
-
 class TestClassFieldsAreInts:
     """Each class rejects a field that is not an ``int``, a bool included,
     naming the field; each used to truncate with ``int()`` or keep it."""
-
-    @pytest.mark.parametrize(
-        "degree, mults, message",
-        [
-            (True, (1,), "degree must be an integer, got True"),
-            (1.5, (1,), "degree must be an integer, got 1.5"),
-            (1, (1.5,), "mults[0] must be an integer, got 1.5"),
-            (1, (1, 2.7), "mults[1] must be an integer, got 2.7"),
-            (1, [0, False], "mults[1] must be an integer, got False"),
-        ],
-    )
-    def test_plane_class(self, degree, mults, message):
-        with pytest.raises(ValueError) as caught:
-            PlaneClass(degree, mults)
-        assert str(caught.value) == message
 
     @pytest.mark.parametrize(
         "a, b, mults, delta, message",
@@ -326,6 +273,5 @@ class TestClassFieldsAreInts:
         assert str(caught.value) == message
 
     def test_int_fields_are_kept(self):
-        assert PlaneClass(1, [1, 0]).mults == (1, 0)
         assert HirzebruchClass(-2, 1, [1], 2).mults == (1,)
         assert AffinePolynomial({(1, 0)}).support == frozenset({(1, 0)})
