@@ -269,6 +269,8 @@ def tono_family(a: int, e: int) -> TonoValuation:
     a^3 + 2a + 1) and extended by (e+1)a^4 - 2a^3 - 2a^2 - a free points
     on the curve.  Every closed-form value is re-verified before returning.
     """
+    require_int(a, "a", ValueError)
+    require_int(e, "e", ValueError)
     if a < 3:
         raise ValueError("the family needs a >= 3")
     if e < 0:
@@ -342,10 +344,7 @@ __all__ = [
     "TonoValuation",
     "ValuationBundle",
     "bound_report",
-    "ceil_div",
-    "ceil_plus",
     "combinatorial_lambda_bound",
-    "default_aligned_mu",
     "degree_lower_bound",
     "delta0",
     "lambda_lower_bound",

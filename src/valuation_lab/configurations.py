@@ -439,3 +439,13 @@ def max_tangent_count(cfg: Configuration) -> int:
     """Largest admissible tangent segment length for this proximity structure."""
     stretches = cfg.structure.stretches
     return stretches[0][0] - 1 if stretches else cfg.size
+
+
+__all__ = [
+    "MAX_LISTED_POINTS",
+    "Configuration",
+    "block_decomposition",
+    "build_configuration",
+    "classify_points",
+    "extend_with_satellite_tail",
+]

@@ -23,3 +23,13 @@ class FileFormatError(ValuationError):
 
 class ChainTooLongError(ValuationError):
     """A chain has too many points to list one by one."""
+
+
+__all__ = [
+    "ChainTooLongError",
+    "FileFormatError",
+    "InvalidConfigurationError",
+    "ReconstructionError",
+    "ValuationError",
+    "VerificationError",
+]

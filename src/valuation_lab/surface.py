@@ -116,6 +116,7 @@ def npi_from_record(record: InvariantRecord, delta: int) -> NpiResult:
     from the closed formula 2*b0*t + t^2*delta - b_last rather than the
     pairing (the two paths are compared in tests).
     """
+    require_int(delta, "delta", ValueError)
     if delta < 0:
         raise ValueError("ruled surface index must be non-negative")
     t = record.tangent_value
@@ -179,7 +180,6 @@ def hirzebruch_class_of_polynomial(
 
 __all__ = [
     "AffinePolynomial",
-    "GeneratorPairing",
     "HirzebruchClass",
     "NpiResult",
     "hirzebruch_class_of_polynomial",
@@ -187,5 +187,4 @@ __all__ = [
     "lambda_divisor",
     "nef_on_generators",
     "npi_check",
-    "npi_from_record",
 ]

@@ -27,7 +27,6 @@ from .configurations import build_configuration
 from .errors import FileFormatError, ValuationError
 from .invariants import from_maximal_contact
 
-_ENCODINGS = ("proximity", "maximal_contact", "tono")
 # The keys an entry of each encoding may carry, and those any entry may.
 _ALLOWED = {
     "proximity": frozenset({"name", "proximity", "tangent_count"}),
@@ -35,6 +34,7 @@ _ALLOWED = {
     "tono": frozenset({"name", "tono"}),
 }
 _KEYS = frozenset().union(*_ALLOWED.values())
+_ENCODINGS = tuple(_ALLOWED)
 
 # Largest file that is read, in bytes: about 16 bytes of memory per file byte.
 MAX_FILE_BYTES = 20 * 10**6

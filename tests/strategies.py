@@ -1,6 +1,8 @@
 """Hypothesis strategies, chain enumerations and point-level references
 shared across the test modules."""
 
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
 from valuation_lab.configurations import build_configuration, max_tangent_count
@@ -58,3 +60,12 @@ def proximate_points(cfg):
         if target:
             incoming[target].append(j)
     return incoming
+
+
+def continued_fraction(digits):
+    """[d_0; d_1, ..., d_k] folded in Fraction arithmetic, independent of the
+    record's integer fold."""
+    value = Fraction(digits[-1])
+    for d in reversed(digits[:-1]):
+        value = d + 1 / value
+    return value

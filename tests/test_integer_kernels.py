@@ -7,8 +7,8 @@ form (tuples, sets, unsorted or repeated targets) through its set-based
 validation, with the same runs or the same message as before.
 ``build_configuration`` takes a target or tangent count only if it is an
 ``int`` (a bool is not), as do the library entry points that extend or
-rebuild a chain or take a multiplicity, a curve's value or degree, an index
-or an aligned-point count, and ``valfile`` leaves
+rebuild a chain or take a multiplicity, a curve's value or degree, an index,
+the family's parameters or an aligned-point count, and ``valfile`` leaves
 that check to the build, rescanning an entry only when the build fails, so
 a file gets the message it got when every target was checked before the
 build.
@@ -28,6 +28,7 @@ from fractions import Fraction
 
 import pytest
 
+from strategies import continued_fraction
 from valuation_lab.bounds import (
     _combinatorial_bound,
     _threshold_index,
@@ -64,7 +65,12 @@ from valuation_lab.invariants import (
     invariant_record,
 )
 from valuation_lab.reports import approx, invariants_payload
-from valuation_lab.surface import AffinePolynomial, hirzebruch_class_of_polynomial
+from valuation_lab.surface import (
+    AffinePolynomial,
+    hirzebruch_class_of_polynomial,
+    npi_check,
+    npi_from_record,
+)
 from valuation_lab.valfile import ValuationEntry, parse
 
 
@@ -354,6 +360,34 @@ NON_INT_ARGUMENTS = {
         ),
         ValueError, "delta must be an integer, got 1.5",
     ),
+    "npi_check index": (
+        lambda cfg: npi_check(cfg, 1.5),
+        ValueError, "delta must be an integer, got 1.5",
+    ),
+    "bool npi_check index": (
+        lambda cfg: npi_check(cfg, True),
+        ValueError, "delta must be an integer, got True",
+    ),
+    "npi_from_record index": (
+        lambda cfg: npi_from_record(invariant_record(cfg), 1.5),
+        ValueError, "delta must be an integer, got 1.5",
+    ),
+    "bool npi_from_record index": (
+        lambda cfg: npi_from_record(invariant_record(cfg), True),
+        ValueError, "delta must be an integer, got True",
+    ),
+    "family a": (
+        lambda cfg: tono_family(3.0, 0),
+        ValueError, "a must be an integer, got 3.0",
+    ),
+    "family e": (
+        lambda cfg: tono_family(3, 0.5),
+        ValueError, "e must be an integer, got 0.5",
+    ),
+    "bool family e": (
+        lambda cfg: tono_family(3, True),
+        ValueError, "e must be an integer, got True",
+    ),
 }
 
 
@@ -460,14 +494,6 @@ def test_malformed_proximity_entries_keep_their_messages(
 
 def rational_oracle(x: Fraction) -> dict:
     return {"exact": str(x), "approx": approx(float(x))}
-
-
-def continued_fraction(digits):
-    """[d_0; d_1, ..., d_k] folded in Fraction arithmetic."""
-    value = Fraction(digits[-1])
-    for d in reversed(digits[:-1]):
-        value = d + 1 / value
-    return value
 
 
 def assert_payload_prints_the_record_fractions(bundle):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import configurations, proximity_chains
+from strategies import configurations, continued_fraction, proximity_chains
 from valuation_lab.bounds import tono_family
 from valuation_lab.configurations import (
     Configuration,
@@ -415,21 +415,12 @@ class TestInvariantRecord:
         assert record.gcd_chain == tuple(expected)
 
 
-def fraction_fold(digits):
-    """[d_0; d_1, ..., d_k] folded with Fraction arithmetic, the oracle for
-    the integer convergents."""
-    value = Fraction(digits[-1])
-    for d in reversed(digits[:-1]):
-        value = d + 1 / value
-    return value
-
-
 @given(st.lists(st.integers(1, 10**12), min_size=1, max_size=20))
 def test_continued_fraction_by_integer_convergents(digits):
     """The first block of the chain with contact values (q, p) has the run
     lengths of p/q's continued fraction, which ``invariant_record`` folds
     to its exponent as it reads them."""
-    value = fraction_fold(digits)
+    value = continued_fraction(digits)
     cfg = from_maximal_contact([value.denominator, value.numerator])
     p, q = invariant_record(cfg).ratios[1]
     assert math.gcd(p, q) == 1

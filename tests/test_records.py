@@ -4,12 +4,18 @@ Each record keeps the field order it had as a frozen dataclass, so
 positional construction is unchanged, and it stays immutable, hashable
 and comparable by value.  The dataclasses left are exactly the types that
 need a feature a NamedTuple lacks.
+
+The package exports what its math modules list in ``__all__`` and nothing
+more, so each public name is declared once.
 """
 
 import dataclasses
 import importlib
 import inspect
+import json
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -191,3 +197,25 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert stale == []
+
+
+# The modules ``import valuation_lab`` loads and re-exports; the report
+# layer (checks, reports, valfile, cli) is imported by name.
+MATH_MODULES = {"bounds", "configurations", "errors", "invariants", "surface"}
+
+
+def test_the_package_exports_exactly_its_math_modules_all():
+    code = (
+        "import json, sys, valuation_lab; print(json.dumps(["
+        "[n for n in dir(valuation_lab) if not n.startswith('_')], "
+        "[m for m in sys.modules if m.startswith('valuation_lab.')]]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    names, loaded = json.loads(done.stdout)
+    assert {m.removeprefix("valuation_lab.") for m in loaded} == MATH_MODULES
+    modules = [importlib.import_module(f"valuation_lab.{m}") for m in MATH_MODULES]
+    assert all("__all__" in vars(module) for module in modules)
+    exported = set().union(*(module.__all__ for module in modules))
+    assert sorted(names) == sorted(exported | MATH_MODULES)

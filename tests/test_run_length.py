@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 
 import valuation_lab.configurations as configurations
-from strategies import proximity_chains
+from strategies import continued_fraction, proximity_chains
 from valuation_lab.bounds import bound_report, valuation_bundle
 from valuation_lab.cli import main
 from valuation_lab.configurations import (
@@ -79,15 +79,6 @@ def point_level_record(cfg: Configuration) -> InvariantRecord:
         tangent_value=1 if cfg.size == 1 else sum(v[: cfg.tangent_count]),
         is_m_adic=cfg.size == 1,
     )
-
-
-def continued_fraction(digits):
-    """[d_0; d_1, ..., d_k] folded in Fraction arithmetic, independent of the
-    record's integer fold."""
-    value = Fraction(digits[-1])
-    for d in reversed(digits[:-1]):
-        value = d + 1 / value
-    return value
 
 
 def assert_run_level_matches_point_level(
