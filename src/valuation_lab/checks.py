@@ -27,6 +27,7 @@ from .configurations import (
     build_configuration,
     proximity_residual,
     require_free_end,
+    require_int,
     require_listable,
     satellite_targets,
 )
@@ -74,6 +75,7 @@ def random_configuration(rng: random.Random, max_points: int) -> Configuration:
     ``max_points`` above the listing limit raises ChainTooLongError before
     anything is drawn: the chain is grown point by point.
     """
+    require_int(max_points, "max_points", ValueError)
     if max_points < 1:
         raise ValueError("max_points must be at least 1")
     require_listable(
@@ -203,6 +205,7 @@ def trial_rng(seed: int, trial: int) -> random.Random:
 
 def fuzz(max_points: int, trials: int, seed: int) -> FuzzSummary:
     """Generate ``trials`` random configurations and run the identity suite."""
+    require_int(trials, "trials", ValueError)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     passed = 0
@@ -223,14 +226,7 @@ def fuzz(max_points: int, trials: int, seed: int) -> FuzzSummary:
                     check=result.name,
                     detail=result.detail,
                 )
-    return FuzzSummary(
-        max_points=max_points,
-        trials=trials,
-        seed=seed,
-        checks_passed=passed,
-        checks_failed=failed,
-        first_failure=first_failure,
-    )
+    return FuzzSummary(max_points, trials, seed, passed, failed, first_failure)
 
 
 __all__ = [

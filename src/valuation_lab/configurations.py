@@ -174,17 +174,6 @@ def _cut_blocks(ends: tuple[int, ...], stretches: tuple) -> RunStructure:
     return RunStructure(ends, stretches, (1, *block_ends, ends[-1]), tuple(last_free))
 
 
-def _older_targets(cfg: Configuration) -> list[int]:
-    """The ``older`` array, listed point by point: the satellites of a stretch
-    (first, last, target) have the target, every other point has 0."""
-    runs, start = [], 1
-    for first, last, target in cfg.structure.stretches:
-        runs += [(0, first - start), (target, last - first + 1)]
-        start = last + 1
-    runs.append((0, cfg.size - start + 1))
-    return [0, *expand_runs(runs)]
-
-
 def push_runs(older: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """The backward recursion from w_n = 1, n the last point, as runs
     ``((value, count), ...)`` in one pass: ``value_runs(push_values(older, n)[1:])``.
@@ -295,17 +284,20 @@ class Configuration:
         return run_structure(self.runs)
 
     @cached_property
-    def _older(self) -> list[int]:
-        return _older_targets(self)
-
     def older(self) -> list[int]:
         """The ``older`` array, listed once from the satellite stretches and
-        shared by every caller, who must not modify it."""
-        return self._older
+        shared by every caller, who must not modify it: the satellites of a
+        stretch (first, last, target) have the target, every other point 0."""
+        runs, start = [], 1
+        for first, last, target in self.structure.stretches:
+            runs += [(0, first - start), (target, last - first + 1)]
+            start = last + 1
+        runs.append((0, self.size - start + 1))
+        return [0, *expand_runs(runs)]
 
     def proximity_lists(self) -> list[list[int]]:
         """Plain 1-based proximity lists, each sorted ascending."""
-        older = self.older()
+        older = self.older
         return [[t for t in (older[i], i - 1) if t] for i in range(1, len(older))]
 
 
@@ -388,7 +380,7 @@ def _from_older(older: list[int], tangent_count: int) -> Configuration:
 
 def classify_points(cfg: Configuration) -> list[str]:
     """Label each point free or satellite (two proximity targets)."""
-    return [SATELLITE if older else FREE for older in cfg.older()[1:]]
+    return [SATELLITE if older else FREE for older in cfg.older[1:]]
 
 
 def block_decomposition(cfg: Configuration) -> RunStructure:
@@ -422,7 +414,7 @@ def extend_with_satellite_tail(
     if not choices:
         return cfg
 
-    older = [*cfg.older()]
+    older = [*cfg.older]
     for offset, c in enumerate(choices):
         require_int(c, f"choices[{offset}]")
         options = satellite_targets(len(older), older[-1])

@@ -79,7 +79,7 @@ class InvariantRecord(NamedTuple):
 def multiplicity_sequence(cfg: Configuration) -> MultiplicityVector:
     """Backward recursion v_n = 1, v_i = sum of v_j over points proximate to p_i,
     point by point, pushed over the ``older`` array."""
-    return MultiplicityVector(runs=value_runs(push_values(cfg.older(), cfg.size)[1:]))
+    return MultiplicityVector(runs=value_runs(push_values(cfg.older, cfg.size)[1:]))
 
 
 def curvette_vector(cfg: Configuration, k: int) -> tuple[int, ...]:
@@ -89,7 +89,7 @@ def curvette_vector(cfg: Configuration, k: int) -> tuple[int, ...]:
     if not 1 <= k <= n:
         raise ValueError(f"curvette index must lie in 1..{n}, got {k}")
     # Entries past k stay 0, so the points after p_k add nothing.
-    return tuple(push_values(cfg.older(), k)[1:])
+    return tuple(push_values(cfg.older, k)[1:])
 
 
 def noether_pairing(cfg: Configuration, m: Sequence[int], m2: Sequence[int]) -> int:

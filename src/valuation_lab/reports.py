@@ -115,24 +115,21 @@ def ensemble_payload(mv: MultiValuation) -> dict[str, Any]:
 def checks_payload(
     named_results: list[tuple[str | None, list[CheckResult]]]
 ) -> dict[str, Any]:
-    valuations = []
-    failed = 0
-    total = 0
-    for name, results in named_results:
-        total += len(results)
-        failed += sum(1 for r in results if not r.passed)
-        valuations.append(
-            {
-                "name": name,
-                "checks": [
-                    {"check": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
-            }
-        )
+    valuations = [
+        {
+            "name": name,
+            "checks": [
+                {"check": r.name, "passed": r.passed, "detail": r.detail}
+                for r in results
+            ],
+        }
+        for name, results in named_results
+    ]
+    rows = [r for _, results in named_results for r in results]
+    failed = sum(not r.passed for r in rows)
     return {
         "valuations": valuations,
-        "summary": {"checks_run": total, "checks_failed": failed},
+        "summary": {"checks_run": len(rows), "checks_failed": failed},
     }
 
 

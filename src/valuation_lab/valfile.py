@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -168,9 +169,13 @@ def parse(text: str) -> ValuationFile:
 def parse_path(path: str | Path) -> ValuationFile:
     """Parse the file at ``path``, reading at most MAX_FILE_BYTES + 1 bytes."""
     with open(path, "rb") as file:
-        data = file.read(MAX_FILE_BYTES + 1)
+        # One read of the stated size plus a byte that shows growth; a pipe or
+        # a device states 0, and what is left is read up to the limit.
+        size = os.fstat(file.fileno()).st_size
+        data = file.read(min(size, MAX_FILE_BYTES) + 1)
+        if len(data) > size:
+            data += file.read(MAX_FILE_BYTES + 1 - len(data))
     if len(data) > MAX_FILE_BYTES:
-        size = Path(path).stat().st_size  # 0 for a pipe or a device
         shown = size if size > MAX_FILE_BYTES else f"more than {MAX_FILE_BYTES}"
         raise FileFormatError(
             f"{path}: {shown} bytes is above the limit of {MAX_FILE_BYTES} bytes"

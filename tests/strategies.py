@@ -53,8 +53,8 @@ def all_chains(max_points):
 def proximate_points(cfg):
     """Entry i lists the points proximate to p_i, ascending: p_{i+1}, then
     the satellites whose older target is p_i; 1-based, entry 0 unused.
-    The pull-form reference, listed from ``cfg.older()`` on each call."""
-    older = cfg.older()
+    The pull-form reference, listed from ``cfg.older`` on each call."""
+    older = cfg.older
     incoming = [[], *[[i + 1] for i in range(1, len(older) - 1)], []]
     for j, target in enumerate(older):
         if target:

@@ -2,12 +2,12 @@
 a chain's ``older`` array, listed once per configuration, and neither the
 proximity residual nor ``identity_checks`` lists it at all.
 
-The counter wraps ``configurations._older_targets``, which lists it.
+``Configuration.older`` is a cached property, so a chain that never listed
+the array has no ``older`` entry in its instance dictionary.
 """
 
 import pytest
 
-from valuation_lab import configurations
 from valuation_lab.bounds import tono_family, valuation_bundle
 from valuation_lab.checks import identity_checks
 from valuation_lab.configurations import (
@@ -29,42 +29,26 @@ CHAINS = {
 
 
 @pytest.mark.parametrize("make", CHAINS.values(), ids=CHAINS.keys())
-def test_identity_checks_build_the_adjacency_at_most_twice(monkeypatch, make):
+def test_identity_checks_build_the_adjacency_at_most_twice(make):
     cfg = make()
     assert cfg.size >= 3
-    sizes = []
-    real = configurations._older_targets
-
-    def counted(cfg):
-        sizes.append(cfg.size)
-        return real(cfg)
-
-    monkeypatch.setattr(configurations, "_older_targets", counted)
     results = identity_checks(valuation_bundle(cfg))
     assert all(r.passed for r in results)
     # Every row reads runs: the suite lists no chain, not even its own.
-    assert sizes == []
+    assert "older" not in vars(cfg)
 
 
 @pytest.mark.parametrize("make", CHAINS.values(), ids=CHAINS.keys())
-def test_the_residual_lists_no_older_array(monkeypatch, make):
+def test_the_residual_lists_no_older_array(make):
     """The proximity residual reads the satellite stretches, so neither it
     nor ``identity_checks`` lists ``older``."""
     built = make()
     v = multiplicity_sequence(built).values
-    sizes = []
-    real = configurations._older_targets
-
-    def counted(cfg):
-        sizes.append(cfg.size)
-        return real(cfg)
-
-    monkeypatch.setattr(configurations, "_older_targets", counted)
     # A fresh configuration: nothing derived from it is cached yet.
     cfg = Configuration(built.runs, built.tangent_count)
     residual = proximity_residual(cfg, value_runs(v))
     expected = [0] * (cfg.size - 1) + [1]
     assert [residual.get(i, 0) for i in range(1, cfg.size + 1)] == expected
-    assert sizes == []
+    assert "older" not in vars(cfg)
     assert all(r.passed for r in identity_checks(valuation_bundle(cfg)))
-    assert sizes == []
+    assert "older" not in vars(cfg)

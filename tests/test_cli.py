@@ -1,8 +1,10 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -282,6 +284,43 @@ class TestCommands:
         feeder = feed_fifo(fifo, THREE_POINT.encode("utf-8"))
         assert main(["invariants", str(fifo)]) == 0
         feeder.join(timeout=10)
+        assert decoded == [THREE_POINT]
+
+    def test_regular_file_is_read_at_its_stated_size(self, tmp_path, monkeypatch):
+        """One read of the stated size plus one byte, not one of the limit."""
+        path = write(tmp_path, THREE_POINT)
+        requested = []
+
+        class Recorded(io.BufferedReader):
+            def read(self, size=-1):
+                requested.append(size)
+                return super().read(size)
+
+        monkeypatch.setattr(
+            valfile, "open", lambda p, mode: Recorded(io.FileIO(p, mode)), raising=False
+        )
+        assert parse_path(path) == parse(THREE_POINT)
+        assert requested == [len(THREE_POINT.encode("utf-8")) + 1]
+
+    @pytest.mark.parametrize("stated", [0, 1, 20])
+    def test_file_longer_than_its_stated_size_is_bounded_by_the_limit(
+        self, tmp_path, monkeypatch, capsys, decoded, stated
+    ):
+        """A file that grew after its size was stated is refused past the
+        limit and read whole within it: the stated size sizes the first read."""
+        path = write(tmp_path, THREE_POINT)
+        size = len(THREE_POINT.encode("utf-8"))
+        stat = SimpleNamespace(st_size=stated)
+        monkeypatch.setattr(valfile, "os", SimpleNamespace(fstat=lambda fd: stat))
+        monkeypatch.setattr(valfile, "MAX_FILE_BYTES", size - 1)
+        assert main(["invariants", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: more than {size - 1} bytes is above the limit of "
+            f"{size - 1} bytes\n"
+        )
+        assert decoded == []
+        monkeypatch.setattr(valfile, "MAX_FILE_BYTES", size)
+        assert main(["invariants", path]) == 0
         assert decoded == [THREE_POINT]
 
     def test_usage_error_exits_one(self, capsys):

@@ -43,7 +43,7 @@ from valuation_lab.bounds import (
     tono_family,
     valuation_bundle,
 )
-from valuation_lab.checks import random_configuration, trial_rng
+from valuation_lab.checks import fuzz, random_configuration, trial_rng
 from valuation_lab.cli import main
 from valuation_lab.configurations import (
     build_configuration,
@@ -300,7 +300,8 @@ def test_tangent_counts_that_are_not_ints_are_rejected(count):
 # as counts or failed on them with a bare TypeError: [2.7] extended a chain as
 # [2] did, (2.9, 3.2) built the chain of (2, 3), trailing_free=1.5 gave runs
 # ((2, 1), (1, 3.5)), aligned_mu 2.9 was 2, a ruled surface index of 1.5 gave
-# the bidegree (2.0, 1), and True was taken as 1 by all of them.
+# the bidegree (2.0, 1), and True was taken as 1 by all of them (fuzz reported
+# trials=True); a max_points or trials of 2.5 failed inside randrange or range.
 NON_INT_ARGUMENTS = {
     "satellite choice": (
         lambda cfg: extend_with_satellite_tail(cfg, [2.7]),
@@ -387,6 +388,26 @@ NON_INT_ARGUMENTS = {
     "bool family e": (
         lambda cfg: tono_family(3, True),
         ValueError, "e must be an integer, got True",
+    ),
+    "max_points": (
+        lambda cfg: random_configuration(trial_rng(1, 1), 2.5),
+        ValueError, "max_points must be an integer, got 2.5",
+    ),
+    "bool max_points": (
+        lambda cfg: random_configuration(trial_rng(1, 1), True),
+        ValueError, "max_points must be an integer, got True",
+    ),
+    "fuzz max_points": (
+        lambda cfg: fuzz(2.5, 1, 1),
+        ValueError, "max_points must be an integer, got 2.5",
+    ),
+    "fuzz trials": (
+        lambda cfg: fuzz(12, 2.5, 1),
+        ValueError, "trials must be an integer, got 2.5",
+    ),
+    "bool fuzz trials": (
+        lambda cfg: fuzz(12, True, 1),
+        ValueError, "trials must be an integer, got True",
     ),
 }
 

@@ -69,7 +69,7 @@ def assert_push_matches_pull(cfg):
 def test_every_small_chain(small_chains):
     for lists in small_chains:
         cfg = build_configuration(lists)
-        assert cfg.older() == [0, *(t[0] if len(t) == 2 else 0 for t in lists)]
+        assert cfg.older == [0, *(t[0] if len(t) == 2 else 0 for t in lists)]
         assert_push_matches_pull(cfg)
     assert len(small_chains) == 2585
 
