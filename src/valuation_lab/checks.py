@@ -109,6 +109,7 @@ def random_tail_choices(
     points, or one ending in a satellite, raises InvalidConfigurationError
     as ``extend_with_satellite_tail`` does, before anything is drawn.
     """
+    require_int(length, "length", ValueError)
     require_free_end(cfg)
     choices: list[int] = []
     prev_older = 0
@@ -200,6 +201,8 @@ def identity_checks(bundle: ValuationBundle) -> list[CheckResult]:
 def trial_rng(seed: int, trial: int) -> random.Random:
     # Seed splitting: derive one independent stream per trial from the
     # master seed, deterministically.
+    require_int(seed, "seed", ValueError)
+    require_int(trial, "trial", ValueError)
     return random.Random(f"{seed}:{trial}")
 
 

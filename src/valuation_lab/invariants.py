@@ -94,6 +94,7 @@ def curvette_vector(cfg: Configuration, k: int) -> tuple[int, ...]:
 
 def noether_pairing(cfg: Configuration, m: Sequence[int], m2: Sequence[int]) -> int:
     """Intersection pairing of two multiplicity vectors over the chain."""
+    m, m2 = require_ints(m, "m", ValueError), require_ints(m2, "m2", ValueError)
     if len(m) != cfg.size or len(m2) != cfg.size:
         raise ValueError(
             f"vectors must have length {cfg.size}, got {len(m)} and {len(m2)}"

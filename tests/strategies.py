@@ -1,11 +1,15 @@
-"""Hypothesis strategies, chain enumerations and point-level references
-shared across the test modules."""
+"""Hypothesis strategies, chain enumerations, point-level references and the
+list of math modules, shared across the test modules."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from valuation_lab.configurations import build_configuration, max_tangent_count
+
+# The modules ``import valuation_lab`` loads and re-exports; the report
+# layer (checks, reports, valfile, cli) is imported by name.
+MATH_MODULES = {"bounds", "configurations", "errors", "invariants", "surface"}
 
 
 @st.composite

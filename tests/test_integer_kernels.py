@@ -6,12 +6,14 @@
 form (tuples, sets, unsorted or repeated targets) through its set-based
 validation, with the same runs or the same message as before.
 ``build_configuration`` takes a target or tangent count only if it is an
-``int`` (a bool is not), as do the library entry points that extend or
-rebuild a chain or take a multiplicity, a curve's value or degree, an index,
-the family's parameters or an aligned-point count, and ``valfile`` leaves
-that check to the build, rescanning an entry only when the build fails, so
-a file gets the message it got when every target was checked before the
-build.
+``int`` (a bool is not), and ``valfile`` leaves that check to the build,
+rescanning an entry only when the build fails, so a file gets the message it
+got when every target was checked before the build.  Every other parameter
+typed ``int``, ``int | None``, ``Sequence[int]`` or ``tuple[int, ...]`` of a
+callable in the ``__all__`` of the math modules or ``checks`` follows the
+same rule: ``test_int_parameters_reject_non_ints`` reads those parameters
+from the signatures, skipping only the NamedTuple result records and
+``Configuration``, and puts what is not an ``int`` into each.
 ``run_structure`` consumes whole runs and raises the same three errors.  The
 bounds take their ceilings by floor division, the file verbs build a
 ``Fraction`` only for a number they print, and the invariants report
@@ -20,15 +22,19 @@ of those ``Fraction``s would.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import math
 import random
+import types
+import typing
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
 
-from strategies import continued_fraction
+from strategies import MATH_MODULES, continued_fraction
 from valuation_lab.bounds import (
     _combinatorial_bound,
     _threshold_index,
@@ -36,18 +42,12 @@ from valuation_lab.bounds import (
     ceil_div,
     ceil_plus,
 )
-from valuation_lab.bounds import (
-    degree_lower_bound,
-    multi_valuation,
-    supraminimal_certificate,
-    tono_family,
-    valuation_bundle,
-)
-from valuation_lab.checks import fuzz, random_configuration, trial_rng
+from valuation_lab.bounds import tono_family, valuation_bundle
+from valuation_lab.checks import random_configuration, trial_rng
 from valuation_lab.cli import main
 from valuation_lab.configurations import (
+    Configuration,
     build_configuration,
-    extend_with_satellite_tail,
     push_runs,
     push_values,
     run_structure,
@@ -59,18 +59,9 @@ from valuation_lab.errors import (
     InvalidConfigurationError,
     ReconstructionError,
 )
-from valuation_lab.invariants import (
-    curvette_vector,
-    from_maximal_contact,
-    invariant_record,
-)
+from valuation_lab.invariants import invariant_record
 from valuation_lab.reports import approx, invariants_payload
-from valuation_lab.surface import (
-    AffinePolynomial,
-    hirzebruch_class_of_polynomial,
-    npi_check,
-    npi_from_record,
-)
+from valuation_lab.surface import AffinePolynomial, npi_from_record
 from valuation_lab.valfile import ValuationEntry, parse
 
 
@@ -289,86 +280,118 @@ def test_build_configuration_rejects_targets_that_are_not_ints(lists, point):
     assert str(caught.value) == f"{point}: targets must be integers"
 
 
-@pytest.mark.parametrize("count", [2.0, True, "2"], ids=repr)
-def test_tangent_counts_that_are_not_ints_are_rejected(count):
-    with pytest.raises(InvalidConfigurationError) as caught:
-        build_configuration([[], [1], [2]], count)
-    assert str(caught.value) == f"tangent_count must be an integer, got {count!r}"
+# One valid call, by keyword, of each callable the walk below finds, and the
+# error class of its integer check.
+CHAIN = build_configuration([[], [1], [2]])
+BASE_CALLS = {
+    "build_configuration": (
+        dict(proximity_lists=[[], [1], [2]], tangent_count=2),
+        InvalidConfigurationError,
+    ),
+    "extend_with_satellite_tail": (
+        dict(cfg=CHAIN, choices=[2]), InvalidConfigurationError
+    ),
+    "satellite_tail_comparison": (
+        dict(cfg=CHAIN, choices=[2]), InvalidConfigurationError
+    ),
+    "from_maximal_contact": (
+        dict(beta_bar=[2, 3], trailing_free=0), ReconstructionError
+    ),
+    "curvette_vector": (dict(cfg=CHAIN, k=2), ValueError),
+    "noether_pairing": (dict(cfg=CHAIN, m=[1, 1, 1], m2=[1, 1, 1]), ValueError),
+    "degree_lower_bound": (dict(cfg=CHAIN, m=[1, 1, 1]), ValueError),
+    "supraminimal_certificate": (
+        dict(cfg=CHAIN, curve_value=5, curve_degree=2), ValueError
+    ),
+    "multi_valuation": (
+        dict(bundles=[valuation_bundle(CHAIN)], aligned_mu=2), ValueError
+    ),
+    "tono_family": (dict(a=3, e=0), ValueError),
+    "HirzebruchClass": (dict(a=1, b=0, mults=(1,), delta=0), ValueError),
+    "hirzebruch_class_of_polynomial": (
+        dict(f=AffinePolynomial({(1, 0)}), delta=1), ValueError
+    ),
+    "lambda_divisor": (dict(cfg=CHAIN, delta=1), ValueError),
+    "nef_on_generators": (dict(cfg=CHAIN, delta=1), ValueError),
+    "npi_check": (dict(cfg=CHAIN, delta=1), ValueError),
+    "random_configuration": (dict(rng=random.Random(0), max_points=3), ValueError),
+    "random_tail_choices": (
+        dict(cfg=CHAIN, length=2, rng=random.Random(0)), ValueError
+    ),
+    "trial_rng": (dict(seed=1, trial=0), ValueError),
+    "fuzz": (dict(max_points=3, trials=1, seed=1), ValueError),
+}
 
 
-# Library entry points that once truncated non-integers with int(), took them
-# as counts or failed on them with a bare TypeError: [2.7] extended a chain as
-# [2] did, (2.9, 3.2) built the chain of (2, 3), trailing_free=1.5 gave runs
-# ((2, 1), (1, 3.5)), aligned_mu 2.9 was 2, a ruled surface index of 1.5 gave
-# the bidegree (2.0, 1), and True was taken as 1 by all of them (fuzz reported
-# trials=True); a max_points or trials of 2.5 failed inside randrange or range.
+def checked_entry(hint):
+    """"" for a hint of int or int | None, "[0]" for Sequence[int] or
+    tuple[int, ...], None for any other hint."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is int or (
+        origin in (typing.Union, types.UnionType) and set(args) == {int, type(None)}
+    ):
+        return ""
+    if origin in (Sequence, tuple) and args in ((int,), (int, ...)):
+        return "[0]"
+    return None
+
+
+def int_parameters():
+    """(callable, parameter, checked entry) for every int parameter of every
+    callable in the ``__all__`` of the math modules and ``checks``.  The
+    NamedTuple result records and ``Configuration`` are skipped: their
+    constructors check nothing, the records being built from checked inputs
+    and a chain by ``build_configuration``."""
+    for module in sorted(MATH_MODULES | {"checks"}):
+        exports = importlib.import_module(f"valuation_lab.{module}")
+        for name in exports.__all__:
+            target = getattr(exports, name)
+            record = hasattr(target, "_fields")
+            if not callable(target) or record or target is Configuration:
+                continue
+            hints = typing.get_type_hints(target)
+            hints.pop("return", None)
+            for param, hint in hints.items():
+                entry = checked_entry(hint)
+                if entry is not None:
+                    yield target, param, entry
+
+
+INT_PARAMETERS = list(int_parameters())
+INT_CASES = [
+    pytest.param(
+        target, param, entry, value, id=f"{target.__name__}-{param}{entry}-{value!r}"
+    )
+    for target, param, entry in INT_PARAMETERS
+    for value in (1.5, 1.0, True, "2")
+]
+
+
+@pytest.mark.parametrize("target, param, entry, value", INT_CASES)
+def test_int_parameters_reject_non_ints(target, param, entry, value):
+    name = target.__name__
+    assert name in BASE_CALLS, f"{name} takes an int {param} but has no base call"
+    arguments, error = BASE_CALLS[name]
+    given = arguments[param]
+    arguments = {**arguments, param: [value, *given[1:]] if entry else value}
+    with pytest.raises(error) as caught:
+        target(**arguments)
+    assert type(caught.value) is error
+    assert str(caught.value) == f"{param}{entry} must be an integer, got {value!r}"
+
+
+def test_each_base_call_is_valid_and_walked():
+    """A case fails only on the value it puts in, and no base call outlives
+    its callable's int parameters."""
+    walked = {target.__name__: target for target, _, _ in INT_PARAMETERS}
+    assert set(BASE_CALLS) == set(walked)
+    for name, (arguments, _) in BASE_CALLS.items():
+        walked[name](**arguments)
+
+
+# npi_from_record, which npi_check and the identity checks call, is outside
+# surface.__all__, so the walk does not reach it.
 NON_INT_ARGUMENTS = {
-    "satellite choice": (
-        lambda cfg: extend_with_satellite_tail(cfg, [2.7]),
-        InvalidConfigurationError, "choices[0] must be an integer, got 2.7",
-    ),
-    "bool satellite choice": (
-        lambda cfg: extend_with_satellite_tail(cfg, [True]),
-        InvalidConfigurationError, "choices[0] must be an integer, got True",
-    ),
-    "contact value": (
-        lambda cfg: from_maximal_contact([2.9, 3.2]),
-        ReconstructionError, "beta_bar[0] must be an integer, got 2.9",
-    ),
-    "trailing_free": (
-        lambda cfg: from_maximal_contact([2, 3], trailing_free=1.5),
-        ReconstructionError, "trailing_free must be an integer, got 1.5",
-    ),
-    "multiplicity": (
-        lambda cfg: degree_lower_bound(cfg, [1.5, 1, 1]),
-        ValueError, "m[0] must be an integer, got 1.5",
-    ),
-    "bool multiplicity": (
-        lambda cfg: degree_lower_bound(cfg, [1, True, 1]),
-        ValueError, "m[1] must be an integer, got True",
-    ),
-    "curve value": (
-        lambda cfg: supraminimal_certificate(cfg, 5.5, 2),
-        ValueError, "curve_value must be an integer, got 5.5",
-    ),
-    "degree": (
-        lambda cfg: supraminimal_certificate(cfg, 5, 2.0),
-        ValueError, "curve_degree must be an integer, got 2.0",
-    ),
-    "bool degree": (
-        lambda cfg: supraminimal_certificate(cfg, 5, True),
-        ValueError, "curve_degree must be an integer, got True",
-    ),
-    "curvette index": (
-        lambda cfg: curvette_vector(cfg, 2.0),
-        ValueError, "k must be an integer, got 2.0",
-    ),
-    "bool curvette index": (
-        lambda cfg: curvette_vector(cfg, True),
-        ValueError, "k must be an integer, got True",
-    ),
-    "aligned_mu": (
-        lambda cfg: multi_valuation([valuation_bundle(cfg)], 2.9),
-        ValueError, "aligned_mu must be an integer, got 2.9",
-    ),
-    "bool aligned_mu": (
-        lambda cfg: multi_valuation([valuation_bundle(cfg)], True),
-        ValueError, "aligned_mu must be an integer, got True",
-    ),
-    "ruled surface index": (
-        lambda cfg: hirzebruch_class_of_polynomial(
-            AffinePolynomial.from_pairs([(2, 0), (0, 1)]), 1.5
-        ),
-        ValueError, "delta must be an integer, got 1.5",
-    ),
-    "npi_check index": (
-        lambda cfg: npi_check(cfg, 1.5),
-        ValueError, "delta must be an integer, got 1.5",
-    ),
-    "bool npi_check index": (
-        lambda cfg: npi_check(cfg, True),
-        ValueError, "delta must be an integer, got True",
-    ),
     "npi_from_record index": (
         lambda cfg: npi_from_record(invariant_record(cfg), 1.5),
         ValueError, "delta must be an integer, got 1.5",
@@ -376,38 +399,6 @@ NON_INT_ARGUMENTS = {
     "bool npi_from_record index": (
         lambda cfg: npi_from_record(invariant_record(cfg), True),
         ValueError, "delta must be an integer, got True",
-    ),
-    "family a": (
-        lambda cfg: tono_family(3.0, 0),
-        ValueError, "a must be an integer, got 3.0",
-    ),
-    "family e": (
-        lambda cfg: tono_family(3, 0.5),
-        ValueError, "e must be an integer, got 0.5",
-    ),
-    "bool family e": (
-        lambda cfg: tono_family(3, True),
-        ValueError, "e must be an integer, got True",
-    ),
-    "max_points": (
-        lambda cfg: random_configuration(trial_rng(1, 1), 2.5),
-        ValueError, "max_points must be an integer, got 2.5",
-    ),
-    "bool max_points": (
-        lambda cfg: random_configuration(trial_rng(1, 1), True),
-        ValueError, "max_points must be an integer, got True",
-    ),
-    "fuzz max_points": (
-        lambda cfg: fuzz(2.5, 1, 1),
-        ValueError, "max_points must be an integer, got 2.5",
-    ),
-    "fuzz trials": (
-        lambda cfg: fuzz(12, 2.5, 1),
-        ValueError, "trials must be an integer, got 2.5",
-    ),
-    "bool fuzz trials": (
-        lambda cfg: fuzz(12, True, 1),
-        ValueError, "trials must be an integer, got True",
     ),
 }
 
@@ -417,7 +408,7 @@ NON_INT_ARGUMENTS = {
 )
 def test_library_entry_points_reject_arguments_that_are_not_ints(call, error, message):
     with pytest.raises(error) as caught:
-        call(build_configuration([[], [1], [2]]))
+        call(CHAIN)
     assert str(caught.value) == message
 
 

@@ -20,6 +20,7 @@ import sys
 import pytest
 
 import valuation_lab
+from strategies import MATH_MODULES
 
 RECORDS = {
     ("bounds", "ValuationBundle"): ("cfg", "record", "delta0"),
@@ -197,11 +198,6 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert stale == []
-
-
-# The modules ``import valuation_lab`` loads and re-exports; the report
-# layer (checks, reports, valfile, cli) is imported by name.
-MATH_MODULES = {"bounds", "configurations", "errors", "invariants", "surface"}
 
 
 def test_the_package_exports_exactly_its_math_modules_all():
