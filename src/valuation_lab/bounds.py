@@ -15,6 +15,7 @@ from typing import NamedTuple
 from .configurations import (
     Configuration,
     extend_with_satellite_tail,
+    require_free_end,
     require_int,
     require_ints,
 )
@@ -251,8 +252,7 @@ def satellite_tail_comparison(
     never increasing) is exposed as properties so violations can be
     reported rather than raised.
     """
-    if cfg.size < 2:
-        raise ValueError("tail comparison needs at least two points")
+    require_free_end(cfg)
     before = invariant_record(cfg)
     after = invariant_record(extend_with_satellite_tail(cfg, choices))
     return TailComparison(

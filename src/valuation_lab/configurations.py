@@ -10,8 +10,8 @@ divisors still meet the one through p_{i-1}), listed by
 
 Tangent membership is geometric data on top of the proximity structure:
 the flagged points form an initial segment {1, ..., k} and, from index 3
-on, a smooth line can only follow free points; ``check_tangent_count``
-enforces it.
+on, a smooth line can only follow free points.  ``Configuration`` takes
+only an ``int`` k, and ``check_tangent_count`` checks its range.
 
 The multiplicity sequence determines the proximity structure: the points
 proximate to p_i are the consecutive points after it whose multiplicities
@@ -28,14 +28,14 @@ point, latest first, adds its value to its predecessor and older target.
 The proximity residual lists none: it takes runs and reads the stretches.
 ``build_configuration`` writes this array as it validates the lists,
 comparing each sorted one in place and sending any other form through
-sets; it rejects a target or tangent count that is not an ``int`` (a bool
-is not one).  ``extend_with_satellite_tail`` extends the array.  Both hand
-it to ``_from_older``, which pushes it into runs in one backward pass
+sets; it rejects a target that is not an ``int`` (a bool is not one).
+``extend_with_satellite_tail`` extends the array.  Both hand it to
+``_from_older``, which pushes it into runs in one backward pass
 (``push_runs``), ending each run as soon as its value is final, and seeds
-the size and structure with the satellite stretches of the validated
-array; ``run_structure`` matches run ends with whole runs only for a chain
-given as runs.  ``_cut_blocks`` cuts the blocks for both;
-``block_decomposition`` returns the structure.
+the size and structure with the satellite stretches of the validated array;
+``run_structure`` matches run ends with whole runs only for a chain given as
+runs.  ``_cut_blocks`` cuts the blocks for both; ``block_decomposition``
+returns the structure.
 """
 
 from __future__ import annotations
@@ -237,21 +237,19 @@ def satellite_targets(i: int, prev_older: int) -> list[int]:
     return [prev_older, i - 2] if prev_older else [i - 2]
 
 
-def check_tangent_count(k: int, n: int, first_satellite: int) -> None:
-    """Reject a tangent segment {p_1..p_k} that a chain of n points whose first
-    satellite is ``first_satellite`` (n + 1 when it has none) cannot carry:
-    k is an int (not a bool), 1 for a single point, else 2..n, and stops
-    before a satellite."""
-    require_int(k, "tangent_count")
+def check_tangent_count(cfg: Configuration) -> None:
+    """Reject a chain that cannot carry its tangent segment {p_1..p_k}: k is 1
+    for a single point, else 2..n, and at most ``max_tangent_count``."""
+    k, n, top = cfg.tangent_count, cfg.size, max_tangent_count(cfg)
     if n == 1 and k != 1:
         raise InvalidConfigurationError("tangent_count must be 1 for a single point")
     if n > 1 and not 2 <= k <= n:
         raise InvalidConfigurationError(
             f"tangent_count must lie in 2..{n} for {n} points"
         )
-    if k >= first_satellite:
+    if k > top:
         raise InvalidConfigurationError(
-            f"tangent segment cannot reach p_{first_satellite}: a smooth line "
+            f"tangent segment cannot reach p_{top + 1}: a smooth line "
             "cannot pass through a satellite point"
         )
 
@@ -273,6 +271,9 @@ class Configuration:
 
     runs: tuple[tuple[int, int], ...]
     tangent_count: int
+
+    def __post_init__(self) -> None:
+        require_int(self.tangent_count, "tangent_count")
 
     @cached_property
     def size(self) -> int:
@@ -356,9 +357,8 @@ def build_configuration(
                 )
             older[i] = target
 
-    k = min(2, n) if tangent_count is None else tangent_count
-    cfg = _from_older(older, k)
-    check_tangent_count(k, n, max_tangent_count(cfg) + 1)
+    cfg = _from_older(older, min(2, n) if tangent_count is None else tangent_count)
+    check_tangent_count(cfg)
     return cfg
 
 
@@ -396,9 +396,7 @@ def require_free_end(cfg: Configuration) -> None:
         raise InvalidConfigurationError("satellite tail needs at least two points")
     stretches = cfg.structure.stretches
     if stretches and stretches[-1][1] == cfg.size:
-        raise InvalidConfigurationError(
-            "satellite tail must start after a free point"
-        )
+        raise InvalidConfigurationError("satellite tail must start after a free point")
 
 
 def extend_with_satellite_tail(

@@ -19,6 +19,13 @@ from .configurations import require_int, require_ints
 from .invariants import InvariantRecord, invariant_record
 
 
+def _require_index(delta: int) -> None:
+    """The ruled-surface index rule: ``delta`` is an ``int``, at least 0."""
+    require_int(delta, "delta", ValueError)
+    if delta < 0:
+        raise ValueError("ruled surface index must be non-negative")
+
+
 @dataclass(frozen=True)
 class HirzebruchClass:
     """Divisor class a*F + b*M - sum(m_i * E_i) on a blown-up ruled surface."""
@@ -29,10 +36,9 @@ class HirzebruchClass:
     delta: int
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "delta"):
+        for name in ("a", "b"):
             require_int(getattr(self, name), name, ValueError)
-        if self.delta < 0:
-            raise ValueError("ruled surface index must be non-negative")
+        _require_index(self.delta)
         object.__setattr__(self, "mults", require_ints(self.mults, "mults", ValueError))
 
 
@@ -116,9 +122,7 @@ def npi_from_record(record: InvariantRecord, delta: int) -> NpiResult:
     from the closed formula 2*b0*t + t^2*delta - b_last rather than the
     pairing (the two paths are compared in tests).
     """
-    require_int(delta, "delta", ValueError)
-    if delta < 0:
-        raise ValueError("ruled surface index must be non-negative")
+    _require_index(delta)
     t = record.tangent_value
     witness = t * t * delta - record.threshold_numerator
     return NpiResult(non_positive_at_infinity=(witness >= 0), witness=witness)
@@ -166,9 +170,7 @@ def hirzebruch_class_of_polynomial(
     v-factor are rejected, since the closure would then contain the fiber
     through the center or the special section as a component.
     """
-    require_int(delta, "delta", ValueError)
-    if delta < 0:
-        raise ValueError("ruled surface index must be non-negative")
+    _require_index(delta)
     support = f.support
     if len(support) > 1:
         if min(i for i, _ in support) > 0:

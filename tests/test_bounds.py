@@ -209,6 +209,11 @@ class TestLambdaLowerBound:
             multi_valuation([valuation_bundle(cfg)], aligned_mu=3)
         with pytest.raises(ValueError):
             multi_valuation([], aligned_mu=2)
+        with pytest.raises(ValueError) as caught:
+            multi_valuation([valuation_bundle(m_adic())] * 2, aligned_mu=1)
+        assert str(caught.value) == (
+            "aligned_mu must be at least 2 once two points exist"
+        )
 
 
 class TestCombinatorialLambdaBound:

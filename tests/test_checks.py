@@ -63,6 +63,14 @@ class TestRandomConfiguration:
         with pytest.raises(ChainTooLongError, match="51"):
             random_configuration(random.Random(1), 51)
 
+    def test_rejects_sizes_below_one(self):
+        with pytest.raises(ValueError) as caught:
+            random_configuration(random.Random(1), 0)
+        assert str(caught.value) == "max_points must be at least 1"
+        with pytest.raises(ValueError) as caught:
+            fuzz(3, 0, 1)
+        assert str(caught.value) == "trials must be at least 1"
+
     def test_satellite_bias_reaches_deep_structures(self):
         rng = random.Random(5)
         seen_satellite = any(
@@ -115,6 +123,8 @@ class TestRandomTailChoices:
             random_tail_choices(cfg, 3, rng)
         with pytest.raises(InvalidConfigurationError, match=message):
             extend_with_satellite_tail(cfg, [1])
+        with pytest.raises(InvalidConfigurationError, match=message):
+            bounds.satellite_tail_comparison(cfg, [1])
         assert rng.getstate() == state
 
     def test_random_streams_are_pinned(self):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+from datetime import datetime
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +19,12 @@ from valuation_lab.errors import FileFormatError
 from valuation_lab.valfile import parse, parse_path, serialize
 
 THREE_POINT = '{"valuations": [{"proximity": [[], [1], [2, 1]]}]}'
+# Null values and a trailing_free of 0, which no verb minds and serialize drops.
+NULL_VALUES = (
+    '{"valuations": [{"name": "p", "proximity": [[], [1], [2, 1]],'
+    ' "tangent_count": null}, {"maximal_contact": [2, 3], "trailing_free": 0},'
+    ' {"tono": {"a": 3, "e": 0}}]}'
+)
 TONO = '{"valuations": [{"tono": {"a": 3, "e": 0}}]}'
 # What `family tono --a 4 --e 1 --emit` writes, byte for byte.
 EMITTED_TONO_4_1 = """\
@@ -112,6 +119,8 @@ class TestParse:
             '{"valuations": [{"proximity": [[], [1]], "unknown": true}]}',
             '{"valuations": [{"proximity": [[], [1]], "tangent_count": 1}]}',
             '{"valuations": [{"name": 7, "proximity": [[], [1]]}]}',
+            '{"valuations": [3]}',
+            '{"valuations": [{"maximal_contact": 5}]}',
         ],
     )
     def test_rejects_malformed_files(self, text):
@@ -348,6 +357,41 @@ class TestCommands:
         assert text == EMITTED_TONO_4_1
         assert serialize(parse(text)) == text
         assert parse(text).entries[0].bundle == tono_family(4, 1).bundle
+        capsys.readouterr()
+        assert main(["check", str(emitted)]) == 0
+        assert capsys.readouterr().out.endswith("checks run: 7, failed: 0\n")
+
+    def test_null_values_pass_every_file_verb_and_are_not_written_back(
+        self, tmp_path, capsys
+    ):
+        path = write(tmp_path, NULL_VALUES)
+        for fmt in ("table", "json"):
+            assert main(["--format", fmt, "invariants", path]) == 0
+            assert main(["--format", fmt, "bounds", path]) == 0
+            capsys.readouterr()
+            assert main(["--format", fmt, "check", path]) == 0
+            out = capsys.readouterr().out
+            if fmt == "table":
+                assert out.endswith("checks run: 21, failed: 0\n")
+            else:
+                summary = json.loads(out)["summary"]
+                assert summary == {"checks_run": 21, "checks_failed": 0}
+        written = "".join(serialize(parse(NULL_VALUES)).split())
+        assert written == (
+            '{"valuations":[{"name":"p","proximity":[[],[1],[2,1]]},'
+            '{"maximal_contact":[2,3]},{"tono":{"a":3,"e":0}}]}'
+        )
+
+    def test_bounds_needs_aligned_mu_two_for_two_points(self, tmp_path, capsys):
+        path = write(
+            tmp_path,
+            '{"valuations": [{"proximity": [[]]}, {"proximity": [[]]}],'
+            ' "aligned_mu": 1}',
+        )
+        assert main(["bounds", path]) == 1
+        assert capsys.readouterr() == (
+            "", "error: aligned_mu must be at least 2 once two points exist\n"
+        )
 
     def test_family_table_mentions_certificate(self, capsys):
         assert main(["family", "tono", "--a", "4", "--e", "1"]) == 0
@@ -602,13 +646,20 @@ class TestDeterminism:
         assert "generated_at" in payload
         assert main(["--format", "json", "invariants", path]) == 0
         assert "generated_at" not in json.loads(capsys.readouterr().out)
+        # A table prints the timestamp as its first line, before the report.
+        assert main(["--timestamps", "invariants", path]) == 0
+        first, report = capsys.readouterr().out.split("\n", 1)
+        assert first.startswith("generated at ")
+        datetime.fromisoformat(first.removeprefix("generated at "))
+        assert main(["invariants", path]) == 0
+        assert report == capsys.readouterr().out
 
 
-def test_module_entry_point(tmp_path):
+@pytest.mark.parametrize("module", ["valuation_lab", "valuation_lab.cli"])
+def test_module_entry_point(tmp_path, module):
     path = write(tmp_path, THREE_POINT)
     result = subprocess.run(
-        [sys.executable, "-m", "valuation_lab", "--format", "json",
-         "invariants", path],
+        [sys.executable, "-m", module, "--format", "json", "invariants", path],
         capture_output=True,
         text=True,
     )
@@ -624,3 +675,55 @@ def test_importing_the_command_line_loads_no_datetime():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout == "False\n"
+
+
+# Error exits, each run in a fresh ``python -m valuation_lab`` process:
+# (argv, the file text that "FILE" stands for, the whole stderr).  A usage
+# error's stderr is argparse's, whose wording varies across Python versions,
+# so None stands for what the same argv prints in-process.
+FRESH_PROCESS_ERRORS = {
+    "unknown verb": (["frobnicate"], None, None),
+    "tangent segment through a satellite": (
+        ["check", "FILE"],
+        '{"valuations": [{"proximity": [[], [1], [2, 1]], "tangent_count": 3}]}',
+        "error: valuations[0]: tangent segment cannot reach p_3: a smooth line "
+        "cannot pass through a satellite point\n",
+    ),
+    "bool target": (
+        ["check", "FILE"],
+        '{"valuations": [{"proximity": [[], [true]]}]}',
+        "error: valuations[0].proximity[1]: expected an integer, got True\n",
+    ),
+    "float target": (
+        ["check", "FILE"],
+        '{"valuations": [{"proximity": [[], [1.5]]}]}',
+        "error: valuations[0].proximity[1]: expected an integer, got 1.5\n",
+    ),
+    "number too large for a float": (
+        ["family", "tono", "--a", str(10**160), "--e", "0"],
+        None,
+        "error: integer division result too large for a float\n",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, text, stderr", FRESH_PROCESS_ERRORS.values(), ids=FRESH_PROCESS_ERRORS
+)
+def test_error_exits_in_a_fresh_process(
+    tmp_path, capsys, monkeypatch, argv, text, stderr
+):
+    # The usage layout follows the terminal width; fix it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [write(tmp_path, text) if arg == "FILE" else arg for arg in argv]
+    if stderr is None:
+        assert main(argv) == 1
+        stderr = capsys.readouterr().err
+    done = subprocess.run(
+        [sys.executable, "-m", "valuation_lab", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", stderr)
+    assert "Traceback" not in done.stderr

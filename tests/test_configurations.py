@@ -65,16 +65,22 @@ class TestBuildConfiguration:
             build_configuration([[1]])
 
     def test_rejects_tangent_count_two_on_single_point(self):
-        with pytest.raises(InvalidConfigurationError):
+        with pytest.raises(InvalidConfigurationError) as caught:
             build_configuration([[]], tangent_count=2)
+        assert str(caught.value) == "tangent_count must be 1 for a single point"
 
     def test_rejects_tangent_count_one_on_longer_chain(self):
-        with pytest.raises(InvalidConfigurationError):
+        with pytest.raises(InvalidConfigurationError) as caught:
             build_configuration([[], [1]], tangent_count=1)
+        assert str(caught.value) == "tangent_count must lie in 2..2 for 2 points"
 
     def test_rejects_tangent_through_satellite(self):
-        with pytest.raises(InvalidConfigurationError):
+        with pytest.raises(InvalidConfigurationError) as caught:
             build_configuration([[], [1], [2, 1]], tangent_count=3)
+        assert str(caught.value) == (
+            "tangent segment cannot reach p_3: a smooth line cannot pass through "
+            "a satellite point"
+        )
 
     def test_tangent_can_follow_free_run(self):
         cfg = build_configuration([[], [1], [2], [3]], tangent_count=4)

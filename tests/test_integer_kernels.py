@@ -5,15 +5,16 @@
 ``build_configuration`` compares sorted lists in place and sends every other
 form (tuples, sets, unsorted or repeated targets) through its set-based
 validation, with the same runs or the same message as before.
-``build_configuration`` takes a target or tangent count only if it is an
-``int`` (a bool is not), and ``valfile`` leaves that check to the build,
-rescanning an entry only when the build fails, so a file gets the message it
-got when every target was checked before the build.  Every other parameter
-typed ``int``, ``int | None``, ``Sequence[int]`` or ``tuple[int, ...]`` of a
-callable in the ``__all__`` of the math modules or ``checks`` follows the
-same rule: ``test_int_parameters_reject_non_ints`` reads those parameters
-from the signatures, skipping only the NamedTuple result records and
-``Configuration``, and puts what is not an ``int`` into each.
+``build_configuration`` takes a target only if it is an ``int`` (a bool is
+not), ``Configuration`` takes a tangent count only if it is one, and
+``valfile`` leaves both checks to the build, rescanning an entry only when
+the build fails, so a file gets the message it got when every target was
+checked before the build.  Every other parameter typed ``int``,
+``int | None``, ``Sequence[int]`` or ``tuple[int, ...]`` of a callable in
+the ``__all__`` of the math modules or ``checks`` follows the same rule:
+``test_int_parameters_reject_non_ints`` reads those parameters from the
+signatures, skipping only the NamedTuple result records, and puts what is
+not an ``int`` into each.
 ``run_structure`` consumes whole runs and raises the same three errors.  The
 bounds take their ceilings by floor division, the file verbs build a
 ``Fraction`` only for a number they print, and the invariants report
@@ -46,7 +47,6 @@ from valuation_lab.bounds import tono_family, valuation_bundle
 from valuation_lab.checks import random_configuration, trial_rng
 from valuation_lab.cli import main
 from valuation_lab.configurations import (
-    Configuration,
     build_configuration,
     push_runs,
     push_values,
@@ -284,6 +284,7 @@ def test_build_configuration_rejects_targets_that_are_not_ints(lists, point):
 # error class of its integer check.
 CHAIN = build_configuration([[], [1], [2]])
 BASE_CALLS = {
+    "Configuration": (dict(runs=((1, 3),), tangent_count=2), InvalidConfigurationError),
     "build_configuration": (
         dict(proximity_lists=[[], [1], [2]], tangent_count=2),
         InvalidConfigurationError,
@@ -339,15 +340,13 @@ def checked_entry(hint):
 def int_parameters():
     """(callable, parameter, checked entry) for every int parameter of every
     callable in the ``__all__`` of the math modules and ``checks``.  The
-    NamedTuple result records and ``Configuration`` are skipped: their
-    constructors check nothing, the records being built from checked inputs
-    and a chain by ``build_configuration``."""
+    NamedTuple result records are skipped: their constructors check nothing,
+    as they are built from checked inputs."""
     for module in sorted(MATH_MODULES | {"checks"}):
         exports = importlib.import_module(f"valuation_lab.{module}")
         for name in exports.__all__:
             target = getattr(exports, name)
-            record = hasattr(target, "_fields")
-            if not callable(target) or record or target is Configuration:
+            if not callable(target) or hasattr(target, "_fields"):
                 continue
             hints = typing.get_type_hints(target)
             hints.pop("return", None)

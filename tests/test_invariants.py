@@ -284,6 +284,11 @@ class TestFromMaximalContact:
         with pytest.raises(ReconstructionError):
             from_maximal_contact(sequence)
 
+    def test_rejects_a_negative_trailing_free(self):
+        with pytest.raises(ReconstructionError) as caught:
+            from_maximal_contact((2, 3), trailing_free=-1)
+        assert str(caught.value) == "trailing_free must be non-negative"
+
     @given(configurations())
     @settings(max_examples=150)
     def test_round_trip_reproduces_the_chain(self, cfg):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from strategies import configurations, proximate_points
 from valuation_lab.bounds import delta0, tono_family
 from valuation_lab.configurations import build_configuration
-from valuation_lab.invariants import multiplicity_sequence
+from valuation_lab.invariants import invariant_record, multiplicity_sequence
 from valuation_lab.surface import (
     AffinePolynomial,
     HirzebruchClass,
@@ -16,6 +16,7 @@ from valuation_lab.surface import (
     lambda_divisor,
     nef_on_generators,
     npi_check,
+    npi_from_record,
 )
 
 
@@ -65,8 +66,24 @@ class TestHirzebruchPairing:
             intersect_hirzebruch(x, y)
 
     def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             HirzebruchClass(a=1, b=0, mults=(), delta=-1)
+        assert str(caught.value) == "ruled surface index must be non-negative"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: npi_from_record(invariant_record(cfg3()), -1),
+            lambda: hirzebruch_class_of_polynomial(
+                AffinePolynomial.from_pairs([(1, 0)]), -1
+            ),
+        ],
+        ids=["npi_from_record", "hirzebruch_class_of_polynomial"],
+    )
+    def test_functions_reject_a_negative_index(self, call):
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == "ruled surface index must be non-negative"
 
 
 class TestLambdaDivisor:
@@ -223,6 +240,11 @@ class TestHirzebruchClassOfPolynomial:
     def test_rejects_empty_support(self):
         with pytest.raises(ValueError):
             AffinePolynomial.from_pairs([])
+
+    def test_rejects_a_negative_exponent(self):
+        with pytest.raises(ValueError) as caught:
+            AffinePolynomial.from_pairs([(1, 0), (-1, 2)])
+        assert str(caught.value) == "exponents must be non-negative"
 
     def test_bidegree_bounds_on_random_supports(self):
         rng = random.Random(2024)
