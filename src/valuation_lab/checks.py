@@ -5,15 +5,15 @@ and the ``fuzz`` command (run on random configurations); failures are
 reported as findings, never raised.  One suite reads a valuation's bundle
 (the one ``check`` already holds for a file entry) and the runs and lists
 nothing, so it costs O(runs) at any chain length: the proximity residual is
-taken once over the runs, the contact round trip compares runs, and delta0
-is found by bisection.  Every row compares integers and builds no
-``Fraction``: ceilings are floor divisions, and the Puiseux ratio is
-compared as p and q.  Each row checks a fact that no other row and no
-single line of ``invariant_record`` already fixes; the nef pairings of
-lambda with the curve-cone generators are checked point by point in the
-tests, through ``surface.nef_on_generators``.  ``proximity-equalities``
-compares the runs with the satellite stretches that the proximity lists
-state, or, for a chain given as runs, that ``run_structure`` matches.
+taken once over the runs, and the contact round trip compares runs.  Every
+row compares integers and builds no ``Fraction``: ceilings are floor
+divisions, and the Puiseux ratio is compared as p and q.  Each row checks a
+fact that no other row and no single step of the record or bundle already
+fixes, so delta0, a ceiling, has no row; the nef pairings of lambda with the
+curve-cone generators are checked point by point in the tests, through
+``surface.nef_on_generators``.  ``proximity-equalities`` compares the runs
+with the satellite stretches that the proximity lists state, or, for a
+chain given as runs, that ``run_structure`` matches.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .configurations import (
     satellite_targets,
 )
 from .invariants import from_maximal_contact
-from .surface import npi_from_record
 
 # Fraction of growth steps steered toward satellite points, to exercise
 # deep block structures.
@@ -105,11 +104,14 @@ def random_tail_choices(
     after a free p_n: each point takes one of its ``satellite_targets``.
 
     The first target is forced to n-1 and taken without drawing; every
-    later one is drawn from its two options.  A chain of fewer than two
+    later one is drawn from its two options.  Before anything is drawn, a
+    negative ``length`` raises ValueError, and a chain of fewer than two
     points, or one ending in a satellite, raises InvalidConfigurationError
-    as ``extend_with_satellite_tail`` does, before anything is drawn.
+    as ``extend_with_satellite_tail`` does.
     """
     require_int(length, "length", ValueError)
+    if length < 0:
+        raise ValueError("length must be non-negative")
     require_free_end(cfg)
     choices: list[int] = []
     prev_older = 0
@@ -151,30 +153,6 @@ def identity_checks(bundle: ValuationBundle) -> list[CheckResult]:
     except Exception as exc:  # reported, not raised
         ok, detail = False, f"reconstruction failed: {type(exc).__name__}: {exc}"
     results.append(CheckResult("contact-round-trip", ok, detail))
-
-    d0 = bundle.delta0
-    if n == 1:
-        ok = d0 == -1 and npi_from_record(record, 0).non_positive_at_infinity
-        results.append(CheckResult("delta0-threshold", ok))
-    else:
-        def npi(delta: int) -> bool:
-            return npi_from_record(record, delta).non_positive_at_infinity
-
-        # The witness t^2 delta - threshold rises with delta (t >= 1), so the
-        # first index where it is non-negative is found by doubling, then
-        # bisection between the last index below and the first at or above.
-        below, first = -1, 0
-        while not npi(first):
-            below, first = first, 2 * first + 1
-        while first - below > 1:
-            mid = (below + first) // 2
-            below, first = (below, mid) if npi(mid) else (mid, first)
-        ok = first == d0 and (d0 == 0 or not npi(d0 - 1))
-        results.append(
-            CheckResult(
-                "delta0-threshold", ok, "" if ok else f"delta0={d0} first={first}"
-            )
-        )
 
     if n >= 2:
         t = record.tangent_value

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .configurations import Configuration, proximity_residual
 from .configurations import require_int, require_ints
-from .invariants import InvariantRecord, invariant_record
+from .invariants import invariant_record
 
 
 def _require_index(delta: int) -> None:
@@ -115,22 +115,18 @@ def lambda_divisor(cfg: Configuration, delta: int) -> HirzebruchClass:
     )
 
 
-def npi_from_record(record: InvariantRecord, delta: int) -> NpiResult:
-    """Non-positivity at infinity on the ruled model of the given index.
-
-    The witness is the self-intersection of the nef candidate, computed
-    from the closed formula 2*b0*t + t^2*delta - b_last rather than the
-    pairing (the two paths are compared in tests).
+def npi_check(cfg: Configuration, delta: int) -> NpiResult:
+    """Non-positivity at infinity on the ruled model of the given index,
+    which is checked before the invariant record is read.  The witness is
+    the self-intersection of the nef candidate, from the closed formula
+    2*b0*t + t^2*delta - b_last rather than the pairing (the two paths are
+    compared in tests).
     """
     _require_index(delta)
+    record = invariant_record(cfg)
     t = record.tangent_value
     witness = t * t * delta - record.threshold_numerator
     return NpiResult(non_positive_at_infinity=(witness >= 0), witness=witness)
-
-
-def npi_check(cfg: Configuration, delta: int) -> NpiResult:
-    """``npi_from_record`` on the configuration's invariant record."""
-    return npi_from_record(invariant_record(cfg), delta)
 
 
 def nef_on_generators(cfg: Configuration, delta: int) -> list[GeneratorPairing]:

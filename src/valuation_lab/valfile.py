@@ -115,9 +115,10 @@ def _parse_entry(raw: Any, where: str) -> ValuationEntry:
                 )
             for i, x in enumerate(seq):
                 _require_int(x, f"{where}.maximal_contact[{i}]", minimum=1)
-            trailing = raw.get("trailing_free", 0)
-            trailing = _require_int(trailing, f"{where}.trailing_free", minimum=0)
-            cfg = from_maximal_contact(seq, trailing_free=trailing)
+            trailing = raw.get("trailing_free")
+            if trailing is not None:
+                _require_int(trailing, f"{where}.trailing_free", minimum=0)
+            cfg = from_maximal_contact(seq, trailing_free=trailing or 0)
         else:
             params = raw["tono"]
             if not isinstance(params, dict) or set(params) != {"a", "e"}:

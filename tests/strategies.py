@@ -1,6 +1,8 @@
-"""Hypothesis strategies, chain enumerations, point-level references and the
-list of math modules, shared across the test modules."""
+"""Hypothesis strategies, chain enumerations, point-level references, the
+list of math modules and the rebinding of a library function, shared across
+the test modules."""
 
+import sys
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -10,6 +12,16 @@ from valuation_lab.configurations import build_configuration, max_tangent_count
 # The modules ``import valuation_lab`` loads and re-exports; the report
 # layer (checks, reports, valfile, cli) is imported by name.
 MATH_MODULES = {"bounds", "configurations", "errors", "invariants", "surface"}
+
+
+def rebind(monkeypatch, original, replacement):
+    """Replace every binding of ``original`` in the loaded ``valuation_lab``
+    modules, since the modules import what they call by name."""
+    for name, module in list(sys.modules.items()):
+        if name == "valuation_lab" or name.startswith("valuation_lab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 @st.composite

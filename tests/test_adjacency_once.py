@@ -29,7 +29,7 @@ CHAINS = {
 
 
 @pytest.mark.parametrize("make", CHAINS.values(), ids=CHAINS.keys())
-def test_identity_checks_build_the_adjacency_at_most_twice(make):
+def test_identity_checks_list_no_older_array(make):
     cfg = make()
     assert cfg.size >= 3
     results = identity_checks(valuation_bundle(cfg))

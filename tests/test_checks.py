@@ -1,12 +1,12 @@
 import hashlib
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import configurations as strategy_configurations
+from strategies import rebind
 import valuation_lab.bounds as bounds
 import valuation_lab.checks as checks
 import valuation_lab.configurations as configurations
@@ -127,6 +127,19 @@ class TestRandomTailChoices:
             bounds.satellite_tail_comparison(cfg, [1])
         assert rng.getstate() == state
 
+    @pytest.mark.parametrize("length", [-1, -3])
+    def test_rejects_a_negative_length_before_drawing(self, length):
+        """A negative length raises before anything is drawn; 0 gives no
+        choices."""
+        cfg = build_configuration([[], [1]])
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError) as caught:
+            random_tail_choices(cfg, length, rng)
+        assert str(caught.value) == "length must be non-negative"
+        assert rng.getstate() == state
+        assert random_tail_choices(cfg, 0, rng) == []
+
     def test_random_streams_are_pinned(self):
         """The acceptance corpus, plus a 6-point tail drawn from the same
         stream on each chain that can take one, hashed: growing a chain or a
@@ -162,20 +175,19 @@ class TestIdentityChecks:
     @pytest.mark.parametrize(
         "cfg, rows",
         [
-            (build_configuration([[]]), 4),
-            (from_maximal_contact((1, 5)), 6),
-            (build_configuration([[], [1], [2, 1]]), 7),
+            (build_configuration([[]]), 3),
+            (from_maximal_contact((1, 5)), 5),
+            (build_configuration([[], [1], [2, 1]]), 6),
         ],
         ids=["one-point", "no-satellite", "satellite"],
     )
     def test_rows_are_named_in_order(self, cfg, rows):
-        """A single point gets the first four rows, a chain with no satellite
-        the first six, and a chain with a satellite all seven."""
+        """A single point gets the first three rows, a chain with no satellite
+        the first five, and a chain with a satellite all six."""
         names = [
             "proximity-equalities",
             "last-contact-value",
             "contact-round-trip",
-            "delta0-threshold",
             "tangent-range",
             "remark-dominance",
             "first-puiseux-ratio",
@@ -221,16 +233,10 @@ class TestIdentityChecks:
 
     def test_remark_dominance_builds_no_bound_report(self, monkeypatch):
         """The row reads the one combinatorial bound, not a full report."""
-        real = bounds.bound_report
-
         def refuse(bundle):
             raise AssertionError("bound_report called")
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("valuation_lab"):
-                for attr, value in list(vars(module).items()):
-                    if value is real:
-                        monkeypatch.setattr(module, attr, refuse)
+        rebind(monkeypatch, bounds.bound_report, refuse)
         for cfg in (
             build_configuration([[], [1], [2, 1]]),
             tono_family(3, 0).bundle.cfg,
@@ -255,38 +261,6 @@ class TestIdentityChecks:
             (row,) = [r for r in rows if r.name == "remark-dominance"]
             assert row.detail.startswith(f"comb={-cfg.size} ")
             assert failed_rows(bundle) == {"remark-dominance"}
-
-    def test_delta0_threshold_takes_logarithmically_many_indices(self, monkeypatch):
-        """The witness rises with delta, so the first non-negative index is
-        found by bisection: on a 100,000-point chain (delta0 = 24,999) one
-        suite asks ``npi_from_record`` a few dozen times, not 25,000."""
-        calls = 0
-        real = checks.npi_from_record
-
-        def counted(record, delta):
-            nonlocal calls
-            calls += 1
-            return real(record, delta)
-
-        cfg = from_maximal_contact((1, 100000))
-        monkeypatch.setattr(checks, "npi_from_record", counted)
-        results = identity_checks(valuation_bundle(cfg))
-        assert all(r.passed for r in results)
-        assert calls <= 64
-
-    @pytest.mark.parametrize("shift", [-2, -1, 1, 3])
-    def test_delta0_threshold_names_the_first_index(self, shift):
-        """A recorded delta0 off by ``shift`` fails, and the detail names
-        the true first index."""
-        bundle = valuation_bundle(from_maximal_contact((4, 6, 13), trailing_free=400))
-        d0 = bundle.delta0
-        assert d0 == 11
-        shifted = bundle._replace(delta0=d0 + shift)
-        (threshold,) = [
-            r for r in identity_checks(shifted) if r.name == "delta0-threshold"
-        ]
-        assert threshold.detail == f"delta0={d0 + shift} first={d0}"
-        assert failed_rows(shifted) == {"delta0-threshold"}
 
 
 @pytest.fixture(scope="session")
@@ -396,19 +370,16 @@ def test_identity_checks_list_nothing_on_tono_12_3(monkeypatch):
         raise AssertionError("listed or built point by point")
 
     cfg = tono_family(12, 3).bundle.cfg
-    for name, module in list(sys.modules.items()):
-        if name.startswith("valuation_lab"):
-            if hasattr(module, "expand_runs"):
-                monkeypatch.setattr(module, "expand_runs", refuse)
+    rebind(monkeypatch, configurations.expand_runs, refuse)
     monkeypatch.setattr(surface.HirzebruchClass, "__post_init__", refuse)
     results = identity_checks(valuation_bundle(cfg))
-    assert len(results) == 7
+    assert len(results) == 6
     assert all(r.passed for r in results)
 
 
-def test_checks_imports_one_name_each_from_surface_and_invariants():
+def test_checks_imports_one_name_from_invariants_and_none_from_surface():
     """The suite reads the record: from ``invariants`` it takes only the
-    contact-value reconstruction, from ``surface`` only the witness."""
+    contact-value reconstruction, and from ``surface`` nothing."""
     imported = {
         (value.__module__, name)
         for name, value in vars(checks).items()
@@ -417,9 +388,7 @@ def test_checks_imports_one_name_each_from_surface_and_invariants():
     assert {n for m, n in imported if m == "valuation_lab.invariants"} == {
         "from_maximal_contact"
     }
-    assert {n for m, n in imported if m == "valuation_lab.surface"} == {
-        "npi_from_record"
-    }
+    assert not {n for m, n in imported if m == "valuation_lab.surface"}
 
 
 class TestFuzz:

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from strategies import rebind
 import valuation_lab.checks as checks
 import valuation_lab.configurations as configurations
 import valuation_lab.valfile as valfile
@@ -174,15 +175,19 @@ class TestParse:
             '{"valuations": [{"name": null, "proximity": [[], [1], [2, 1]],'
             ' "tangent_count": null},'
             ' {"maximal_contact": [2, 3], "trailing_free": 0},'
-            ' {"name": null, "tono": {"e": 0, "a": 3}}]}'
+            ' {"name": null, "tono": {"e": 0, "a": 3}},'
+            ' {"maximal_contact": [2, 3], "trailing_free": null}]}'
         )
         vf = parse(text)
         assert [entry.payload for entry in vf.entries] == [
             {"proximity": [[], [1], [2, 1]]},
             {"maximal_contact": [2, 3]},
             {"tono": {"a": 3, "e": 0}},
+            {"maximal_contact": [2, 3]},
         ]
-        assert [entry.name for entry in vf.entries] == [None, None, "tono-a3-e0"]
+        assert [entry.name for entry in vf.entries] == [
+            None, None, "tono-a3-e0", None
+        ]
         assert serialize(vf) == (
             '{\n  "valuations": [\n'
             '    {\n      "proximity": [\n        [],\n        [\n          1\n'
@@ -191,6 +196,8 @@ class TestParse:
             '    {\n      "maximal_contact": [\n        2,\n        3\n      ]\n'
             '    },\n'
             '    {\n      "tono": {\n        "a": 3,\n        "e": 0\n      }\n'
+            '    },\n'
+            '    {\n      "maximal_contact": [\n        2,\n        3\n      ]\n'
             '    }\n  ]\n}\n'
         )
         assert parse(serialize(vf)) == vf
@@ -359,7 +366,7 @@ class TestCommands:
         assert parse(text).entries[0].bundle == tono_family(4, 1).bundle
         capsys.readouterr()
         assert main(["check", str(emitted)]) == 0
-        assert capsys.readouterr().out.endswith("checks run: 7, failed: 0\n")
+        assert capsys.readouterr().out.endswith("checks run: 6, failed: 0\n")
 
     def test_null_values_pass_every_file_verb_and_are_not_written_back(
         self, tmp_path, capsys
@@ -372,10 +379,10 @@ class TestCommands:
             assert main(["--format", fmt, "check", path]) == 0
             out = capsys.readouterr().out
             if fmt == "table":
-                assert out.endswith("checks run: 21, failed: 0\n")
+                assert out.endswith("checks run: 18, failed: 0\n")
             else:
                 summary = json.loads(out)["summary"]
-                assert summary == {"checks_run": 21, "checks_failed": 0}
+                assert summary == {"checks_run": 18, "checks_failed": 0}
         written = "".join(serialize(parse(NULL_VALUES)).split())
         assert written == (
             '{"valuations":[{"name":"p","proximity":[[],[1],[2,1]]},'
@@ -428,7 +435,7 @@ class TestCommands:
     def test_check_of_a_long_chain(self, tmp_path, capsys):
         path = write(tmp_path, '{"valuations": [{"maximal_contact": [1, 10000]}]}')
         assert main(["check", path]) == 0
-        assert capsys.readouterr().out.rstrip().endswith("checks run: 6, failed: 0")
+        assert capsys.readouterr().out.rstrip().endswith("checks run: 5, failed: 0")
 
 
 # 10**12 free points: one multiplicity run, t = 2 and beta_bar = (1, 10**12).
@@ -438,15 +445,23 @@ HUGE = '{"valuations": [{"maximal_contact": [1, 1000000000000]}]}'
 class TestChainsTooLongToList:
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_check_needs_no_points(self, tmp_path, capsys, fmt):
-        # (entry, rows): a free chain of 10**12 points; 10**12 points of
+        # (entries, rows): a free chain of 10**12 points; 10**12 points of
         # multiplicity 2 closed by one satellite, with no free tail; 10**12 - 1
         # satellites proximate to p_1; the paper's tono (40, 3), 10,108,882
         # points.  The last three have a satellite, so first-puiseux-ratio runs.
+        # Then the six entries of the CI long-chains step: two free chains of
+        # five rows and four chains with a satellite of six rows each.
         cases = [
-            ('{"maximal_contact": [1, 1000000000000]}', 6),
-            ('{"maximal_contact": [2, 2000000000001]}', 7),
-            ('{"maximal_contact": [1000000000000, 1000000000001]}', 7),
-            ('{"tono": {"a": 40, "e": 3}}', 7),
+            ('{"maximal_contact": [1, 1000000000000]}', 5),
+            ('{"maximal_contact": [2, 2000000000001]}', 6),
+            ('{"maximal_contact": [1000000000000, 1000000000001]}', 6),
+            ('{"tono": {"a": 40, "e": 3}}', 6),
+            (
+                '{"maximal_contact": [1, 100000]}, {"maximal_contact": [2, 200001]},'
+                ' {"tono": {"a": 12, "e": 3}}, {"tono": {"a": 20, "e": 3}},'
+                ' {"tono": {"a": 40, "e": 3}}, {"maximal_contact": [1, 1000000000000]}',
+                34,
+            ),
         ]
         for entry, rows in cases:
             path = write(tmp_path, f'{{"valuations": [{entry}]}}')
@@ -520,12 +535,7 @@ class TestChainsTooLongToList:
         def refuse(runs):
             raise AssertionError("a chain was listed point by point")
 
-        original = configurations.expand_runs
-        for name, module in list(sys.modules.items()):
-            if name.startswith("valuation_lab") and (
-                getattr(module, "expand_runs", None) is original
-            ):
-                monkeypatch.setattr(module, "expand_runs", refuse)
+        rebind(monkeypatch, configurations.expand_runs, refuse)
         path = write(
             tmp_path,
             '{"valuations": [{"proximity": [[], [1], [2, 1]]}, '

@@ -6,10 +6,9 @@ loaded ``valuation_lab`` module that holds them, since the other modules
 import them by name.
 """
 
-import sys
-
 import pytest
 
+from strategies import rebind
 from test_golden_reports import EXAMPLE_FILE
 from valuation_lab import bounds, configurations, invariants, valfile
 from valuation_lab.bounds import (
@@ -33,15 +32,6 @@ SMALL = [
 ]
 
 
-def _rebind(monkeypatch, original, replacement):
-    """Replace every binding of ``original`` in the loaded package modules."""
-    for name, module in list(sys.modules.items()):
-        if name == "valuation_lab" or name.startswith("valuation_lab."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, replacement)
-
-
 @pytest.fixture
 def calls(monkeypatch):
     """Per counted function, the sizes of the configurations it was called on."""
@@ -53,7 +43,7 @@ def calls(monkeypatch):
             _sizes.append(cfg.size)
             return _original(cfg)
 
-        _rebind(monkeypatch, original, counted)
+        rebind(monkeypatch, original, counted)
     return log
 
 
@@ -115,7 +105,7 @@ def test_tono_file_entry_is_built_once(
         at_parse.append(list(calls["invariant_record"]))
         return vf
 
-    _rebind(monkeypatch, original, marked)
+    rebind(monkeypatch, original, marked)
     _reset(calls)
     assert main([command, str(path)]) == 0
     # Parsing records each entry once (tono_family records a tono chain, and
@@ -153,7 +143,7 @@ def test_bound_report_builds_no_ensemble(monkeypatch, cfg):
     def refuse(*args, **kwargs):
         raise AssertionError("bound_report built an ensemble")
 
-    _rebind(monkeypatch, bounds.multi_valuation, refuse)
+    rebind(monkeypatch, bounds.multi_valuation, refuse)
     report = bound_report(bundle)
     assert report.mu_hat_upper_bound == bundle.mu_hat_bound
 
@@ -168,7 +158,7 @@ def test_bounds_builds_one_ensemble_per_file(monkeypatch, tmp_path):
         ensembles.append(len(bundles))
         return original(bundles, aligned_mu)
 
-    _rebind(monkeypatch, original, counted)
+    rebind(monkeypatch, original, counted)
     assert main(["bounds", str(path)]) == 0
     # The file's three valuations, once; no report builds its own.
     assert ensembles == [3]

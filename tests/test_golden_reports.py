@@ -51,13 +51,13 @@ GOLDEN = [
     (["bounds", "FILE"], "json", 0,
      "5c0f58b52cee4037693d0b71560af63f4a08e7b962204d883e9655e7ed6e5124"),
     (["check", "FILE"], "table", 0,
-     "cf062b6b6de1b26f223fa99085003d80d9e75dd238eade54da08ee67c2696859"),
+     "6ab30c731db87322e25936b0396223b178292b895f89f17c005e4db0c9e22920"),
     (["check", "FILE"], "json", 0,
-     "f27b4a87f7dc956d141cde0689757f2aad1a158b779edea4305c2bfba9f26a0c"),
+     "e20c4b7d72b69c3344e5fbf7c761b65c6ce30589eb38fbf1054b2b78ac4fc58d"),
     (FUZZ, "table", 0,
-     "6e3c2339a214723858ebf7a50eb72b6edeaaf25c4dcf433d8075cd3844793fcd"),
+     "0896eeb404975c2359e6fc4adee7a85c35882d8d7f019ce0768504deeaf8e754"),
     (FUZZ, "json", 0,
-     "42290a2770679432f4c345fd00cc81186fdba29048e4ecefcd31cb1e66c2c946"),
+     "c2b87098e6e4509465ba4fb7a4ce86a28320df2b0c98775ce4042bf9f4be782a"),
 ]
 
 
@@ -110,9 +110,9 @@ HIGH_GENUS_GOLDEN = [
     ("bounds", "json",
      "4fa4f0007ff318e21dca5578cf86f21e4670bd3d8902019ae29e771f56abe4b7"),
     ("check", "table",
-     "e3234029f79a287890aa3c79705aeb60f81d8b680ea58162acf8be47435214a7"),
+     "421f1872dbe3e2cc0eb55d724e4d9340ecd29b436c499f4eac821acec45b1e6f"),
     ("check", "json",
-     "187a12e3f10a3e5724fb764f6b88fdfa353a3b9fc0e46a2e14e2f0b59482f389"),
+     "e960b24849049c87c27463317c21925eac4471a227a4a43cce4598fb4f551c58"),
 ]
 
 
@@ -135,14 +135,14 @@ FUZZ_FAILURE = ["fuzz", "--max-points", "6", "--trials", "5", "--seed", "1"]
 FAILURE_PROXIMITY = "[[], [1], [2], [2, 3], [2, 4], [2, 5]]"
 FAILURE_TABLE = f"""\
 trials: 5 (max points 6, seed 1)
-checks passed: 28
+checks passed: 23
 checks failed: 3
 first counterexample: trial 0, check proximity-equalities
   proximity: {FAILURE_PROXIMITY}
   tangent_count: 3
 """
 FAILURE_JSON = (
-    '{"checks_failed": 3, "checks_passed": 28, "command": "fuzz", '
+    '{"checks_failed": 3, "checks_passed": 23, "command": "fuzz", '
     '"first_failure": {"check": "proximity-equalities", "detail": "%s", '
     f'"proximity": {FAILURE_PROXIMITY}, "tangent_count": 3, "trial": 0}}, '
     '"max_points": 6, "seed": 1, "trials": 5}\n'

@@ -61,7 +61,7 @@ from valuation_lab.errors import (
 )
 from valuation_lab.invariants import invariant_record
 from valuation_lab.reports import approx, invariants_payload
-from valuation_lab.surface import AffinePolynomial, npi_from_record
+from valuation_lab.surface import AffinePolynomial
 from valuation_lab.valfile import ValuationEntry, parse
 
 
@@ -386,29 +386,6 @@ def test_each_base_call_is_valid_and_walked():
     assert set(BASE_CALLS) == set(walked)
     for name, (arguments, _) in BASE_CALLS.items():
         walked[name](**arguments)
-
-
-# npi_from_record, which npi_check and the identity checks call, is outside
-# surface.__all__, so the walk does not reach it.
-NON_INT_ARGUMENTS = {
-    "npi_from_record index": (
-        lambda cfg: npi_from_record(invariant_record(cfg), 1.5),
-        ValueError, "delta must be an integer, got 1.5",
-    ),
-    "bool npi_from_record index": (
-        lambda cfg: npi_from_record(invariant_record(cfg), True),
-        ValueError, "delta must be an integer, got True",
-    ),
-}
-
-
-@pytest.mark.parametrize(
-    "call, error, message", NON_INT_ARGUMENTS.values(), ids=NON_INT_ARGUMENTS
-)
-def test_library_entry_points_reject_arguments_that_are_not_ints(call, error, message):
-    with pytest.raises(error) as caught:
-        call(CHAIN)
-    assert str(caught.value) == message
 
 
 # A proximity entry and the message that parse gives it: the first malformed

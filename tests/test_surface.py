@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import configurations, proximate_points
+from strategies import configurations, proximate_points, rebind
+import valuation_lab.invariants as invariants
 from valuation_lab.bounds import delta0, tono_family
 from valuation_lab.configurations import build_configuration
-from valuation_lab.invariants import invariant_record, multiplicity_sequence
+from valuation_lab.invariants import from_maximal_contact, multiplicity_sequence
 from valuation_lab.surface import (
     AffinePolynomial,
     HirzebruchClass,
@@ -16,7 +17,6 @@ from valuation_lab.surface import (
     lambda_divisor,
     nef_on_generators,
     npi_check,
-    npi_from_record,
 )
 
 
@@ -73,12 +73,12 @@ class TestHirzebruchPairing:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: npi_from_record(invariant_record(cfg3()), -1),
+            lambda: npi_check(cfg3(), -1),
             lambda: hirzebruch_class_of_polynomial(
                 AffinePolynomial.from_pairs([(1, 0)]), -1
             ),
         ],
-        ids=["npi_from_record", "hirzebruch_class_of_polynomial"],
+        ids=["npi_check", "hirzebruch_class_of_polynomial"],
     )
     def test_functions_reject_a_negative_index(self, call):
         with pytest.raises(ValueError) as caught:
@@ -133,6 +133,47 @@ class TestNpiCheck:
         assert npi_check(cfg, d0).non_positive_at_infinity
         if d0 > 0:
             assert not npi_check(cfg, d0 - 1).non_positive_at_infinity
+
+    @pytest.mark.parametrize(
+        "cfg, d0",
+        [
+            (build_configuration([[]]), -1),
+            (tono_family(12, 3).bundle.cfg, 3),
+            (from_maximal_contact((4, 6, 13), trailing_free=400), 11),
+            (from_maximal_contact((1, 100000)), 24999),
+        ],
+        ids=["one-point", "tono-12-3", "trailing-400", "100000-points"],
+    )
+    def test_delta0_is_the_first_index_where_npi_holds(self, cfg, d0):
+        """On chains longer than the strategy draws, delta0 is pinned and is
+        the first index whose witness is non-negative; one point holds at 0
+        and records -1."""
+        assert delta0(cfg) == d0
+        assert npi_check(cfg, max(d0, 0)).non_positive_at_infinity
+        if d0 > 0:
+            assert not npi_check(cfg, d0 - 1).non_positive_at_infinity
+
+    @pytest.mark.parametrize(
+        "delta, message",
+        [
+            (-1, "ruled surface index must be non-negative"),
+            (True, "delta must be an integer, got True"),
+            (1.5, "delta must be an integer, got 1.5"),
+        ],
+        ids=["negative", "bool", "float"],
+    )
+    def test_checks_the_index_before_reading_the_record(
+        self, monkeypatch, delta, message
+    ):
+        """A bad index raises before the invariant record is built."""
+
+        def refuse(cfg):
+            raise AssertionError("invariant_record called")
+
+        rebind(monkeypatch, invariants.invariant_record, refuse)
+        with pytest.raises(ValueError) as caught:
+            npi_check(cfg3(), delta)
+        assert str(caught.value) == message
 
 
 class TestNefOnGenerators:
