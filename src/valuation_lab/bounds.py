@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .configurations import (
     Configuration,
     extend_with_satellite_tail,
-    require_free_end,
+    max_tangent_count,
     require_int,
     require_ints,
 )
@@ -172,34 +172,27 @@ def supraminimal_certificate(
     return _certificate(invariant_record(cfg).beta_bar[-1], curve_value, curve_degree)
 
 
-def default_aligned_mu(bundles: Sequence[ValuationBundle]) -> int:
-    """Aligned-point count for valuations at mutually general centers.
-
-    Any two distinct points of the plane lie on a line, so the count is at
-    least 2 once two points exist anywhere; within one valuation only the
-    tangent-flagged points can be aligned.
-    """
-    best = max(b.cfg.tangent_count for b in bundles)
-    total = sum(b.cfg.size for b in bundles)
-    if total >= 2:
-        best = max(best, 2)
-    return best
-
-
 def multi_valuation(
     bundles: Sequence[ValuationBundle], aligned_mu: int | None = None
 ) -> MultiValuation:
+    """Valuations at mutually general centers and their aligned-point count.
+    Within one valuation only the tangent-flagged points can be aligned, and
+    any two distinct points of the plane lie on a line, so the count is at
+    least the largest tangent count, and 2 once two points exist anywhere;
+    it defaults to the larger of these two floors."""
     if not bundles:
         raise ValueError("need at least one valuation")
     if aligned_mu is not None:
         require_int(aligned_mu, "aligned_mu", ValueError)
-    mu = default_aligned_mu(bundles) if aligned_mu is None else aligned_mu
-    if mu < max(b.cfg.tangent_count for b in bundles):
+    tangent_floor = max(b.cfg.tangent_count for b in bundles)
+    line_floor = 2 if sum(b.cfg.size for b in bundles) >= 2 else 1
+    mu = max(tangent_floor, line_floor) if aligned_mu is None else aligned_mu
+    if mu < tangent_floor:
         raise ValueError(
             "aligned_mu cannot be smaller than a tangent segment of one "
             "of the valuations"
         )
-    if sum(b.cfg.size for b in bundles) >= 2 and mu < 2:
+    if mu < line_floor:
         raise ValueError("aligned_mu must be at least 2 once two points exist")
     return MultiValuation(bundles=tuple(bundles), aligned_mu=mu)
 
@@ -230,9 +223,8 @@ def combinatorial_lambda_bound(cfg: Configuration) -> int:
 
 def _combinatorial_bound(cfg: Configuration, contact: Sequence[int]) -> int:
     b0, b1, last = contact[0], contact[1], contact[-1]
-    # p_3 is the earliest point that can be a satellite.
-    stretches = cfg.structure.stretches
-    if stretches and stretches[0][0] == 3:
+    # p_3, the earliest possible satellite, is one if the segment stops at p_2.
+    if max_tangent_count(cfg) == 2 < cfg.size:
         # (b0/b1)^2 * last/b0^2 - 2 b0/b1 = (last - 2 b0 b1) / b1^2
         return -1 - ceil_plus(last - 2 * b0 * b1, b1 * b1)
     # last/(4 b0^2) - 2 b0/b1 = (last b1 - 8 b0^3) / (4 b0^2 b1)
@@ -252,9 +244,8 @@ def satellite_tail_comparison(
     never increasing) is exposed as properties so violations can be
     reported rather than raised.
     """
-    require_free_end(cfg)
-    before = invariant_record(cfg)
-    after = invariant_record(extend_with_satellite_tail(cfg, choices))
+    extended = extend_with_satellite_tail(cfg, choices)
+    before, after = invariant_record(cfg), invariant_record(extended)
     return TailComparison(
         delta0_before=_threshold_index(before),
         delta0_after=_threshold_index(after),

@@ -131,7 +131,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
         "valuations": [invariants_payload(entry)],
         "bounds": bounds_payload(entry),
     }
-    if args.emit:
+    if args.emit is not None:
         # The emitted entry writes its name, so the file names it as shown.
         named = ValuationEntry({"name": entry.name, **entry.payload}, entry.bundle)
         with open(args.emit, "w", encoding="utf-8") as handle:

@@ -10,8 +10,8 @@ divisors still meet the one through p_{i-1}), listed by
 
 Tangent membership is geometric data on top of the proximity structure:
 the flagged points form an initial segment {1, ..., k} and, from index 3
-on, a smooth line can only follow free points.  ``Configuration`` takes
-only an ``int`` k, and ``check_tangent_count`` checks its range.
+on, a smooth line can only follow free points.  ``Configuration`` checks
+k itself, an ``int`` in range up to ``max_tangent_count``, read off the runs.
 
 The multiplicity sequence determines the proximity structure: the points
 proximate to p_i are the consecutive points after it whose multiplicities
@@ -32,7 +32,7 @@ sets; it rejects a target that is not an ``int`` (a bool is not one).
 ``extend_with_satellite_tail`` extends the array.  Both hand it to
 ``_from_older``, which pushes it into runs in one backward pass
 (``push_runs``), ending each run as soon as its value is final, and seeds
-the size and structure with the satellite stretches of the validated array;
+the structure with the satellite stretches of the validated array;
 ``run_structure`` matches run ends with whole runs only for a chain given as
 runs.  ``_cut_blocks`` cuts the blocks for both; ``block_decomposition``
 returns the structure.
@@ -237,23 +237,6 @@ def satellite_targets(i: int, prev_older: int) -> list[int]:
     return [prev_older, i - 2] if prev_older else [i - 2]
 
 
-def check_tangent_count(cfg: Configuration) -> None:
-    """Reject a chain that cannot carry its tangent segment {p_1..p_k}: k is 1
-    for a single point, else 2..n, and at most ``max_tangent_count``."""
-    k, n, top = cfg.tangent_count, cfg.size, max_tangent_count(cfg)
-    if n == 1 and k != 1:
-        raise InvalidConfigurationError("tangent_count must be 1 for a single point")
-    if n > 1 and not 2 <= k <= n:
-        raise InvalidConfigurationError(
-            f"tangent_count must lie in 2..{n} for {n} points"
-        )
-    if k > top:
-        raise InvalidConfigurationError(
-            f"tangent segment cannot reach p_{top + 1}: a smooth line "
-            "cannot pass through a satellite point"
-        )
-
-
 def value_runs(values: Iterable[int]) -> tuple[tuple[int, int], ...]:
     """Run-length form ``((value, count), ...)`` of a listed sequence."""
     return tuple((value, len(list(run))) for value, run in itertools.groupby(values))
@@ -266,7 +249,9 @@ class Configuration:
     Its multiplicity runs and tangent count are its whole state, and equality
     compares them; a name belongs to the file entry that holds the chain.
     ``size``, ``structure`` and the ``older`` array that every per-point view
-    reads are cached properties, derived on first read or seeded by the build.
+    reads are cached properties, derived on first read or seeded by the build;
+    the constructor reads ``size`` to check the tangent segment {p_1..p_k}:
+    k is 1 for a single point, else 2..n, and at most ``max_tangent_count``.
     """
 
     runs: tuple[tuple[int, int], ...]
@@ -274,6 +259,20 @@ class Configuration:
 
     def __post_init__(self) -> None:
         require_int(self.tangent_count, "tangent_count")
+        k, n, top = self.tangent_count, self.size, max_tangent_count(self)
+        if n == 1 and k != 1:
+            raise InvalidConfigurationError(
+                "tangent_count must be 1 for a single point"
+            )
+        if n > 1 and not 2 <= k <= n:
+            raise InvalidConfigurationError(
+                f"tangent_count must lie in 2..{n} for {n} points"
+            )
+        if k > top:
+            raise InvalidConfigurationError(
+                f"tangent segment cannot reach p_{top + 1}: a smooth line "
+                "cannot pass through a satellite point"
+            )
 
     @cached_property
     def size(self) -> int:
@@ -357,24 +356,21 @@ def build_configuration(
                 )
             older[i] = target
 
-    cfg = _from_older(older, min(2, n) if tangent_count is None else tangent_count)
-    check_tangent_count(cfg)
-    return cfg
+    return _from_older(older, min(2, n) if tangent_count is None else tangent_count)
 
 
 def _from_older(older: list[int], tangent_count: int) -> Configuration:
     """The configuration of a validated ``older`` array, pushed into runs.
 
-    Its stretches (first, last, target) seed the cached size and structure:
-    a target p_{i-2} starts one, any other target extends it; no run is
-    matched."""
+    Its stretches (first, last, target) seed the cached structure: a target
+    p_{i-2} starts one, any other target extends it; no run is matched."""
     stretches: list[tuple[int, int, int]] = []
     for i in itertools.compress(range(len(older)), older):
         first = i if older[i] == i - 2 else stretches.pop()[0]
         stretches.append((first, i, first - 2))
     cfg = Configuration(push_runs(older), tangent_count)
     ends = tuple(itertools.accumulate(count for _, count in cfg.runs))
-    vars(cfg).update(size=ends[-1], structure=_cut_blocks(ends, tuple(stretches)))
+    vars(cfg)["structure"] = _cut_blocks(ends, tuple(stretches))
     return cfg
 
 
@@ -426,9 +422,12 @@ def extend_with_satellite_tail(
 
 
 def max_tangent_count(cfg: Configuration) -> int:
-    """Largest admissible tangent segment length for this proximity structure."""
-    stretches = cfg.structure.stretches
-    return stretches[0][0] - 1 if stretches else cfg.size
+    """Largest admissible tangent segment length, read off the runs: the
+    point before the first satellite.  Inside the first run p_1..p_c each
+    point has only its successor proximate, and v_c > v_{c+1} makes p_{c+2}
+    proximate to p_c, so p_{c+2} is the first satellite; one run is all free."""
+    runs = cfg.runs
+    return runs[0][1] + 1 if len(runs) > 1 else cfg.size
 
 
 __all__ = [

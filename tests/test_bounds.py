@@ -12,7 +12,6 @@ from valuation_lab.bounds import (
     bound_report,
     ceil_plus,
     combinatorial_lambda_bound,
-    default_aligned_mu,
     degree_lower_bound,
     delta0,
     lambda_lower_bound,
@@ -196,12 +195,12 @@ class TestLambdaLowerBound:
         assert lambda_lower_bound(mv) == -1
 
     def test_default_mu(self):
-        assert default_aligned_mu([valuation_bundle(m_adic())]) == 1
+        assert multi_valuation([valuation_bundle(m_adic())]).aligned_mu == 1
         assert (
-            default_aligned_mu([valuation_bundle(m_adic())] * 2) == 2
+            multi_valuation([valuation_bundle(m_adic())] * 2).aligned_mu == 2
         )
         cfg = build_configuration([[], [1], [2], [3]], tangent_count=4)
-        assert default_aligned_mu([valuation_bundle(cfg)]) == 4
+        assert multi_valuation([valuation_bundle(cfg)]).aligned_mu == 4
 
     def test_mu_validation(self):
         cfg = build_configuration([[], [1], [2], [3]], tangent_count=4)

@@ -127,6 +127,21 @@ class TestRandomTailChoices:
             bounds.satellite_tail_comparison(cfg, [1])
         assert rng.getstate() == state
 
+    def test_an_inadmissible_choice_raises_before_any_record(self, monkeypatch):
+        """The comparison builds the extension, which checks the choices,
+        before it builds either record."""
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return invariant_record(cfg)
+
+        rebind(monkeypatch, invariant_record, counted)
+        cfg = build_configuration([[], [1], [2]])
+        with pytest.raises(InvalidConfigurationError, match="not admissible"):
+            bounds.satellite_tail_comparison(cfg, [0])
+        assert calls == []
+
     @pytest.mark.parametrize("length", [-1, -3])
     def test_rejects_a_negative_length_before_drawing(self, length):
         """A negative length raises before anything is drawn; 0 gives no

@@ -368,6 +368,16 @@ class TestCommands:
         assert main(["check", str(emitted)]) == 0
         assert capsys.readouterr().out.endswith("checks run: 6, failed: 0\n")
 
+    @pytest.mark.parametrize("emit", ["", "{tmp}/missing/tono.json"])
+    def test_family_emit_to_an_unwritable_path_exits_one(self, tmp_path, capsys, emit):
+        """An empty path is refused by ``open`` like any path that cannot be
+        written: exit 1 with its error line, and nothing on stdout."""
+        path = emit.format(tmp=tmp_path)
+        with pytest.raises(OSError) as refused:
+            open(path, "w", encoding="utf-8")
+        assert main(["family", "tono", "--a", "3", "--e", "0", "--emit", path]) == 1
+        assert capsys.readouterr() == ("", f"error: {refused.value}\n")
+
     def test_null_values_pass_every_file_verb_and_are_not_written_back(
         self, tmp_path, capsys
     ):

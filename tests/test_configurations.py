@@ -20,7 +20,7 @@ from valuation_lab.configurations import (
     satellite_targets,
 )
 from valuation_lab.errors import InvalidConfigurationError, ReconstructionError
-from valuation_lab.invariants import from_maximal_contact
+from valuation_lab.invariants import from_maximal_contact, invariant_record
 
 
 def cfg3():
@@ -237,6 +237,62 @@ class TestTangentHandling:
         if k < cfg.size:
             with pytest.raises(InvalidConfigurationError):
                 build_configuration(lists, k + 1)
+
+
+def outcome(make, *args, **kwargs):
+    """What ``make`` returns, or the message of the InvalidConfigurationError
+    it raises."""
+    try:
+        return make(*args, **kwargs)
+    except InvalidConfigurationError as exc:
+        return str(exc)
+
+
+class TestTangentRule:
+    """The constructor checks the tangent count, so every way to make a chain
+    accepts the same counts and refuses the others with the same message."""
+
+    @pytest.mark.parametrize(
+        "runs, k, message",
+        [
+            (((1, 3),), 7, "tangent_count must lie in 2..3 for 3 points"),
+            (((1, 1),), 2, "tangent_count must be 1 for a single point"),
+            # p_3 is proximate to p_1, so a line through it is no smooth line.
+            (((2, 1), (1, 2)), 3, "tangent segment cannot reach p_3"),
+        ],
+        ids=["k above n", "one point", "a line through a satellite"],
+    )
+    def test_the_constructor_refuses_impossible_chains(self, runs, k, message):
+        with pytest.raises(InvalidConfigurationError, match=message):
+            Configuration(runs, k)
+
+    def test_every_way_to_make_a_chain_agrees(self, small_chains):
+        pairs = 0
+        for lists in small_chains:
+            cfg = build_configuration(lists)
+            for k in range(len(lists) + 2):
+                built = outcome(build_configuration, lists, k)
+                assert outcome(Configuration, cfg.runs, k) == built
+                assert outcome(dataclasses.replace, cfg, tangent_count=k) == built
+                pairs += 1
+            assert "structure" not in vars(Configuration(cfg.runs, cfg.tangent_count))
+        assert pairs == 29_415
+
+    def test_max_tangent_count_stops_before_the_first_stretch(
+        self, small_chains, fuzz_corpus
+    ):
+        """The runs' count equals the point before the first satellite
+        stretch that the lists state, or n for a chain with none."""
+        contact = [
+            from_maximal_contact(invariant_record(cfg).beta_bar, trailing_free=i % 3)
+            for i, cfg in enumerate(fuzz_corpus)
+        ]
+        tono = [tono_family(a, e).bundle.cfg for a in (3, 4, 5) for e in (0, 1)]
+        chains = [*map(build_configuration, small_chains), *fuzz_corpus]
+        for cfg in [*chains, *contact, *tono]:
+            stretches = cfg.structure.stretches
+            first = stretches[0][0] - 1 if stretches else cfg.size
+            assert max_tangent_count(cfg) == first
 
 
 def satellite_tails(n, max_length):

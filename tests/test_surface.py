@@ -240,7 +240,7 @@ def assert_matches_dense_generators(cfg, delta):
         assert gp.value == intersect_hirzebruch(lam, divisor)
 
 
-class TestGeneratorSupports:
+class TestNefOnGeneratorsMatchesDenseClasses:
     def test_fuzz_corpus_matches_dense_generators(self, fuzz_corpus):
         for cfg in fuzz_corpus:
             for delta in range(4):
