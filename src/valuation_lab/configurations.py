@@ -260,6 +260,8 @@ class Configuration:
     def __post_init__(self) -> None:
         require_int(self.tangent_count, "tangent_count")
         k, n, top = self.tangent_count, self.size, max_tangent_count(self)
+        if n < 1:
+            raise InvalidConfigurationError("a configuration needs at least one point")
         if n == 1 and k != 1:
             raise InvalidConfigurationError(
                 "tangent_count must be 1 for a single point"

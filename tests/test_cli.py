@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from strategies import rebind
 import valuation_lab.checks as checks
+import valuation_lab.cli as cli
 import valuation_lab.configurations as configurations
 import valuation_lab.valfile as valfile
 from valuation_lab.bounds import tono_family
@@ -747,3 +749,60 @@ def test_error_exits_in_a_fresh_process(
     )
     assert (done.returncode, done.stdout, done.stderr) == (1, "", stderr)
     assert "Traceback" not in done.stderr
+
+
+def _fails_its_check(args):
+    return 2
+
+
+def _crashes(args):
+    raise RuntimeError("not a validation error")
+
+
+# Each way out of ``main``: (argv, the file text that "FILE" stands for, the
+# verb patched in or None for the real one, the exit code or the exception).
+EXIT_PATHS = {
+    "exit 0": (["bounds", "FILE"], THREE_POINT, None, 0),
+    "usage error": (["bounds"], None, None, 1),
+    "malformed file": (["bounds", "FILE"], '{"valuations": [[]]}', None, 1),
+    "failed check": (["check", "FILE"], THREE_POINT, _fails_its_check, 2),
+    "escaping exception": (["check", "FILE"], THREE_POINT, _crashes, RuntimeError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("argv, text, verb, outcome", EXIT_PATHS.values(), ids=EXIT_PATHS)
+def test_main_puts_back_the_collector_state(
+    tmp_path, capsys, monkeypatch, enabled, argv, text, verb, outcome
+):
+    """The verb runs with the collector paused; afterwards it is as it was,
+    and only a caller that had it on gets the one generation-1 collection."""
+    argv = [write(tmp_path, text) if arg == "FILE" else arg for arg in argv]
+    verb = verb or cli._COMMANDS[argv[0]]
+    during, collections = [], []
+
+    def spy(args):
+        during.append(gc.isenabled())
+        return verb(args)
+
+    def collected(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    monkeypatch.setitem(cli._COMMANDS, argv[0], spy)
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    gc.collect()
+    gc.callbacks.append(collected)
+    try:
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(collected)
+        (gc.enable if before else gc.disable)()
+    assert during == ([] if text is None else [False])
+    assert collections == ([1] if enabled else [])

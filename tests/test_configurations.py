@@ -219,6 +219,14 @@ class TestSize:
         assert (cfg.size, longer.size) == (5, 8)
         assert longer == Configuration(((2, 3), (1, 5)), cfg.tangent_count)
 
+    @pytest.mark.parametrize("runs", [(), ((1, 0),)], ids=["no runs", "no points"])
+    def test_an_empty_chain_is_refused_as_a_build_refuses_it(self, runs):
+        message = "a configuration needs at least one point"
+        assert outcome(build_configuration, []) == message
+        assert outcome(Configuration, runs, 0) == message
+        cfg = from_maximal_contact((2, 7))
+        assert outcome(dataclasses.replace, cfg, runs=runs) == message
+
 
 class TestTangentHandling:
     @given(configurations())

@@ -1,7 +1,7 @@
 """No CLI verb leaves cyclic garbage: with the collector off, every object a
 ``cli.main`` call makes is freed by reference counting when the call returns,
-so a ``gc.collect()`` after it finds nothing.  A CLI run may then pause the
-cyclic collector without holding more memory.
+so a ``gc.collect()`` after it finds nothing.  That is why ``main`` can pause
+the cyclic collector for a command without holding more memory.
 
 Three things are left to the collector, none of them by a verb:
 
@@ -12,10 +12,17 @@ Three things are left to the collector, none of them by a verb:
   what serializing the emitted file leaves;
 * an argparse usage error, left out: argparse builds its message through
   objects that refer to one another, and the call exits before any verb runs.
+
+With the collector on, ``main`` closes with one generation-1 collection.
+Nothing is collected during the pause, so all three are still young then,
+and a ``gc.collect()`` after the call finds nothing, on the first call in a
+process too.
 """
 
 import gc
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -83,3 +90,48 @@ def test_family_emit_leaves_only_what_serializing_its_file_leaves(
     gc.collect()
     serialize(emitted)
     assert left == gc.collect()
+
+
+@pytest.fixture
+def collector_on():
+    enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if not enabled:
+        gc.disable()
+
+
+ALL_CALLS = {
+    **CALLS,
+    "usage-error": (["frobnicate"], 1),
+    "family-emit": ([*TONO, "--emit", "{emit}"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, code", ALL_CALLS.values(), ids=ALL_CALLS)
+def test_a_call_with_the_collector_on_leaves_nothing_to_collect(
+    files, collector_on, capsys, argv, code
+):
+    argv = [arg.format(**files) for arg in argv]
+    gc.collect()
+    assert main(argv) == code
+    assert gc.collect() == 0
+
+
+def test_the_first_call_in_a_process_leaves_nothing_to_collect(files):
+    """The shared parser is built on a process's first call, so only a fresh
+    process shows that its help formatters are collected too."""
+    code = (
+        "import gc, sys\n"
+        "from valuation_lab.cli import main\n"
+        "gc.collect()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, gc.collect(), gc.isenabled())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *TONO, "--emit", str(files["emit"])],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.stdout.splitlines()[-1] == "0 0 True"
