@@ -21,18 +21,18 @@ a run every point has only its successor proximate to it, so the
 proximity structure is read at the run ends as satellite stretches.
 
 Point by point, a chain is one flat array ``older``: 1-based, each point's
-older proximity target, 0 for a free point (and entry 0).  Like the size
-and the stretches, it is derived on first read and kept; every per-point
-view reads it, and the backward recursion runs on it in push form: each
-point, latest first, adds its value to its predecessor and older target.
-The proximity residual lists none: it takes runs and reads the stretches.
+older proximity target, 0 for a free point (and entry 0).  Like the
+stretches, it is derived on first read and kept; every per-point view
+reads it, and the backward recursion runs on it in push form: each point,
+latest first, adds its value to its predecessor and older target.  The
+proximity residual lists none: it walks m's run ends once, stretch by stretch.
 ``build_configuration`` writes this array as it validates the lists,
 comparing each sorted one in place and sending any other form through
-sets; it rejects a target that is not an ``int`` (a bool is not one).
-``extend_with_satellite_tail`` extends the array.  Both hand it to
-``_from_older``, which pushes it into runs in one backward pass
-(``push_runs``), ending each run as soon as its value is final, and seeds
-the structure with the satellite stretches of the validated array;
+sets; it rejects a target that is not an ``int`` (a bool is not one), and
+records each satellite stretch as it writes the satellites.
+``extend_with_satellite_tail`` does the same for its tail.  Both hand array
+and stretches to ``_from_older``, which pushes the array into runs in one
+backward pass (``push_runs``) and seeds the structure with the stretches;
 ``run_structure`` matches run ends with whole runs only for a chain given as
 runs.  ``_cut_blocks`` cuts the blocks for both; ``block_decomposition``
 returns the structure.
@@ -40,7 +40,6 @@ returns the structure.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 from collections.abc import Iterable, Sequence
@@ -76,7 +75,8 @@ def require_ints(values: Iterable[object], name: str, error=InvalidConfiguration
     """``values`` as a tuple, each entry checked by ``require_int`` as ``name[i]``."""
     values = tuple(values)
     for i, x in enumerate(values):
-        require_int(x, f"{name}[{i}]", error)
+        if type(x) is not int:
+            require_int(x, f"{name}[{i}]", error)
     return values
 
 
@@ -214,17 +214,22 @@ def proximity_residual(
     """m_i minus the m_j of the points proximate to p_i, for m as runs
     ``((value, count), ...)``: ``{point: residual}``, ascending, with entries
     only at m's run ends and the stretch targets (every other one is 0).
-    Each stretch is summed by prefix sums over the runs; nothing is listed."""
+    Each stretch is summed by prefix sums in one forward walk over m's run
+    ends, as the stretches ascend; nothing is listed."""
     values = [value for value, _ in m]
-    ends = list(itertools.accumulate(count for _, count in m))
+    ends = list(itertools.accumulate(map(operator.itemgetter(1), m)))
     sums = [0, *itertools.accumulate(value * count for value, count in m)]
     residual = dict(zip(ends, map(operator.sub, values, [*values[1:], 0])))
+    s = 0
     for first, last, target in cfg.structure.stretches:
-        # m_first + ... + m_last as two prefix sums m_1 + ... + m_i, at p_last
-        # and at p_{first-1}, each read off the run s or r that holds it.
-        s, r = bisect.bisect_left(ends, last), bisect.bisect_left(ends, first - 1)
-        stretch = sums[s + 1] - (ends[s] - last) * values[s]
-        stretch -= sums[r + 1] - (ends[r] - first + 1) * values[r]
+        # m_first + ... + m_last as two prefix sums m_1 + ... + m_i, at
+        # p_{first-1} and at p_last, each read off the run s that holds it.
+        while ends[s] < first - 1:
+            s += 1
+        stretch = (ends[s] - first + 1) * values[s] - sums[s + 1]
+        while ends[s] < last:
+            s += 1
+        stretch += sums[s + 1] - (ends[s] - last) * values[s]
         residual[target] = residual.get(target, 0) - stretch
     # A stretch target that ends no run of m was added last, out of order.
     return residual if len(residual) == len(ends) else dict(sorted(residual.items()))
@@ -247,11 +252,11 @@ class Configuration:
     """Immutable, validated chain of infinitely near points.
 
     Its multiplicity runs and tangent count are its whole state, and equality
-    compares them; a name belongs to the file entry that holds the chain.
-    ``size``, ``structure`` and the ``older`` array that every per-point view
-    reads are cached properties, derived on first read or seeded by the build;
-    the constructor reads ``size`` to check the tangent segment {p_1..p_k}:
-    k is 1 for a single point, else 2..n, and at most ``max_tangent_count``.
+    compares them; a name belongs to the file entry that holds the chain.  The
+    constructor sums the counts into ``size``, outside the fields, to check the
+    tangent segment {p_1..p_k}: k is 1 for a single point, else 2..n, and at
+    most ``max_tangent_count``.  ``structure`` and the ``older`` array that
+    every per-point view reads are cached, derived on first read or seeded.
     """
 
     runs: tuple[tuple[int, int], ...]
@@ -259,6 +264,7 @@ class Configuration:
 
     def __post_init__(self) -> None:
         require_int(self.tangent_count, "tangent_count")
+        vars(self)["size"] = sum(map(operator.itemgetter(1), self.runs))
         k, n, top = self.tangent_count, self.size, max_tangent_count(self)
         if n < 1:
             raise InvalidConfigurationError("a configuration needs at least one point")
@@ -275,10 +281,6 @@ class Configuration:
                 f"tangent segment cannot reach p_{top + 1}: a smooth line "
                 "cannot pass through a satellite point"
             )
-
-    @cached_property
-    def size(self) -> int:
-        return sum(count for _, count in self.runs)
 
     @cached_property
     def structure(self) -> RunStructure:
@@ -315,63 +317,71 @@ def build_configuration(
     if n < 1:
         raise InvalidConfigurationError("a configuration needs at least one point")
 
-    if [*proximity_lists[0]]:
+    if _listed(1, proximity_lists[0]):
         raise InvalidConfigurationError("p_1 cannot be proximate to anything")
     older = [0] * (n + 1)
-    for i in range(2, n + 1):
-        raw = proximity_lists[i - 1]
+    stretches: list[tuple[int, int, int]] = []
+    for i, raw in enumerate(proximity_lists[1:], 2):
         # Sorted lists of ints, compared in place: [i - 1] for a free point,
         # the common case, and [t, i - 1] for a satellite whose t is admissible.
-        if isinstance(raw, list):
-            size = len(raw)
-            if size == 1 and raw[0] == i - 1 and type(raw[0]) is int:
+        is_list = isinstance(raw, list)
+        if is_list and len(raw) == 1 and raw[0] == i - 1 and type(raw[0]) is int:
+            continue
+        if (
+            is_list
+            and len(raw) == 2
+            and raw[1] == i - 1
+            and type(raw[1]) is type(raw[0]) is int
+            and raw[0]
+            and (raw[0] == i - 2 or raw[0] == older[i - 1])
+        ):
+            target = raw[0]
+        else:
+            listed = _listed(i, raw)
+            if any(type(t) is not int for t in listed):
+                raise InvalidConfigurationError(f"p_{i}: targets must be integers")
+            targets = set(listed)
+            if any(t < 1 or t >= i for t in targets):
+                raise InvalidConfigurationError(
+                    f"p_{i}: proximity targets must be earlier points"
+                )
+            if (i - 1) not in targets:
+                raise InvalidConfigurationError(f"p_{i} must be proximate to p_{i - 1}")
+            if len(targets) > 2:
+                raise InvalidConfigurationError(
+                    f"p_{i}: a point is proximate to at most two points"
+                )
+            if len(targets) == 1:
                 continue
-            if (
-                size == 2
-                and raw[1] == i - 1
-                and type(raw[1]) is type(raw[0]) is int
-                and raw[0]
-                and (raw[0] == i - 2 or raw[0] == older[i - 1])
-            ):
-                older[i] = raw[0]
-                continue
-        listed = [*raw]
-        if any(type(t) is not int for t in listed):
-            raise InvalidConfigurationError(f"p_{i}: targets must be integers")
-        targets = set(listed)
-        if any(t < 1 or t >= i for t in targets):
-            raise InvalidConfigurationError(
-                f"p_{i}: proximity targets must be earlier points"
-            )
-        if (i - 1) not in targets:
-            raise InvalidConfigurationError(f"p_{i} must be proximate to p_{i - 1}")
-        if len(targets) > 2:
-            raise InvalidConfigurationError(
-                f"p_{i}: a point is proximate to at most two points"
-            )
-        if len(targets) == 2:
             target = min(targets)
             if target not in satellite_targets(i, older[i - 1]):
                 raise InvalidConfigurationError(
                     f"p_{i} claims proximity to p_{target}, but p_{i - 1} is not "
                     f"proximate to p_{target} (its divisor no longer meets E_{i - 1})"
                 )
-            older[i] = target
+        older[i] = target
+        # A target p_{i-2} starts a satellite stretch, any other extends it.
+        first = i if target == i - 2 else stretches.pop()[0]
+        stretches.append((first, i, target))
+    k = min(2, n) if tangent_count is None else tangent_count
+    return _from_older(older, stretches, k)
 
-    return _from_older(older, min(2, n) if tangent_count is None else tangent_count)
+
+def _listed(i: int, raw: Iterable[int]) -> list:
+    """The targets of p_i as a list; a non-iterable entry is refused."""
+    if not isinstance(raw, Iterable):
+        raise InvalidConfigurationError(f"p_{i}: targets must be a list of integers")
+    return [*raw]
 
 
-def _from_older(older: list[int], tangent_count: int) -> Configuration:
+def _from_older(older: list[int], stretches: list, tangent_count: int) -> Configuration:
     """The configuration of a validated ``older`` array, pushed into runs.
 
-    Its stretches (first, last, target) seed the cached structure: a target
-    p_{i-2} starts one, any other target extends it; no run is matched."""
-    stretches: list[tuple[int, int, int]] = []
-    for i in itertools.compress(range(len(older)), older):
-        first = i if older[i] == i - 2 else stretches.pop()[0]
-        stretches.append((first, i, first - 2))
-    cfg = Configuration(push_runs(older), tangent_count)
-    ends = tuple(itertools.accumulate(count for _, count in cfg.runs))
+    The stretches (first, last, target) recorded as it was validated seed the
+    cached structure: no run is matched and ``older`` is not read again."""
+    runs = push_runs(older)
+    cfg = Configuration(runs, tangent_count)
+    ends = tuple(itertools.accumulate(map(operator.itemgetter(1), runs)))
     vars(cfg)["structure"] = _cut_blocks(ends, tuple(stretches))
     return cfg
 
@@ -410,7 +420,7 @@ def extend_with_satellite_tail(
     if not choices:
         return cfg
 
-    older = [*cfg.older]
+    older, stretches = [*cfg.older], [*cfg.structure.stretches]
     for offset, c in enumerate(choices):
         require_int(c, f"choices[{offset}]")
         options = satellite_targets(len(older), older[-1])
@@ -419,8 +429,10 @@ def extend_with_satellite_tail(
                 f"tail point {offset + 1}: target p_{c} is not admissible "
                 f"(options: {options})"
             )
+        first = len(older) if c == len(older) - 2 else stretches.pop()[0]
+        stretches.append((first, len(older), c))
         older.append(c)
-    return _from_older(older, cfg.tangent_count)
+    return _from_older(older, stretches, cfg.tangent_count)
 
 
 def max_tangent_count(cfg: Configuration) -> int:

@@ -7,8 +7,9 @@ builds no ``Fraction``.  The per-block run tables, read in one walk over
 the run ends, are each folded into the coprime p/q of their continued
 fraction, the Puiseux exponent that the record keeps and the reports
 print; Zariski's recursion turns those into the contact values, the last
-one over the last block.  The record holds all of these side by side,
-and ``maximal_contact_values`` and ``puiseux_exponents`` return it whole.
+one over the last block, and each q into a step e_j = e_{j-1}/q of their
+gcd chain.  The record holds all of these side by side, and
+``maximal_contact_values`` and ``puiseux_exponents`` return it whole.
 The normalized volume is a ``fractions.Fraction`` built when it is read.
 The inverse (``from_maximal_contact``) expands each contact value into a
 block of multiplicity runs by the subtractive Euclidean algorithm, the same
@@ -24,7 +25,6 @@ references the record is tested against.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -113,7 +113,9 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
     the later block.  Contact values follow from them by Zariski's
     recursion, continued over the last block for the last one, which the
     identity suite holds to the sum of count * value^2.  Everything is
-    integer arithmetic: each exponent is folded to its p/q.
+    integer arithmetic on the coprime p/q each exponent is folded to: as
+    y_j = e_{j-1} p/q is an integer, q divides e_{j-1} and the gcd chain's
+    e_j = gcd(e_{j-1}, y_j) is e_{j-1}/q.
     """
     structure = cfg.structure
     # Zariski's recursion from e_{-1} = e_0 = beta_0, in integers on each
@@ -121,6 +123,7 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
     # Continued over the last block, it gives beta_bar_{g+1}.
     beta = [cfg.runs[0][0]]
     gcd_prev = gcd_here = beta[0]
+    gcd_chain = [gcd_here]
     # Run lengths inside each closed block, in one walk over the run ends;
     # a block ending inside run s leaves the rest of run s to the next.
     ends, tables, ratios, s, start = structure.ends, [], [(1, 1)], 0, 1
@@ -137,9 +140,9 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
         for d in reversed(table):
             p, q = d * p + q, p
         ratios.append((p, q))
-        y = gcd_here * p // q
-        beta.append(y + gcd_prev // gcd_here * beta[-1] - gcd_here)
-        gcd_prev, gcd_here = gcd_here, math.gcd(gcd_here, y)
+        gcd_chain.append(gcd_here // q)
+        beta.append(gcd_chain[-1] * p + gcd_prev // gcd_here * beta[-1] - gcd_here)
+        gcd_prev, gcd_here = gcd_here, gcd_chain[-1]
     # The values of the tangent points p_1..p_k; a single point has no
     # tangent line, and its tangent value is v_1 = 1.
     tangent, left = 0, cfg.tangent_count
@@ -151,7 +154,7 @@ def invariant_record(cfg: Configuration) -> InvariantRecord:
     return InvariantRecord(
         multiplicities=MultiplicityVector(runs=cfg.runs),
         beta_bar=tuple(beta),
-        gcd_chain=tuple(itertools.accumulate(beta, math.gcd)),
+        gcd_chain=tuple(gcd_chain),
         run_length_tables=tuple(tables),
         ratios=tuple(ratios),
         tangent_value=tangent,

@@ -64,6 +64,16 @@ class TestBuildConfiguration:
         with pytest.raises(InvalidConfigurationError):
             build_configuration([[1]])
 
+    @pytest.mark.parametrize(
+        "lists, point",
+        [([[], 3], 2), ([[], [1], None], 3), ([5], 1)],
+        ids=["number", "null", "number at p_1"],
+    )
+    def test_rejects_a_non_iterable_entry_naming_its_point(self, lists, point):
+        with pytest.raises(InvalidConfigurationError) as caught:
+            build_configuration(lists)
+        assert str(caught.value) == f"p_{point}: targets must be a list of integers"
+
     def test_rejects_tangent_count_two_on_single_point(self):
         with pytest.raises(InvalidConfigurationError) as caught:
             build_configuration([[]], tangent_count=2)

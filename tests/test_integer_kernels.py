@@ -415,6 +415,10 @@ MALFORMED_PROXIMITY = {
     "object entry": (
         [[], {"a": 1}], None, "proximity: expected a list of lists of integers"
     ),
+    "null entry": (
+        [[], [1], None], None, "proximity: expected a list of lists of integers"
+    ),
+    "number at p_1": ([5], None, "proximity: expected a list of lists of integers"),
     "non-list entry after a structural error": (
         [[], [5], 3], None, "proximity: expected a list of lists of integers"
     ),

@@ -419,6 +419,21 @@ class TestInvariantRecord:
             expected.append(g)
         assert record.gcd_chain == tuple(expected)
 
+    def test_each_gcd_step_divides_by_the_exponent_denominator(
+        self, small_chains, fuzz_corpus
+    ):
+        """The record steps the gcd chain as e_j = e_{j-1} / q_j, relying on
+        q_j dividing e_{j-1}; ``test_gcd_chain_matches_math_gcd`` is the
+        independent oracle for the values themselves."""
+        tono = [tono_family(a, e).bundle.cfg for a in range(3, 13) for e in range(4)]
+        chains = [*map(build_configuration, small_chains), *fuzz_corpus, *tono]
+        for cfg in chains:
+            record = invariant_record(cfg)
+            for j in range(1, len(record.gcd_chain)):
+                q = record.ratios[j][1]
+                assert q * record.gcd_chain[j] == record.gcd_chain[j - 1], cfg
+        assert len(chains) == 2585 + 1000 + 40
+
 
 @given(st.lists(st.integers(1, 10**12), min_size=1, max_size=20))
 def test_continued_fraction_by_integer_convergents(digits):

@@ -3,20 +3,24 @@
 ``build_configuration`` records each satellite stretch as it validates the
 lists and seeds the configuration's ``size`` and ``structure`` with them; the
 seeded values must be what ``run_structure`` matches from the runs, whichever
-path (sorted lists in place, or sets) the build took.  A satellite tail is
-seeded the same way from the ``older`` array it validated.  ``invariants_payload``
+path (sorted lists in place, or sets) the build took.  A satellite tail
+records its own stretches as it validates each target, and seeds the
+extended chain with them the same way.  ``invariants_payload``
 formats each distinct Puiseux exponent once per report, through a dict that
 one ``main()`` call creates.
 """
 
 import dataclasses
 import json
+import random
 
 import pytest
 
+from strategies import all_chains
 from test_golden_reports import EXAMPLE_FILE
 from valuation_lab import configurations, reports
 from valuation_lab.bounds import satellite_tail_comparison, tono_family
+from valuation_lab.checks import random_tail_choices
 from valuation_lab.cli import main
 from valuation_lab.configurations import (
     Configuration,
@@ -52,14 +56,10 @@ def test_fuzz_corpus_seeds_the_matched_structure(fuzz_corpus):
         assert_seeded(cfg)
 
 
-def test_a_satellite_tail_matches_no_run(monkeypatch):
-    """The tail is validated target by target, so its stretches seed the
-    extended chain as a build's do, and ``satellite_tail_comparison`` reads
-    the extension's structure without matching runs."""
-    tono = tono_family(3, 0).bundle.cfg
-    cases = [(build_configuration([[], [1], [2], [3]]), [3, 3, 5]), (tono, [16])]
-    for cfg, _ in cases:
-        cfg.structure  # a chain given as runs matches its own once, here
+@pytest.fixture
+def matched(monkeypatch):
+    """Every run tuple that ``configurations.run_structure`` matches, in call
+    order."""
     calls = []
 
     def counted(runs):
@@ -67,13 +67,44 @@ def test_a_satellite_tail_matches_no_run(monkeypatch):
         return run_structure(runs)
 
     monkeypatch.setattr(configurations, "run_structure", counted)
+    return calls
+
+
+def test_a_satellite_tail_matches_no_run(matched):
+    """The tail is validated target by target, so its stretches seed the
+    extended chain as a build's do, and ``satellite_tail_comparison`` reads
+    the extension's structure without matching runs."""
+    tono = tono_family(3, 0).bundle.cfg
+    cases = [(build_configuration([[], [1], [2], [3]]), [3, 3, 5]), (tono, [16])]
+    for cfg, _ in cases:
+        cfg.structure  # a chain given as runs matches its own once, here
+    matched.clear()
     extended = [extend_with_satellite_tail(cfg, tail) for cfg, tail in cases]
     comparisons = [satellite_tail_comparison(cfg, tail) for cfg, tail in cases]
     assert [ext.structure.genus_count for ext in extended] == [1, 3]
-    assert calls == []
+    assert matched == []
     for ext in extended:
         assert_seeded(ext)
     assert comparisons[1].delta0_non_increasing
+
+
+def test_every_small_chain_seeds_its_satellite_tails(matched):
+    """Every chain of at most 8 points that ends on a free point, extended by
+    seeded tails of 1 to 4 satellites, seeds the structure the runs match."""
+    rng = random.Random(8)
+    cases = 0
+    for lists in all_chains(8):
+        if len(lists) < 2 or len(lists[-1]) == 2:
+            continue
+        cfg = build_configuration(lists)
+        for length in range(1, 5):
+            extended = extend_with_satellite_tail(
+                cfg, random_tail_choices(cfg, length, rng)
+            )
+            assert matched == []
+            assert_seeded(extended)
+            cases += 1
+    assert cases == 580
 
 
 def test_replace_derives_the_new_runs_structure():
