@@ -258,7 +258,9 @@ def tono_family(a: int, e: int) -> TonoValuation:
 
     The cusp resolution is rebuilt from the contact values (a^2 - a, a^2,
     a^3 + 2a + 1) and extended by (e+1)a^4 - 2a^3 - 2a^2 - a free points
-    on the curve.  Every closed-form value is re-verified before returning.
+    on the curve.  One comparison checks (contact values, t, delta0, mu-hat
+    bound) against their closed forms, whose last is (e+2)a^2 - a, and the
+    curve of degree a^2 + 1 must certify mu-hat, or VerificationError.
     """
     require_int(a, "a", ValueError)
     require_int(e, "e", ValueError)
@@ -272,30 +274,19 @@ def tono_family(a: int, e: int) -> TonoValuation:
     cfg = from_maximal_contact(expected_contact[:3], trailing_free=trailing)
     bundle = valuation_bundle(cfg)
 
-    if bundle.record.beta_bar != expected_contact:
+    expected = (expected_contact, a * a, e, (e + 2) * a * a - a)
+    record = bundle.record
+    actual = (record.beta_bar, record.tangent_value, bundle.delta0, bundle.mu_hat_bound)
+    if actual != expected:
         raise VerificationError(
-            f"contact values {bundle.record.beta_bar} differ from the "
-            f"closed form {expected_contact}"
+            f"(contact values, tangent value, threshold index, upper bound) "
+            f"{actual} differ from the closed forms {expected}"
         )
-    if bundle.record.tangent_value != a * a:
-        raise VerificationError(
-            f"tangent value {bundle.record.tangent_value} differs from {a * a}"
-        )
-    if bundle.delta0 != e:
-        raise VerificationError(f"threshold index {bundle.delta0} differs from {e}")
-
     curve_degree = a * a + 1
     curve_value = expected_contact[-1]
-    certificate = _certificate(bundle.record.beta_bar[-1], curve_value, curve_degree)
+    certificate = _certificate(record.beta_bar[-1], curve_value, curve_degree)
     if certificate is None:
         raise VerificationError("the family curve must certify the constant")
-    expected_bound = (e + 2) * a * a - a
-    actual_bound = bundle.mu_hat_bound
-    if actual_bound != expected_bound:
-        raise VerificationError(
-            f"upper bound {actual_bound} differs from the closed form "
-            f"{expected_bound}"
-        )
     ratio = Fraction(curve_degree**2 - curve_value, curve_degree**2)
     return TonoValuation(
         a=a,

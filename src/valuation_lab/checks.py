@@ -7,13 +7,15 @@ reported as findings, never raised.  One suite reads a valuation's bundle
 nothing, so it costs O(runs) at any chain length: the proximity residual is
 taken once over the runs, and the contact round trip compares runs.  Every
 row compares integers and builds no ``Fraction``: ceilings are floor
-divisions, and the Puiseux ratio is compared as p and q.  Each row checks a
-fact that no other row and no single step of the record or bundle already
-fixes, so delta0, a ceiling, has no row; the nef pairings of lambda with the
-curve-cone generators are checked point by point in the tests, through
-``surface.nef_on_generators``.  ``proximity-equalities`` compares the runs
-with the satellite stretches that the proximity lists state, or, for a
-chain given as runs, that ``run_structure`` matches.
+divisions.  Each row checks a fact that no other row and no single step of
+the record or bundle already fixes, so delta0, a ceiling, has no row, and
+neither has the first Puiseux ratio: the record sets beta_bar_1 from it in
+one step, and the tests hold q_j e_j = e_{j-1} for every block.  The nef
+pairings of lambda with the curve-cone generators are checked point by
+point in the tests, through ``surface.nef_on_generators``.
+``proximity-equalities`` compares the runs with the satellite stretches
+that the proximity lists state, or, for a chain given as runs, that
+``run_structure`` matches.
 """
 
 from __future__ import annotations
@@ -167,11 +169,6 @@ def identity_checks(bundle: ValuationBundle) -> list[CheckResult]:
         ok = comb >= 1 - ceiling >= 1 - n
         detail = "" if ok else f"comb={comb} ceil={ceiling} n={n}"
         results.append(CheckResult("remark-dominance", ok, detail))
-
-    if len(contact) >= 3:  # at least one satellite block
-        p, q = record.ratios[1]  # beta'_1 = p/q is b_1 / b_0
-        ok = contact[0] * p == contact[1] * q
-        results.append(CheckResult("first-puiseux-ratio", ok))
 
     return results
 

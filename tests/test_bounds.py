@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import configurations, proximity_chains
+import valuation_lab.bounds as bounds
 from valuation_lab import reports
 from valuation_lab.bounds import (
     BoundReport,
@@ -22,7 +24,9 @@ from valuation_lab.bounds import (
     tono_family,
     valuation_bundle,
 )
+from valuation_lab.cli import main
 from valuation_lab.configurations import SATELLITE, build_configuration, classify_points
+from valuation_lab.errors import VerificationError
 from valuation_lab.invariants import (
     maximal_contact_values,
     multiplicity_sequence,
@@ -317,6 +321,43 @@ class TestTonoFamily:
         fam = tono_family(3, 0)
         assert fam.trailing_free == 6
         assert fam.bundle.cfg.size == 17
+
+    @pytest.mark.parametrize("off", ["beta_bar", "tangent_value", "delta0", "bound"])
+    def test_a_value_off_its_closed_form_is_refused(self, monkeypatch, off):
+        """A tono (3, 0) bundle with one of the four compared values one too
+        large and the other three at their closed forms is refused, and the
+        message names both tuples."""
+        built = dict(beta_bar=(6, 9, 34, 108), tangent_value=9, delta0=0, bound=15)
+        built[off] = (6, 9, 34, 109) if off == "beta_bar" else built[off] + 1
+        record = SimpleNamespace(
+            beta_bar=built["beta_bar"], tangent_value=built["tangent_value"]
+        )
+        bundle = SimpleNamespace(
+            record=record, delta0=built["delta0"], mu_hat_bound=built["bound"]
+        )
+        monkeypatch.setattr(bounds, "valuation_bundle", lambda cfg: bundle)
+        with pytest.raises(VerificationError) as refused:
+            tono_family(3, 0)
+        message = str(refused.value)
+        assert str(tuple(built.values())) in message
+        assert message.endswith("the closed forms ((6, 9, 34, 108), 9, 0, 15)")
+
+    def test_a_curve_that_certifies_nothing_is_refused(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_certificate", lambda *args: None)
+        with pytest.raises(VerificationError, match="must certify the constant"):
+            tono_family(3, 0)
+
+    def test_a_refused_member_exits_one_with_one_error_line(self, monkeypatch, capsys):
+        real = bounds.valuation_bundle
+
+        def skewed(cfg):
+            return real(cfg)._replace(delta0=1)
+
+        monkeypatch.setattr(bounds, "valuation_bundle", skewed)
+        assert main(["family", "tono", "--a", "3", "--e", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -192,20 +192,19 @@ class TestIdentityChecks:
         [
             (build_configuration([[]]), 3),
             (from_maximal_contact((1, 5)), 5),
-            (build_configuration([[], [1], [2, 1]]), 6),
+            (build_configuration([[], [1], [2, 1]]), 5),
         ],
         ids=["one-point", "no-satellite", "satellite"],
     )
     def test_rows_are_named_in_order(self, cfg, rows):
-        """A single point gets the first three rows, a chain with no satellite
-        the first five, and a chain with a satellite all six."""
+        """A single point gets the first three rows, and any longer chain,
+        with or without a satellite, all five."""
         names = [
             "proximity-equalities",
             "last-contact-value",
             "contact-round-trip",
             "tangent-range",
             "remark-dominance",
-            "first-puiseux-ratio",
         ]
         results = identity_checks(valuation_bundle(cfg))
         assert [r.name for r in results] == names[:rows]
@@ -376,6 +375,21 @@ class TestLastContactValue:
             assert not row.passed
             assert row.detail == f"direct={square} recorded={square + 1}"
 
+    def test_a_second_contact_value_off_by_one_is_caught(self, small_chains):
+        """No row compares beta_bar_1 with the first Puiseux ratio, since the
+        record sets it from that ratio in one step.  A record whose beta_bar_1
+        is one too large still fails the round trip on every chain of at most
+        10 points that has a satellite, and on tono (3, 0)."""
+        bundles = [valuation_bundle(build_configuration(c)) for c in small_chains]
+        bundles = [b for b in bundles if b.cfg.structure.stretches]
+        assert len(bundles) == 2575
+        for bundle in (*bundles, tono_family(3, 0).bundle):
+            b0, b1, *tail = bundle.record.beta_bar
+            record = bundle.record._replace(beta_bar=(b0, b1 + 1, *tail))
+            rows = identity_checks(bundle._replace(record=record))
+            (row,) = [r for r in rows if r.name == "contact-round-trip"]
+            assert not row.passed, bundle.cfg.proximity_lists()
+
 
 def test_identity_checks_list_nothing_on_tono_12_3(monkeypatch):
     """On the 79,226-point tono (12, 3) chain the suite lists no chain (no
@@ -388,7 +402,7 @@ def test_identity_checks_list_nothing_on_tono_12_3(monkeypatch):
     rebind(monkeypatch, configurations.expand_runs, refuse)
     monkeypatch.setattr(surface.HirzebruchClass, "__post_init__", refuse)
     results = identity_checks(valuation_bundle(cfg))
-    assert len(results) == 6
+    assert len(results) == 5
     assert all(r.passed for r in results)
 
 

@@ -51,13 +51,13 @@ GOLDEN = [
     (["bounds", "FILE"], "json", 0,
      "5c0f58b52cee4037693d0b71560af63f4a08e7b962204d883e9655e7ed6e5124"),
     (["check", "FILE"], "table", 0,
-     "6ab30c731db87322e25936b0396223b178292b895f89f17c005e4db0c9e22920"),
+     "8fb92a94f850f5f2273ec8459979232bf5af10d4836166cf530bb0bf2975c82e"),
     (["check", "FILE"], "json", 0,
-     "e20c4b7d72b69c3344e5fbf7c761b65c6ce30589eb38fbf1054b2b78ac4fc58d"),
+     "22c20faa46b3ab6b2cbccbd2755890d7b3b61ffd380a612f5fa96ee52d7e829e"),
     (FUZZ, "table", 0,
-     "0896eeb404975c2359e6fc4adee7a85c35882d8d7f019ce0768504deeaf8e754"),
+     "ac5ba50a1f32467c2b25eadcb4bfa8bda09c4b546942742f6153d2e66d2e793e"),
     (FUZZ, "json", 0,
-     "c2b87098e6e4509465ba4fb7a4ce86a28320df2b0c98775ce4042bf9f4be782a"),
+     "aa52e44a44975e3bf8cb10545a38fd247ca78e02a5319c25359943d2d0c314ba"),
 ]
 
 
@@ -110,9 +110,9 @@ HIGH_GENUS_GOLDEN = [
     ("bounds", "json",
      "4fa4f0007ff318e21dca5578cf86f21e4670bd3d8902019ae29e771f56abe4b7"),
     ("check", "table",
-     "421f1872dbe3e2cc0eb55d724e4d9340ecd29b436c499f4eac821acec45b1e6f"),
+     "0f715dc84040b770137b9687cce85ddf31aeceb75311ad8b61fc6f0fb6bd7f76"),
     ("check", "json",
-     "e960b24849049c87c27463317c21925eac4471a227a4a43cce4598fb4f551c58"),
+     "2091bf84de9179ca5539d253c92dd6fd9035121143fd2fe801a724fb2395a101"),
 ]
 
 
@@ -135,14 +135,14 @@ FUZZ_FAILURE = ["fuzz", "--max-points", "6", "--trials", "5", "--seed", "1"]
 FAILURE_PROXIMITY = "[[], [1], [2], [2, 3], [2, 4], [2, 5]]"
 FAILURE_TABLE = f"""\
 trials: 5 (max points 6, seed 1)
-checks passed: 23
+checks passed: 20
 checks failed: 3
 first counterexample: trial 0, check proximity-equalities
   proximity: {FAILURE_PROXIMITY}
   tangent_count: 3
 """
 FAILURE_JSON = (
-    '{"checks_failed": 3, "checks_passed": 23, "command": "fuzz", '
+    '{"checks_failed": 3, "checks_passed": 20, "command": "fuzz", '
     '"first_failure": {"check": "proximity-equalities", "detail": "%s", '
     f'"proximity": {FAILURE_PROXIMITY}, "tangent_count": 3, "trial": 0}}, '
     '"max_points": 6, "seed": 1, "trials": 5}\n'
